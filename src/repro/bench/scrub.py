@@ -44,7 +44,7 @@ from ..cluster import SYSTEMS, Cluster
 from ..faults import Injector
 from ..hw.tpt import RemoteAccessFault
 from ..integrity import IntegrityError, is_corrupt
-from ..nas.shard import ShardedCluster
+from ..nas.shard import ShardDownError, ShardedCluster
 from ..nas.shard.placement import shard_config_error
 from ..params import KB, Params, default_params
 from ..proto.rpc import RPCError
@@ -236,7 +236,8 @@ def run_repair_point(params: Optional[Params] = None, n_servers: int = 2,
     completed = True
     try:
         cluster.sim.run_process(workload())
-    except Exception:
+    except (ShardDownError, IntegrityError, RPCError, RemoteAccessFault):
+        # Recovery gave up with a typed error; anything else is a bug.
         completed = False
     s0 = cluster.servers[0].integrity
     return {

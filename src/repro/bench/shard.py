@@ -44,9 +44,11 @@ import sys
 from typing import Any, Dict, Generator, List, Optional, Sequence
 
 from ..faults import FaultSchedule, Injector
+from ..hw.tpt import RemoteAccessFault
 from ..nas.shard import SHARD_SYSTEMS, ShardDownError, ShardedCluster
 from ..nas.shard.placement import shard_config_error
 from ..params import KB, Params, default_params
+from ..proto.rpc import RPCError
 from ..sim import LatencyStats
 from ..workloads.smallio import MultiClientReadWorkload
 from .plot import ascii_chart
@@ -256,7 +258,8 @@ def run_failover_point(system: str = "odafs", n_servers: int = 4,
     completed = True
     try:
         cluster.sim.run_process(workload())
-    except Exception:
+    except (ShardDownError, RPCError, RemoteAccessFault):
+        # Recovery gave up with a typed error; anything else is a bug.
         completed = False
     stats = router.stats
     return {

@@ -5,11 +5,29 @@ The simulation does not move real bytes; a :class:`Buffer` carries a
 memory structure for the mechanisms under study — pinning for DMA, page
 residency, host/NIC locking — to behave as the paper describes. ORDMA
 faults, TPT invalidation and registration costs all hinge on this state.
+
+Pages are built on demand. :meth:`AddressSpace.alloc` records only a
+buffer's base and size. Until something asks for one of its pages, every
+page of the buffer is in one shared state — resident, not locked by the
+host, not loaded in a NIC TLB — with one pin count for the whole buffer,
+so pinning, unpinning and freeing it are O(1). The first call of
+:attr:`Buffer.pages`, :meth:`Buffer.pages_in_range`,
+:meth:`Buffer.page_at` or :meth:`AddressSpace.page_at` builds the
+buffer's :class:`Page` objects, each carrying the current pin count. The
+callers that do so are the TPT translation and access check, the NIC TLB
+walk and the ODAFS export's TLB preload: the only paths that can give a
+page a state of its own (Section 4.1: loaded in the NIC TLB, evicted or
+locked by the host). So a page that has not been built has the shared
+state, every call returns and raises the same either way, and simulated
+results cannot depend on when pages get built. GM receive rings (128
+pinned 520 KB slots per endpoint) are never translated, so their pages
+are never built.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from typing import Any, Dict, List, Optional
 
 PAGE_SIZE = 4096
@@ -24,10 +42,10 @@ class Page:
 
     __slots__ = ("vaddr", "resident", "pin_count", "locked_by_host", "nic_loaded")
 
-    def __init__(self, vaddr: int):
+    def __init__(self, vaddr: int, pin_count: int = 0):
         self.vaddr = vaddr
         self.resident = True
-        self.pin_count = 0
+        self.pin_count = pin_count
         #: The host VM system holds this page (e.g. mid-reclaim); conflicting
         #: NIC access must fault rather than race (Section 4.1).
         self.locked_by_host = False
@@ -63,19 +81,21 @@ class Buffer:
     """A contiguous virtually addressed region.
 
     ``data`` is the logical content (any Python object); protocol code moves
-    it between buffers to let tests verify end-to-end delivery.
+    it between buffers to let tests verify end-to-end delivery. Until its
+    pages are built, ``_pins`` is the pin count all of them share.
     """
 
-    __slots__ = ("space", "base", "size", "pages", "data", "name")
+    __slots__ = ("space", "base", "size", "data", "name", "_pages", "_pins")
 
     def __init__(self, space: "AddressSpace", base: int, size: int,
-                 pages: List[Page], name: str = ""):
+                 name: str = ""):
         self.space = space
         self.base = base
         self.size = size
-        self.pages = pages
         self.data: Any = None
         self.name = name
+        self._pages: Optional[List[Page]] = None
+        self._pins = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Buffer {self.name or hex(self.base)} size={self.size}>"
@@ -84,21 +104,63 @@ class Buffer:
     def end(self) -> int:
         return self.base + self.size
 
+    @property
+    def pages(self) -> List[Page]:
+        """The buffer's pages, built (with the shared pin count) on the
+        first call."""
+        pages = self._pages
+        if pages is None:
+            base, pins = self.base, self._pins
+            pages = self._pages = [Page(base + i * PAGE_SIZE, pins)
+                                   for i in range(self.page_count)]
+        return pages
+
+    def page_vaddrs(self) -> range:
+        """Page-aligned addresses of the buffer's pages (builds none)."""
+        return range(self.base, self.base + self.page_count * PAGE_SIZE,
+                     PAGE_SIZE)
+
     def pin(self) -> None:
-        for page in self.pages:
+        if self._pages is None:
+            self._pins += 1  # shared state: every page is resident
+            return
+        for page in self._pages:
             page.pin()
 
     def unpin(self) -> None:
-        for page in self.pages:
+        if self._pages is None:
+            if self._pins <= 0:
+                raise MemoryError_(f"unpin of unpinned page {self.base:#x}")
+            self._pins -= 1
+            return
+        for page in self._pages:
             page.unpin()
 
     @property
     def resident(self) -> bool:
-        return all(p.resident for p in self.pages)
+        return self._pages is None or all(p.resident for p in self._pages)
 
     @property
     def page_count(self) -> int:
-        return len(self.pages)
+        return (self.size + PAGE_SIZE - 1) // PAGE_SIZE
+
+    def _pinned_vaddr(self) -> Optional[int]:
+        """Address of the first pinned page, or None (builds none)."""
+        if self._pages is None:
+            return self.base if self._pins else None
+        for page in self._pages:
+            if page.pinned:
+                return page.vaddr
+        return None
+
+    def page_at(self, vaddr: int) -> Optional[Page]:
+        """The page holding ``vaddr``; None outside the buffer's pages or
+        once the buffer is freed."""
+        index = (vaddr - self.base) // PAGE_SIZE
+        if (index < 0 or index * PAGE_SIZE >= self.size
+                or self.space._buffers.get(self.base) is not self):
+            return None
+        return self.pages[index]
 
     def pages_in_range(self, offset: int, nbytes: int) -> List[Page]:
         if offset < 0 or nbytes < 0 or offset + nbytes > self.size:
@@ -125,8 +187,10 @@ class AddressSpace:
                  total_bytes: Optional[int] = None):
         self.name = name or f"as{next(self._ids)}"
         self._next = base
-        self._pages: Dict[int, Page] = {}
+        #: Live buffers by base, in allocation (= address) order.
         self._buffers: Dict[int, Buffer] = {}
+        #: Their bases, sorted, for :meth:`page_at`.
+        self._bases: List[int] = []
         self.total_bytes = total_bytes
         self.allocated_bytes = 0
 
@@ -140,39 +204,44 @@ class AddressSpace:
                 f"address space {self.name!r} exhausted: "
                 f"{self.allocated_bytes} + {size} > {self.total_bytes}"
             )
-        npages = (size + PAGE_SIZE - 1) // PAGE_SIZE
         base = self._next
-        self._next += npages * PAGE_SIZE
-        pages = []
-        for i in range(npages):
-            vaddr = base + i * PAGE_SIZE
-            page = Page(vaddr)
-            self._pages[vaddr] = page
-            pages.append(page)
-        buf = Buffer(self, base, size, pages, name=name)
+        buf = Buffer(self, base, size, name=name)
+        self._next += buf.page_count * PAGE_SIZE
         self._buffers[base] = buf
+        self._bases.append(base)  # addresses only grow: stays sorted
         self.allocated_bytes += size
         return buf
 
     def free(self, buf: Buffer) -> None:
-        if buf.base not in self._buffers:
+        """Release ``buf``. Checks every page before removing any, so a
+        refused free leaves the buffer fully mapped."""
+        if self._buffers.get(buf.base) is not buf:
             raise MemoryError_(f"double free or foreign buffer {buf!r}")
-        for page in buf.pages:
-            if page.pinned:
-                raise MemoryError_(
-                    f"freeing buffer {buf!r} with pinned page {page.vaddr:#x}"
-                )
-            del self._pages[page.vaddr]
+        vaddr = buf._pinned_vaddr()
+        if vaddr is not None:
+            raise MemoryError_(
+                f"freeing buffer {buf!r} with pinned page {vaddr:#x}"
+            )
         del self._buffers[buf.base]
+        del self._bases[bisect_left(self._bases, buf.base)]
         self.allocated_bytes -= buf.size
 
     def page_at(self, vaddr: int) -> Optional[Page]:
-        return self._pages.get(vaddr - (vaddr % PAGE_SIZE))
+        index = bisect_right(self._bases, vaddr) - 1
+        if index < 0:
+            return None
+        return self._buffers[self._bases[index]].page_at(vaddr)
 
     def buffer_count(self) -> int:
         return len(self._buffers)
 
     def reclaimable_pages(self) -> List[Page]:
-        """Pages the VM system could evict right now."""
-        return [p for p in self._pages.values()
-                if p.resident and not p.pinned and not p.locked_by_host]
+        """Pages the VM system could evict right now, in address order."""
+        out: List[Page] = []
+        for buf in self._buffers.values():
+            if buf._pages is None and buf._pins:
+                continue  # every page shares the pin
+            out.extend(p for p in buf.pages
+                       if p.resident and not p.pinned
+                       and not p.locked_by_host)
+        return out

@@ -121,8 +121,8 @@ class TPT:
             seg.capability = self.authority.issue(seg.id, seg.base, seg.length)
         if pin:
             buffer.pin()
-        for page in buffer.pages:
-            self._by_page[page.vaddr] = seg
+        for vaddr in buffer.page_vaddrs():
+            self._by_page[vaddr] = seg
         self._segments[seg.id] = seg
         return seg
 
@@ -132,8 +132,8 @@ class TPT:
         if seg.pinned:
             seg.buffer.unpin()
             seg.pinned = False
-        for page in seg.buffer.pages:
-            self._by_page.pop(page.vaddr, None)
+        for vaddr in seg.buffer.page_vaddrs():
+            self._by_page.pop(vaddr, None)
         del self._segments[seg.id]
         seg.revoked = True
 
@@ -152,7 +152,7 @@ class TPT:
         seg = self._by_page.get(page_vaddr)
         if seg is None:
             return None
-        page = seg.buffer.space.page_at(addr)
+        page = seg.buffer.page_at(addr)  # None once the buffer is freed
         if page is None:
             return None
         return seg, page

@@ -13,7 +13,9 @@ import json
 import pytest
 
 from repro.bench import shard
+from repro.nas.shard import ShardRouter
 from repro.params import default_params
+from repro.proto.rpc import RPCError
 
 #: Tiny same-shape grid so the determinism tests stay fast.
 TINY = dict(systems=("nfs", "odafs"), mixes=("smallio",),
@@ -84,6 +86,27 @@ class TestFailover:
         assert point["failovers"] >= 1
         assert point["replica_reads"] >= 1
         assert point["down_marks"] >= 1
+
+    @staticmethod
+    def _break_reads(monkeypatch, exc):
+        def read(self, name, offset, nbytes, app_buffer=None):
+            raise exc
+            yield  # a generator, like the real read
+
+        monkeypatch.setattr(ShardRouter, "read", read)
+
+    def test_programming_error_propagates(self, monkeypatch):
+        """A bug in the workload is a failure, not a data point."""
+        self._break_reads(monkeypatch, KeyError("bug"))
+        with pytest.raises(KeyError):
+            shard.run_failover_point("odafs", n_servers=2, blocks=8,
+                                     reads=4)
+
+    def test_typed_error_is_reported_as_not_completed(self, monkeypatch):
+        self._break_reads(monkeypatch, RPCError("gave up"))
+        point = shard.run_failover_point("odafs", n_servers=2, blocks=8,
+                                         reads=4)
+        assert point["completed"] is False
 
 
 class TestRender:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.hw.memory import PAGE_SIZE, AddressSpace, MemoryError_
+from repro.hw.tpt import TPT, NicTLB
 
 
 def test_alloc_page_aligned_and_sized():
@@ -59,6 +60,21 @@ def test_free_pinned_rejected():
         space.free(buf)
     buf.unpin()
     space.free(buf)
+
+
+def test_refused_free_leaves_every_page_mapped():
+    """A free refused on the second page must not unmap the first: the
+    segment is still registered and must keep translating."""
+    space = AddressSpace("t")
+    tpt = TPT()
+    buf = space.alloc(2 * PAGE_SIZE)
+    seg = tpt.register(buf, pin=False)
+    NicTLB(4).load(buf.pages[1])
+    with pytest.raises(MemoryError_, match=f"{buf.base + PAGE_SIZE:#x}"):
+        space.free(buf)
+    assert space.buffer_count() == 1
+    assert space.page_at(buf.base) is buf.pages[0]
+    assert tpt.check_access(buf.base, buf.size, seg.capability) is None
 
 
 def test_pin_unpin_counts():

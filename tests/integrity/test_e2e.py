@@ -205,6 +205,19 @@ class TestShardedReadRepair:
         assert point["corrupt_reads"] == 0
         assert point["ops_failed"] == 0
 
+    def test_programming_error_propagates(self, monkeypatch):
+        """A bug in the workload is a failure, not ``completed: false``."""
+        from repro.nas.shard import ShardRouter
+
+        def read(self, name, offset, nbytes, app_buffer=None):
+            raise KeyError("bug")
+            yield  # a generator, like the real read
+
+        monkeypatch.setattr(ShardRouter, "read", read)
+        with pytest.raises(KeyError):
+            run_repair_point(params=default_params().copy(seed=11),
+                             blocks=4)
+
     def test_without_replicas_the_error_is_typed(self):
         # No replica chain to fall back on: the router surfaces the
         # shard's EINTEGRITY instead of masking it as a shard-down.

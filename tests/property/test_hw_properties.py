@@ -1,10 +1,12 @@
 """Property-based tests for hardware substrate invariants."""
 
+import re
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hw.memory import PAGE_SIZE, AddressSpace
-from repro.hw.tpt import TPT, CapabilityAuthority, NicTLB
+from repro.hw.memory import PAGE_SIZE, AddressSpace, MemoryError_
+from repro.hw.tpt import TPT, CapabilityAuthority, NicTLB, ProtectionError
 from repro.net.packet import Message, MsgKind, Reassembler, fragment
 
 
@@ -35,6 +37,141 @@ class TestAddressSpaceProperties:
         first = offset // PAGE_SIZE
         last = (offset + nbytes - 1) // PAGE_SIZE
         assert pages == buf.pages[first:last + 1]
+
+
+#: Buffer, page and segment operands are indices taken modulo the count.
+_IDX = st.integers(min_value=0, max_value=7)
+
+#: Operations that leave a buffer's pages unbuilt...
+_BUFFER_OPS = st.one_of(
+    st.tuples(st.just("alloc"), st.integers(1, 3 * PAGE_SIZE + 1)),
+    st.tuples(st.just("pin"), _IDX),
+    st.tuples(st.just("unpin"), _IDX),
+    st.tuples(st.just("register"), _IDX, st.booleans()),
+    st.tuples(st.just("deregister"), _IDX),
+    st.tuples(st.just("free"), _IDX),
+)
+#: ...and operations that ask for pages, so build them.
+_PAGE_OPS = st.one_of(
+    st.tuples(st.just("evict"), _IDX, _IDX),
+    st.tuples(st.just("lock"), _IDX, _IDX, st.booleans()),
+    st.tuples(st.just("page_in"), _IDX, _IDX),
+    st.tuples(st.just("check_access"), _IDX,
+              st.integers(0, 4 * PAGE_SIZE), st.integers(0, 4 * PAGE_SIZE),
+              st.integers(-1, 7)),
+    st.tuples(st.just("tlb_load"), _IDX, _IDX),
+    st.tuples(st.just("tlb_invalidate"), _IDX, _IDX),
+    st.tuples(st.just("reclaimable"), st.just(0)),
+)
+#: Weighted toward the first kind, so unbuilt buffers survive long
+#: enough to be pinned, registered and freed.
+_OPS = st.one_of(_BUFFER_OPS, _BUFFER_OPS, _PAGE_OPS)
+
+
+class _World:
+    """An address space, TPT and 3-entry NIC TLB driven by operations.
+
+    ``touch(i)`` says whether buffer ``i`` has its pages built as soon as
+    it is allocated; the others build them only when an operation asks.
+    """
+
+    def __init__(self, touch):
+        self.space = AddressSpace("w")
+        self.tpt = TPT()
+        self.tlb = NicTLB(3)
+        self.touch = touch
+        self.buffers = []
+        self.segments = []
+
+    def _page(self, b, i):
+        buf = self.buffers[b % len(self.buffers)]
+        return buf.pages[i % buf.page_count]
+
+    def apply(self, op):
+        """Run one operation; its outcome, free of object identities."""
+        name, b, *args = op
+        if name != "alloc" and not self.buffers:
+            return "skipped"
+        buf = self.buffers[b % len(self.buffers)] if self.buffers else None
+        try:
+            if name == "alloc":
+                buf = self.space.alloc(b)
+                if self.touch(len(self.buffers)):
+                    buf.pages
+                self.buffers.append(buf)
+                return buf.base
+            if name in ("pin", "unpin"):
+                return getattr(buf, name)()
+            if name == "evict":
+                return self._page(b, args[0]).evict()
+            if name == "page_in":
+                return self._page(b, args[0]).page_in()
+            if name == "lock":
+                self._page(b, args[0]).locked_by_host = args[1]
+                return None
+            if name == "register":
+                self.segments.append(self.tpt.register(buf, pin=args[0]))
+                return self.segments[-1].base
+            if name == "deregister":
+                return self.tpt.deregister(self.segments[b % len(
+                    self.segments)]) if self.segments else "skipped"
+            if name == "check_access":
+                offset, nbytes, s = args
+                token = (self.segments[s % len(self.segments)].capability
+                         if s >= 0 and self.segments else None)
+                return self.tpt.check_access(buf.base + offset, nbytes,
+                                             token)
+            if name == "tlb_load":
+                evicted = self.tlb.load(self._page(b, args[0]))
+                return None if evicted is None else evicted.vaddr
+            if name == "tlb_invalidate":
+                return self.tlb.invalidate(self._page(b, args[0]))
+            if name == "free":
+                return self.space.free(buf)
+            return [p.vaddr for p in self.space.reclaimable_pages()]
+        except (MemoryError_, ProtectionError) as exc:
+            # Segment ids are global, so they differ between worlds.
+            return type(exc).__name__, re.sub(r"id=\d+", "", str(exc))
+
+    def cheap_state(self):
+        """State read without building any page."""
+        return ([b.resident for b in self.buffers], self.space.buffer_count(),
+                self.space.allocated_bytes, self.tpt.segment_count(),
+                len(self.tlb))
+
+    def full_state(self):
+        """Every page's state, and whether lookups return the very Page
+        objects the buffers hold (builds every page)."""
+        pages = {}
+        state = []
+        for buf in self.buffers:
+            assert buf.pages is buf.pages
+            for page in buf.pages:
+                pages[page.vaddr] = page
+                found = self.space.page_at(page.vaddr + PAGE_SIZE - 1)
+                state.append((page.vaddr, page.pinned, page.pin_count,
+                              page.resident, page.locked_by_host,
+                              page.nic_loaded, buf.resident,
+                              None if found is None else found is page))
+        in_tlb = [(v, p is pages[v]) for v, p in self.tlb._entries.items()]
+        reclaim = [(p.vaddr, p is pages[p.vaddr])
+                   for p in self.space.reclaimable_pages()]
+        return state, in_tlb, reclaim
+
+
+class TestLazyPageProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_OPS, min_size=10, max_size=50),
+           st.lists(st.booleans(), min_size=1, max_size=8))
+    def test_lazy_buffers_behave_like_materialized_ones(self, ops, touch):
+        """Buffers whose pages are built at alloc and buffers left
+        untouched give the same results, errors and fault reasons."""
+        eager = _World(lambda i: True)
+        mixed = _World(lambda i: touch[i % len(touch)])
+        for op in ops:
+            assert mixed.apply(op) == eager.apply(op), op
+            assert mixed.cheap_state() == eager.cheap_state(), op
+        assert mixed.full_state() == eager.full_state()
 
 
 class TestCapabilityProperties:

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cluster import SYSTEMS, Cluster
+from repro.hw.memory import PAGE_SIZE, Page
+from repro.nas.shard import ShardedCluster
 from repro.params import KB, MB, Params, default_params
 
 
@@ -78,3 +80,42 @@ class TestCluster:
         a = Cluster(default_params().copy(seed=1), system="nfs")
         b = Cluster(default_params().copy(seed=1), system="nfs")
         assert a.rand.stream("x").random() == b.rand.stream("x").random()
+
+
+def _pages_per_block(block_size: int) -> int:
+    return -(-block_size // PAGE_SIZE)
+
+
+class TestConstructionCost:
+    """Every GM/VI endpoint pins 128 receive buffers of 520 KB, which no
+    one translates. Setting a cluster up may build pages only for the
+    registered client cache blocks and the exported server blocks."""
+
+    def test_odafs_set_up_builds_no_receive_ring_pages(self, monkeypatch):
+        built = [0]
+        init = Page.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Page, "__init__", counting_init)
+        params = default_params()
+        params.shard.n_servers = 4
+        params.shard.placement = "stripe"
+        clusters = [Cluster(system="odafs", n_clients=32),
+                    ShardedCluster(params, system="odafs", n_clients=8,
+                                   block_size=4 * KB,
+                                   server_cache_blocks=16)]
+        bound = 0
+        for cluster in clusters:
+            for i in range(64):
+                cluster.create_file(f"f{i}", 4 * KB)
+            for client in cluster.clients:
+                for sub in getattr(client, "subclients", None) or [client]:
+                    bound += sub.cache.capacity_blocks * _pages_per_block(
+                        sub.cache.block_size)
+            for cache in getattr(cluster, "caches", None) or [cluster.cache]:
+                bound += cache.stats.get("exports") * _pages_per_block(
+                    cache.block_size)
+        assert 0 < built[0] <= bound
