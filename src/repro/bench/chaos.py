@@ -11,7 +11,7 @@ plus, for ODAFS, the fraction of fills that fell back from ORDMA to RPC.
 
 Every point is a pure function of the master seed: all fault decisions
 come from named ``RandomStreams``, so two campaigns with the same
-``--seed`` emit byte-identical JSON (the CI chaos-smoke job diffs them).
+``--seed`` emit byte-identical JSON (the CI campaign-smoke job diffs them).
 
 Examples::
 
@@ -190,7 +190,7 @@ def chaos_campaign(params: Optional[Params] = None,
     Every point builds its own cluster and injector from ``params``, with
     all randomness drawn from seed-derived named streams, so the grid can
     fan out over ``jobs`` worker processes and still return exactly the
-    serial campaign's output (the CI chaos-smoke job relies on this).
+    serial campaign's output (the CI campaign-smoke job relies on this).
     """
     for system in systems:
         if system not in SYSTEMS:

@@ -40,7 +40,9 @@ import multiprocessing
 import os
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple)
 
+from ..cluster import Cluster
 from ..params import Params, default_params
+from ..sim import LatencyStats
 
 #: Environment override for the default job count (used by CI).
 JOBS_ENV = "REPRO_BENCH_JOBS"
@@ -253,6 +255,16 @@ def seeded_params(seed: Optional[int],
     return p.copy(seed=seed) if seed is not None else p
 
 
+def positive_int(text: str) -> int:
+    """argparse ``type=`` for sizes and counts: an integer >= 1, so a zero
+    or negative size exits 2 with a usage message instead of crashing
+    mid-campaign."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def add_campaign_args(parser: argparse.ArgumentParser,
                       seed_help: str = "master seed for every RNG "
                                        "stream") -> None:
@@ -270,3 +282,36 @@ def campaign_json(results: Any, **header: Any) -> str:
     """The canonical campaign JSON: header fields in keyword order, then
     ``results``, 2-space indent — the byte layout the CI smoke jobs diff."""
     return json.dumps({**header, "results": results}, indent=2)
+
+
+def collect_point(cluster: Cluster, ops: int, unit_bytes: int,
+                  elapsed: float, latency: LatencyStats,
+                  fields: Dict[str, Any]) -> Dict[str, Any]:
+    """Shape one ``scale``/``shard`` point (rounded: byte-identical
+    across runs).
+
+    The throughput, latency and server-CPU fields lead, the campaign's
+    own ``fields`` follow, and ODAFS points end with the fraction of
+    remote cache fills served by ORDMA. Key order is part of the JSON
+    bytes.
+    """
+    point: Dict[str, Any] = {
+        "ops": ops,
+        "sim_us": round(cluster.sim.now, 2),
+        "elapsed_us": round(elapsed, 2),
+        "throughput_mb_s": (round(ops * unit_bytes / elapsed, 3)
+                            if elapsed > 0 else 0.0),
+        "ops_s": (round(ops / elapsed * 1e6, 1) if elapsed > 0 else 0.0),
+        "p50_us": round(latency.percentile(50), 2) if latency.count else 0.0,
+        "p95_us": round(latency.percentile(95), 2) if latency.count else 0.0,
+        "p99_us": round(latency.percentile(99), 2) if latency.count else 0.0,
+        "server_cpu": round(cluster.server_cpu_utilization(), 4),
+        **fields,
+    }
+    if cluster.system == "odafs":
+        subs = [sub for i in range(len(cluster.clients))
+                for _, sub in cluster.named_subclients(i)]
+        ordma = sum(sub.stats.get("ordma_reads") for sub in subs)
+        fills = ordma + sum(sub.stats.get("rpc_fills") for sub in subs)
+        point["ordma_frac"] = round(ordma / fills, 4) if fills else 0.0
+    return point

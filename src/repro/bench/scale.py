@@ -22,7 +22,7 @@ Two workload mixes:
 Every point is a pure function of ``(master seed, point spec)``: all
 randomness comes from named :class:`~repro.sim.RandomStreams`, so two
 same-seed campaigns emit byte-identical JSON for any ``--jobs`` count
-(the CI scale-smoke job diffs them).
+(the CI campaign-smoke job diffs them).
 
 Examples::
 
@@ -35,15 +35,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Dict, Generator, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..cluster import SYSTEMS, Cluster
 from ..params import KB, Params, default_params
 from ..sim import LatencyStats
+from ..workloads.postmark import run_shared_postmark
 from ..workloads.smallio import MultiClientReadWorkload
 from .plot import ascii_chart
-from .runner import add_campaign_args, campaign_json, run_grid, \
-    seeded_params
+from .runner import add_campaign_args, campaign_json, collect_point, \
+    positive_int, run_grid, seeded_params
 from .runner import base_params as runner_base_params
 
 #: Workload mixes the campaign can sweep.
@@ -78,23 +79,10 @@ def _client_kwargs(system: str) -> Dict[str, Any]:
     return {"bcache_entries": 8}
 
 
-def _collect(cluster: Cluster, system: str, ops: int, elapsed: float,
+def _collect(cluster: Cluster, ops: int, elapsed: float,
              latency: LatencyStats) -> Dict[str, Any]:
-    """Shape one campaign point (rounded: byte-identical across runs)."""
     sched = cluster.scheduler
-    rejected_calls = sum(c.rpc.stats.get("rejected_calls")
-                         for c in cluster.clients)
-    point: Dict[str, Any] = {
-        "ops": ops,
-        "sim_us": round(cluster.sim.now, 2),
-        "elapsed_us": round(elapsed, 2),
-        "throughput_mb_s": (round(ops * BLOCK / elapsed, 3)
-                            if elapsed > 0 else 0.0),
-        "ops_s": (round(ops / elapsed * 1e6, 1) if elapsed > 0 else 0.0),
-        "p50_us": round(latency.percentile(50), 2) if latency.count else 0.0,
-        "p95_us": round(latency.percentile(95), 2) if latency.count else 0.0,
-        "p99_us": round(latency.percentile(99), 2) if latency.count else 0.0,
-        "server_cpu": round(cluster.server_cpu_utilization(), 4),
+    return collect_point(cluster, ops, BLOCK, elapsed, latency, {
         "sched": {
             "admitted": sched.stats.get("admitted"),
             "rejected": sched.stats.get("rejected"),
@@ -102,14 +90,9 @@ def _collect(cluster: Cluster, system: str, ops: int, elapsed: float,
             "peak_qdepth": sched.peak_qdepth,
             "peak_active": sched.peak_active,
         },
-        "client_rejected_calls": rejected_calls,
-    }
-    if system == "odafs":
-        ordma = sum(c.stats.get("ordma_reads") for c in cluster.clients)
-        rpc_fills = sum(c.stats.get("rpc_fills") for c in cluster.clients)
-        fills = ordma + rpc_fills
-        point["ordma_frac"] = round(ordma / fills, 4) if fills else 0.0
-    return point
+        "client_rejected_calls": sum(c.rpc.stats.get("rejected_calls")
+                                     for c in cluster.clients),
+    })
 
 
 def run_point_smallio(system: str, n_clients: int,
@@ -131,7 +114,7 @@ def run_point_smallio(system: str, n_clients: int,
     result = workload.run()
     ops = n_clients * blocks  # measured pass only
     elapsed = ops * BLOCK / result["throughput_mb_s"]
-    return _collect(cluster, system, ops, elapsed, latency)
+    return _collect(cluster, ops, elapsed, latency)
 
 
 def run_point_postmark(system: str, n_clients: int,
@@ -145,48 +128,10 @@ def run_point_postmark(system: str, n_clients: int,
     cluster = Cluster(p, system=system, n_clients=n_clients,
                       block_size=BLOCK, server_cache_blocks=n_files + 8,
                       client_kwargs=_client_kwargs(system))
-    for i in range(n_files):
-        cluster.create_file(f"pm{i:06d}", BLOCK)
-    sim = cluster.sim
     latency = LatencyStats("txn_us")
-    warm_done = [sim.event() for _ in cluster.clients]
-    warm_barrier = sim.all_of(warm_done)
-
-    def txn(client, name: str) -> Generator:
-        proto = client.host.params.proto
-        yield from client.host.cpu.execute(proto.app_txn_us,
-                                           category="app")
-        yield from client.open(name)
-        yield from client.read(name, 0, BLOCK)
-        yield from client.close(name)
-
-    def client_main(idx: int) -> Generator:
-        client = cluster.clients[idx]
-        rng = cluster.rand.stream(f"scale.pm{idx}")
-        # Warm-up pass: touch every file once (delegations granted and,
-        # for ODAFS, remote references piggybacked into the directory).
-        for i in range(n_files):
-            yield from txn(client, f"pm{i:06d}")
-        warm_done[idx].succeed(None)
-        yield warm_barrier
-        for _ in range(transactions):
-            name = f"pm{rng.randrange(n_files):06d}"
-            start = sim.now
-            yield from txn(client, name)
-            latency.record(sim.now - start)
-
-    def main() -> Generator:
-        procs = [sim.process(client_main(i), name=f"scale-pm{i}")
-                 for i in range(n_clients)]
-        yield warm_barrier
-        cluster.reset_measurements()
-        start = sim.now
-        yield sim.all_of(procs)
-        return sim.now - start
-
-    elapsed = sim.run_process(main())
-    ops = n_clients * transactions
-    return _collect(cluster, system, ops, elapsed, latency)
+    elapsed = run_shared_postmark(cluster, n_files, transactions, latency,
+                                  stream_prefix="scale")
+    return _collect(cluster, n_clients * transactions, elapsed, latency)
 
 
 def _scale_point(spec) -> Dict[str, Any]:
@@ -327,45 +272,44 @@ def main(argv=None) -> int:
                         choices=SYSTEMS, metavar="SYSTEM",
                         help=f"systems to sweep (default: "
                              f"{', '.join(DEFAULT_SYSTEMS)})")
-    parser.add_argument("--mixes", nargs="+", default=list(MIXES),
+    parser.add_argument("--mixes", nargs="+", default=None,
                         choices=MIXES, metavar="MIX",
                         help="workload mixes to sweep (default: all)")
-    parser.add_argument("--clients", nargs="+", type=int, default=None,
-                        metavar="N",
+    parser.add_argument("--clients", nargs="+", type=positive_int,
+                        default=None, metavar="N",
                         help=f"client counts (default: "
                              f"{DEFAULT_CLIENTS})")
-    parser.add_argument("--blocks", type=int, default=48,
+    parser.add_argument("--blocks", type=positive_int, default=None,
                         help="4 KB blocks in the smallio file "
-                             "(default 48)")
-    parser.add_argument("--files", type=int, default=32,
+                             "(default 48, 24 with --quick)")
+    parser.add_argument("--files", type=positive_int, default=32,
                         help="PostMark file-set size (default 32)")
-    parser.add_argument("--transactions", type=int, default=48,
+    parser.add_argument("--transactions", type=positive_int, default=None,
                         help="measured PostMark transactions per client "
-                             "(default 48)")
+                             "(default 48, 24 with --quick)")
     parser.add_argument("--policy", default="fair",
                         choices=("fifo", "fair"),
                         help="server scheduling policy (default fair)")
-    parser.add_argument("--threads", type=int, default=4,
+    parser.add_argument("--threads", type=positive_int, default=4,
                         help="server service-thread pool size "
                              "(default 4)")
-    parser.add_argument("--queue", type=int, default=32,
+    parser.add_argument("--queue", type=positive_int, default=32,
                         help="server accept-queue bound (default 32)")
     parser.add_argument("--quick", action="store_true",
-                        help="smaller grid (1..8 clients, nfs+odafs, "
-                             "smallio only)")
+                        help="smaller defaults (1..8 clients, nfs+odafs, "
+                             "smallio only); explicit options still win")
     add_campaign_args(parser)
     args = parser.parse_args(argv)
 
     params = seeded_params(args.seed)
-    systems = tuple(args.systems) if args.systems else \
-        (QUICK_SYSTEMS if args.quick else DEFAULT_SYSTEMS)
-    counts = tuple(args.clients) if args.clients else \
-        (QUICK_CLIENTS if args.quick else DEFAULT_CLIENTS)
-    mixes = tuple(args.mixes)
-    if args.quick and args.mixes == list(MIXES):
-        mixes = ("smallio",)
-    blocks = 24 if args.quick else args.blocks
-    transactions = 24 if args.quick else args.transactions
+    quick = args.quick
+    systems = tuple(args.systems or
+                    (QUICK_SYSTEMS if quick else DEFAULT_SYSTEMS))
+    counts = tuple(args.clients or
+                   (QUICK_CLIENTS if quick else DEFAULT_CLIENTS))
+    mixes = tuple(args.mixes or (("smallio",) if quick else MIXES))
+    blocks = args.blocks or (24 if quick else 48)
+    transactions = args.transactions or (24 if quick else 48)
 
     results = scale_campaign(params=params, systems=systems, mixes=mixes,
                              client_counts=counts, blocks=blocks,

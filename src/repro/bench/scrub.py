@@ -24,7 +24,7 @@ down).
 
 Every point is a pure function of the master seed (named
 ``RandomStreams`` throughout), so two same-seed campaigns emit
-byte-identical JSON for any ``--jobs`` count (the CI integrity-smoke job
+byte-identical JSON for any ``--jobs`` count (the CI campaign-smoke job
 diffs them).
 
 Examples::
@@ -44,7 +44,7 @@ from ..cluster import SYSTEMS, Cluster
 from ..faults import Injector
 from ..hw.tpt import RemoteAccessFault
 from ..integrity import IntegrityError, is_corrupt
-from ..nas.shard import ShardDownError, ShardedCluster
+from ..nas.shard import ShardDownError
 from ..nas.shard.placement import shard_config_error
 from ..params import KB, Params, default_params
 from ..proto.rpc import RPCError
@@ -203,10 +203,9 @@ def run_repair_point(params: Optional[Params] = None, n_servers: int = 2,
     client_kwargs: Dict[str, Any] = {}
     if system in ("dafs", "odafs"):
         client_kwargs = {"cache_blocks": 8, "rpc_read_mode": "direct"}
-    cluster = ShardedCluster(p, system=system, n_clients=1,
-                             block_size=BLOCK,
-                             server_cache_blocks=blocks + 8,
-                             client_kwargs=client_kwargs)
+    cluster = Cluster(p, system=system, n_clients=1, block_size=BLOCK,
+                      server_cache_blocks=blocks + 8,
+                      client_kwargs=client_kwargs)
     # Cold caches: every first read pays a disk fill, which on server 0
     # always rots.
     cluster.create_file("rot", blocks * BLOCK, warm=False)

@@ -28,7 +28,7 @@ and fall back to RPC, which times out and reroutes) instead of hanging.
 
 Every point is a pure function of ``(master seed, point spec)``; two
 same-seed campaigns emit byte-identical JSON for any ``--jobs`` count
-(the CI shard-smoke job diffs them).
+(the CI campaign-smoke job diffs them).
 
 Examples::
 
@@ -43,17 +43,19 @@ import argparse
 import sys
 from typing import Any, Dict, Generator, List, Optional, Sequence
 
+from ..cluster import SHARD_SYSTEMS, Cluster
 from ..faults import FaultSchedule, Injector
 from ..hw.tpt import RemoteAccessFault
-from ..nas.shard import SHARD_SYSTEMS, ShardDownError, ShardedCluster
+from ..nas.shard import ShardDownError
 from ..nas.shard.placement import shard_config_error
 from ..params import KB, Params, default_params
 from ..proto.rpc import RPCError
 from ..sim import LatencyStats
+from ..workloads.postmark import run_shared_postmark
 from ..workloads.smallio import MultiClientReadWorkload
 from .plot import ascii_chart
-from .runner import add_campaign_args, campaign_json, run_grid, \
-    seeded_params
+from .runner import add_campaign_args, campaign_json, collect_point, \
+    positive_int, run_grid, seeded_params
 from .runner import base_params as runner_base_params
 
 #: Workload mixes the campaign can sweep.
@@ -108,36 +110,22 @@ def _client_kwargs(system: str, width: int = APP_BLOCK // BLOCK
     return {"bcache_entries": 2}
 
 
-def _collect(cluster: ShardedCluster, ops: int, unit_bytes: int,
+def _collect(cluster: Cluster, ops: int, unit_bytes: int,
              elapsed: float, latency: LatencyStats) -> Dict[str, Any]:
-    """Shape one campaign point (rounded: byte-identical across runs)."""
-    router_stats = [r.stats for r in cluster.clients]
-    point: Dict[str, Any] = {
-        "ops": ops,
-        "sim_us": round(cluster.sim.now, 2),
-        "elapsed_us": round(elapsed, 2),
-        "throughput_mb_s": (round(ops * unit_bytes / elapsed, 3)
-                            if elapsed > 0 else 0.0),
-        "ops_s": (round(ops / elapsed * 1e6, 1) if elapsed > 0 else 0.0),
-        "p50_us": round(latency.percentile(50), 2) if latency.count else 0.0,
-        "p95_us": round(latency.percentile(95), 2) if latency.count else 0.0,
-        "p99_us": round(latency.percentile(99), 2) if latency.count else 0.0,
-        "server_cpu": round(cluster.server_cpu_utilization(), 4),
+    if cluster.n_servers == 1:
+        # Plain clients: every read is one segment and none fans out.
+        routed = sum(c.stats.get("reads") for c in cluster.clients)
+        fanout = 0
+    else:
+        routed = sum(r.stats.get("routed_segments") for r in cluster.clients)
+        fanout = sum(r.stats.get("fanout_reads") for r in cluster.clients)
+    return collect_point(cluster, ops, unit_bytes, elapsed, latency, {
         "server_cpus": [round(u, 4)
                         for u in cluster.server_cpu_utilizations()],
         "client_cpu": round(cluster.client_cpu_utilization(0), 4),
-        "routed_segments": sum(s.get("routed_segments")
-                               for s in router_stats),
-        "fanout_reads": sum(s.get("fanout_reads") for s in router_stats),
-    }
-    if cluster.system == "odafs":
-        ordma = sum(sub.stats.get("ordma_reads")
-                    for r in cluster.clients for sub in r.subclients)
-        rpc_fills = sum(sub.stats.get("rpc_fills")
-                        for r in cluster.clients for sub in r.subclients)
-        fills = ordma + rpc_fills
-        point["ordma_frac"] = round(ordma / fills, 4) if fills else 0.0
-    return point
+        "routed_segments": routed,
+        "fanout_reads": fanout,
+    })
 
 
 def run_point_smallio(system: str, n_servers: int,
@@ -149,10 +137,9 @@ def run_point_smallio(system: str, n_servers: int,
     measured (for ODAFS it runs over client-initiated ORDMA against
     every shard's directory, warm from pass 1)."""
     p = _shard_params(params, n_servers, placement)
-    cluster = ShardedCluster(p, system=system, n_clients=n_clients,
-                             block_size=BLOCK,
-                             server_cache_blocks=blocks + 8,
-                             client_kwargs=_client_kwargs(system))
+    cluster = Cluster(p, system=system, n_clients=n_clients,
+                      block_size=BLOCK, server_cache_blocks=blocks + 8,
+                      client_kwargs=_client_kwargs(system))
     cluster.create_file("shard", blocks * BLOCK)
     latency = LatencyStats("read_us")
     workload = MultiClientReadWorkload(cluster, "shard", blocks * BLOCK,
@@ -173,50 +160,14 @@ def run_point_postmark(system: str, n_servers: int,
     open/read/close transactions over a shared warm small-file set whose
     files spread across shards by placement hash."""
     p = _shard_params(params, n_servers, placement)
-    cluster = ShardedCluster(p, system=system, n_clients=n_clients,
-                             block_size=BLOCK,
-                             server_cache_blocks=n_files + 8,
-                             client_kwargs=_client_kwargs(system, width=1))
-    for i in range(n_files):
-        cluster.create_file(f"pm{i:06d}", BLOCK)
-    sim = cluster.sim
+    cluster = Cluster(p, system=system, n_clients=n_clients,
+                      block_size=BLOCK, server_cache_blocks=n_files + 8,
+                      client_kwargs=_client_kwargs(system, width=1))
     latency = LatencyStats("txn_us")
-    warm_done = [sim.event() for _ in cluster.clients]
-    warm_barrier = sim.all_of(warm_done)
-
-    def txn(client, name: str) -> Generator:
-        proto = client.host.params.proto
-        yield from client.host.cpu.execute(proto.app_txn_us,
-                                           category="app")
-        yield from client.open(name)
-        yield from client.read(name, 0, BLOCK)
-        yield from client.close(name)
-
-    def client_main(idx: int) -> Generator:
-        client = cluster.clients[idx]
-        rng = cluster.rand.stream(f"shard.pm{idx}")
-        for i in range(n_files):
-            yield from txn(client, f"pm{i:06d}")
-        warm_done[idx].succeed(None)
-        yield warm_barrier
-        for _ in range(transactions):
-            name = f"pm{rng.randrange(n_files):06d}"
-            start = sim.now
-            yield from txn(client, name)
-            latency.record(sim.now - start)
-
-    def driver() -> Generator:
-        procs = [sim.process(client_main(i), name=f"shard-pm{i}")
-                 for i in range(len(cluster.clients))]
-        yield warm_barrier
-        cluster.reset_measurements()
-        start = sim.now
-        yield sim.all_of(procs)
-        return sim.now - start
-
-    elapsed = sim.run_process(driver())
-    ops = n_clients * transactions
-    return _collect(cluster, ops, BLOCK, elapsed, latency)
+    elapsed = run_shared_postmark(cluster, n_files, transactions, latency,
+                                  stream_prefix="shard")
+    return _collect(cluster, n_clients * transactions, BLOCK, elapsed,
+                    latency)
 
 
 def run_failover_point(system: str = "odafs", n_servers: int = 4,
@@ -231,10 +182,9 @@ def run_failover_point(system: str = "odafs", n_servers: int = 4,
     times out, and the router reroutes the segment to the replica.
     """
     p = _shard_params(params, n_servers, placement, replicas=1)
-    cluster = ShardedCluster(p, system=system, n_clients=1,
-                             block_size=BLOCK,
-                             server_cache_blocks=blocks + 8,
-                             client_kwargs=_client_kwargs(system))
+    cluster = Cluster(p, system=system, n_clients=1, block_size=BLOCK,
+                      server_cache_blocks=blocks + 8,
+                      client_kwargs=_client_kwargs(system))
     cluster.create_file("fo", blocks * BLOCK)
     inj = Injector(cluster)
     inj.enable_resilience(timeout_us=2000.0, max_retries=2)
@@ -399,6 +349,17 @@ def render_campaign(results: Dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
+def _app_blocks(text: str) -> int:
+    """argparse ``type=`` for ``--blocks``: whole application reads."""
+    blocks = positive_int(text)
+    per_read = APP_BLOCK // BLOCK
+    if blocks % per_read:
+        raise argparse.ArgumentTypeError(
+            f"must be a multiple of {per_read} (one "
+            f"{APP_BLOCK // KB} KB application read), got {blocks}")
+    return blocks
+
+
 def main(argv=None) -> int:
     """Entry point for ``repro-bench shard``."""
     parser = argparse.ArgumentParser(
@@ -410,7 +371,7 @@ def main(argv=None) -> int:
                         choices=SHARD_SYSTEMS, metavar="SYSTEM",
                         help=f"systems to sweep (default: "
                              f"{', '.join(DEFAULT_SYSTEMS)})")
-    parser.add_argument("--mixes", nargs="+", default=list(MIXES),
+    parser.add_argument("--mixes", nargs="+", default=None,
                         choices=MIXES, metavar="MIX",
                         help="workload mixes to sweep (default: all)")
     parser.add_argument("--servers", nargs="+", type=int, default=None,
@@ -419,39 +380,40 @@ def main(argv=None) -> int:
     parser.add_argument("--placement", default="stripe",
                         choices=("stripe", "hash"),
                         help="block placement policy (default stripe)")
-    parser.add_argument("--clients", type=int, default=8,
-                        help="client hosts per point (default 8)")
-    parser.add_argument("--blocks", type=int, default=128,
-                        help="4 KB blocks in the smallio file; keep each "
-                             "shard's slice bigger than the client cache "
-                             "(default 128)")
-    parser.add_argument("--files", type=int, default=32,
+    parser.add_argument("--clients", type=positive_int, default=None,
+                        help="client hosts per point (default 8, 4 with "
+                             "--quick)")
+    parser.add_argument("--blocks", type=_app_blocks, default=None,
+                        help=f"4 KB blocks in the smallio file, a multiple "
+                             f"of {APP_BLOCK // BLOCK}; keep each shard's "
+                             f"slice bigger than the client cache (default "
+                             f"128, 64 with --quick)")
+    parser.add_argument("--files", type=positive_int, default=32,
                         help="PostMark file-set size (default 32)")
-    parser.add_argument("--transactions", type=int, default=48,
+    parser.add_argument("--transactions", type=positive_int, default=None,
                         help="measured PostMark transactions per client "
-                             "(default 48)")
+                             "(default 48, 24 with --quick)")
     parser.add_argument("--no-failover", action="store_true",
                         help="skip the crash-failover point")
     parser.add_argument("--quick", action="store_true",
-                        help="smaller grid (1-2 servers, 4 clients, "
-                             "smallio only)")
+                        help="smaller defaults (1-2 servers, 4 clients, "
+                             "smallio only); explicit options still win")
     add_campaign_args(parser)
     args = parser.parse_args(argv)
 
     params = seeded_params(args.seed)
-    systems = tuple(args.systems) if args.systems else DEFAULT_SYSTEMS
-    counts = tuple(args.servers) if args.servers else \
-        (QUICK_SERVERS if args.quick else DEFAULT_SERVERS)
-    mixes = tuple(args.mixes)
-    if args.quick and args.mixes == list(MIXES):
-        mixes = ("smallio",)
-    n_clients = 4 if args.quick else args.clients
-    blocks = 64 if args.quick else args.blocks
-    transactions = 24 if args.quick else args.transactions
+    quick = args.quick
+    systems = tuple(args.systems or DEFAULT_SYSTEMS)
+    counts = tuple(args.servers or
+                   (QUICK_SERVERS if quick else DEFAULT_SERVERS))
+    mixes = tuple(args.mixes or (("smallio",) if quick else MIXES))
+    n_clients = args.clients or (4 if quick else 8)
+    blocks = args.blocks or (64 if quick else 128)
+    transactions = args.transactions or (24 if quick else 48)
 
     # Validate every shard configuration the campaign will wire *now*,
     # so a bad combination is one clear message and exit 2 — not a
-    # traceback from deep inside ShardedCluster construction.
+    # traceback from deep inside Cluster construction.
     for n in counts:
         err = shard_config_error(
             _shard_params(params, n, args.placement).shard, params.seed)

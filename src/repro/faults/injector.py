@@ -50,37 +50,14 @@ class Injector:
     def _stream(self, name: str) -> random.Random:
         return self.cluster.rand.stream(f"{self.stream_prefix}.{name}")
 
-    # -- single- vs multi-server topology ----------------------------------
-
-    def _servers(self) -> List:
-        """The cluster's file servers (one for :class:`repro.cluster.
-        Cluster`, N for a :class:`~repro.nas.shard.ShardedCluster`)."""
-        servers = getattr(self.cluster, "servers", None)
-        return list(servers) if servers is not None \
-            else [self.cluster.server]
-
-    def _server_hosts(self) -> List:
-        hosts = getattr(self.cluster, "server_hosts", None)
-        return list(hosts) if hosts is not None \
-            else [self.cluster.server_host]
-
-    def _disks(self) -> List:
-        disks = getattr(self.cluster, "disks", None)
-        return list(disks) if disks is not None else [self.cluster.disk]
-
-    def _caches(self) -> List:
-        caches = getattr(self.cluster, "caches", None)
-        return list(caches) if caches is not None else [self.cluster.cache]
-
     def _label(self, index: int) -> str:
         """Stream-name suffix for server-side component ``index``.
 
-        Single-server clusters keep the historical bare names
-        (``server``, ``disk``, ``retry.client0``) so their campaigns
-        stay byte-identical; sharded clusters get indexed streams
-        (``server0``, ``disk1``, …).
+        One-server clusters keep the historical bare names (``server``,
+        ``disk``) so their campaigns stay byte-identical; multi-server
+        clusters get indexed streams (``server0``, ``disk1``, …).
         """
-        return str(index) if hasattr(self.cluster, "servers") else ""
+        return str(index) if self.cluster.n_servers > 1 else ""
 
     # -- adapter installation (lazy; one per component) --------------------
 
@@ -102,7 +79,7 @@ class Injector:
 
     def disk_faults(self, index: int = 0) -> DiskFaults:
         """The fault adapter for server ``index``'s disk."""
-        disk = self._disks()[index]
+        disk = self.cluster.disks[index]
         if disk.faults is None:
             disk.faults = DiskFaults(
                 self.sim, self._stream(f"disk{self._label(index)}"),
@@ -115,12 +92,12 @@ class Injector:
 
     def server_faults(self, index: int = 0) -> ServerFaults:
         """The fault adapter for server ``index``'s RPC process."""
-        rpc = self._servers()[index].rpc
+        rpc = self.cluster.servers[index].rpc
         if rpc.faults is None:
             rpc.faults = ServerFaults(
                 self.sim, self._stream(f"server{self._label(index)}"),
                 stats=self.stats,
-                component=self._server_hosts()[index].name)
+                component=self.cluster.server_hosts[index].name)
             rpc.on_crash = self._state_loss_of(index)
         return rpc.faults
 
@@ -129,7 +106,7 @@ class Injector:
         return self.server_faults(0)
 
     def _all_hosts(self):
-        return self._server_hosts() + list(self.cluster.client_hosts)
+        return self.cluster.server_hosts + self.cluster.client_hosts
 
     def _state_loss_of(self, index: int):
         """Crash consequence for server ``index``: its file cache does
@@ -139,7 +116,7 @@ class Injector:
         ORDMA reference clients still hold is now stale and will fault —
         the recovery story of Section 4.1 at whole-cache scale.
         """
-        cache = self._caches()[index]
+        cache = self.cluster.caches[index]
 
         def lose_state() -> None:
             lost = cache.clear()
@@ -187,7 +164,7 @@ class Injector:
 
     def ordma_rejects(self, p: float) -> None:
         """Make the server NICs fault optimistic accesses at rate ``p``."""
-        for host in self._server_hosts():
+        for host in self.cluster.server_hosts:
             self.nic(host).ordma_reject_p = p
 
     def ordma_silent_corruption(self, p: float) -> None:
@@ -200,7 +177,7 @@ class Injector:
         Detectable only by client-side verification of the checksum
         carried on the ORDMA reference (``params.integrity``).
         """
-        for host in self._server_hosts():
+        for host in self.cluster.server_hosts:
             self.nic(host).ordma_corrupt_p = p
 
     def disk_bitrot(self, p: float) -> None:
@@ -212,7 +189,7 @@ class Injector:
         exported ORDMA blocks, replicas warming from it — until a
         checksum verification (read-path or scrubber) catches it.
         """
-        for k in range(len(self._disks())):
+        for k in range(self.cluster.n_servers):
             self.disk_faults(k).bitrot_p = p
 
     def disk_misdirected_writes(self, p: float) -> None:
@@ -220,13 +197,13 @@ class Injector:
         completes successfully but lands on the wrong sector, leaving
         the block's stored copy wrong while the checksum metadata
         (recorded from the intended data) stays correct."""
-        for k in range(len(self._disks())):
+        for k in range(self.cluster.n_servers):
             self.disk_faults(k).misdirect_p = p
 
     def disk_errors(self, p: float,
                     max_retries: Optional[int] = None) -> None:
         """Fail disk accesses with probability ``p`` (transient)."""
-        for k in range(len(self._disks())):
+        for k in range(self.cluster.n_servers):
             df = self.disk_faults(k)
             df.error_p = p
             if max_retries is not None:
@@ -234,7 +211,7 @@ class Injector:
 
     def disk_delays(self, p: float, spike_us: float) -> None:
         """Add a ``spike_us`` positioning spike with probability ``p``."""
-        for k in range(len(self._disks())):
+        for k in range(self.cluster.n_servers):
             df = self.disk_faults(k)
             df.delay_p = p
             df.delay_us = spike_us
@@ -242,7 +219,7 @@ class Injector:
     def server_crashes(self, p: float,
                        downtime_us: Optional[float] = None) -> None:
         """Crash each server with probability ``p`` per arriving request."""
-        for k in range(len(self._servers())):
+        for k in range(self.cluster.n_servers):
             sf = self.server_faults(k)
             sf.crash_p = p
             if downtime_us is not None:
@@ -279,7 +256,7 @@ class Injector:
         """Crash server ``shard`` at each fire time (restart after
         downtime). ``shard`` is only meaningful on sharded clusters."""
         faults = self.server_faults(shard)
-        rpc = self._servers()[shard].rpc
+        rpc = self.cluster.servers[shard].rpc
         self.schedule(sched, f"server-crash{self._label(shard)}",
                       lambda: faults.crash_now(rpc, downtime_us))
 
@@ -287,7 +264,7 @@ class Injector:
                              count: int = 8, shard: int = 0) -> None:
         """At each fire, fault the next ``count`` optimistic accesses
         against server ``shard``'s NIC."""
-        nf = self.nic(self._server_hosts()[shard])
+        nf = self.nic(self.cluster.server_hosts[shard])
 
         def storm() -> None:
             nf.ordma_reject_next += count
@@ -334,25 +311,19 @@ class Injector:
         event ordering relative to an un-injected run.
         """
         for i, client in enumerate(self.cluster.clients):
-            subclients = getattr(client, "subclients", None)
-            if subclients is None:
-                # Plain client: one RPC endpoint, historical stream name.
-                targets = [(f"retry.client{i}", client)]
-            else:
-                # Shard router: one retry policy (and stream) per
-                # per-server subclient, so a retransmission storm on one
-                # shard never perturbs another shard's jitter draws.
-                targets = [(f"retry.client{i}.s{k}", sub)
-                           for k, sub in enumerate(subclients)]
-            for stream_name, endpoint in targets:
-                endpoint.rpc.retry = RetryPolicy(
+            # One retry policy (and stream) per per-server subclient, so
+            # a retransmission storm on one shard never perturbs another
+            # shard's jitter draws; a one-server cluster's plain client
+            # keeps the historical ``retry.client{i}`` stream.
+            for prefix, sub in self.cluster.named_subclients(i):
+                sub.rpc.retry = RetryPolicy(
                     timeout_us=timeout_us, max_retries=max_retries,
                     backoff_base_us=backoff_base_us,
                     backoff_factor=backoff_factor,
                     backoff_cap_us=backoff_cap_us, jitter=jitter,
-                    rng=self._stream(stream_name))
+                    rng=self._stream(f"retry.{prefix}"))
             client.host.nic.rdma_timeout_us = rdma_timeout_us
-        for host in self._server_hosts():
+        for host in self.cluster.server_hosts:
             host.nic.rdma_timeout_us = rdma_timeout_us
-        for server in self._servers():
+        for server in self.cluster.servers:
             server.rdma_put_retries = rdma_put_retries

@@ -126,8 +126,8 @@ class HashPlacement(Placement):
 def shard_config_error(shard: ShardParams, seed: int = 0) -> Optional[str]:
     """A human-readable reason ``shard`` cannot be wired, or ``None``.
 
-    CLI entry points call this *before* building a
-    :class:`~repro.nas.shard.cluster.ShardedCluster`, so a bad
+    CLI entry points call this *before* building a multi-server
+    :class:`~repro.cluster.Cluster`, so a bad
     combination (``replicas >= n_servers``, zero stripe unit, unknown
     placement, ...) surfaces as one clear message and a nonzero exit
     instead of a traceback from deep inside cluster wiring.

@@ -254,9 +254,7 @@ class ShardParams:
     Storm-style client-driven dataplane that composes with ORDMA because
     both keep the server CPU out of the data path). ``n_servers=1`` (the
     default) is the paper configuration: :class:`repro.cluster.Cluster`
-    ignores this block entirely, and a one-server
-    :class:`~repro.nas.shard.ShardedCluster` routes every block to the
-    only shard.
+    then wires one server and plain clients, with no router.
     """
 
     #: Server count files are striped over.

@@ -10,6 +10,10 @@ ratio is swept by varying the cache size against a fixed file set.
 The full PostMark shape (creates/deletes, appends, read-write mixes) is
 also implemented for library completeness; the Fig. 6 configuration is
 ``transactions_only with read_ratio=1.0``.
+
+:func:`run_shared_postmark` is the N-client form the ``scale`` and
+``shard`` campaigns sweep: every client runs read-only transactions over
+one shared file set.
 """
 
 from __future__ import annotations
@@ -18,10 +22,73 @@ from typing import Dict, Generator, Optional
 
 from ..cluster import Cluster
 from ..params import KB
+from ..sim import LatencyStats
+
+#: File size in :func:`run_shared_postmark`: the paper's 4 KB small-I/O
+#: unit, read whole by every transaction.
+SHARED_FILE_SIZE = 4 * KB
+
+
+def _name(i: int) -> str:
+    return f"pm{i:06d}"
+
+
+def run_shared_postmark(cluster: Cluster, n_files: int, transactions: int,
+                        latency: LatencyStats, stream_prefix: str) -> float:
+    """Every client of ``cluster`` runs read-only PostMark transactions
+    over one shared warm ``n_files``-file set of ``SHARED_FILE_SIZE``
+    files; returns the measured pass's elapsed simulated time.
+
+    Each client first opens/reads/closes every file once (delegations
+    granted and, for ODAFS, remote references piggybacked into the
+    directory), then waits at a barrier; the measurement window opens
+    there, and each client runs ``transactions`` transactions on files
+    drawn from its own ``{stream_prefix}.pm{i}`` stream, each recorded
+    in ``latency``.
+    """
+    for i in range(n_files):
+        cluster.create_file(_name(i), SHARED_FILE_SIZE)
+    sim = cluster.sim
+    warm_done = [sim.event() for _ in cluster.clients]
+    warm_barrier = sim.all_of(warm_done)
+
+    def txn(client, name: str) -> Generator:
+        proto = client.host.params.proto
+        yield from client.host.cpu.execute(proto.app_txn_us,
+                                           category="app")
+        yield from client.open(name)
+        yield from client.read(name, 0, SHARED_FILE_SIZE)
+        yield from client.close(name)
+
+    def client_main(idx: int) -> Generator:
+        client = cluster.clients[idx]
+        rng = cluster.rand.stream(f"{stream_prefix}.pm{idx}")
+        for i in range(n_files):
+            yield from txn(client, _name(i))
+        warm_done[idx].succeed(None)
+        yield warm_barrier
+        for _ in range(transactions):
+            name = _name(rng.randrange(n_files))
+            start = sim.now
+            yield from txn(client, name)
+            latency.record(sim.now - start)
+
+    def main() -> Generator:
+        procs = [sim.process(client_main(i), name=f"{stream_prefix}-pm{i}")
+                 for i in range(len(cluster.clients))]
+        yield warm_barrier
+        cluster.reset_measurements()
+        start = sim.now
+        yield sim.all_of(procs)
+        return sim.now - start
+
+    return sim.run_process(main())
 
 
 class PostMarkWorkload:
     """Synchronous open/IO/close transactions over a small-file set."""
+
+    _name = staticmethod(_name)
 
     def __init__(self, cluster: Cluster, n_files: int,
                  file_size: int = 4 * KB, transactions: int = 2000,
@@ -53,9 +120,6 @@ class PostMarkWorkload:
         """Create the file set on the server (outside measurement)."""
         for i in range(self.n_files):
             self.cluster.create_file(self._name(i), self.file_size)
-
-    def _name(self, i: int) -> str:
-        return f"pm{i:06d}"
 
     def run(self) -> Dict[str, float]:
         return self.cluster.sim.run_process(self._main())

@@ -96,6 +96,25 @@ class TestRender:
         with pytest.raises(SystemExit):
             scale.main(["--systems", "zfs"])
 
+    @pytest.mark.parametrize("option", ["--clients", "--blocks", "--files",
+                                        "--threads", "--queue"])
+    def test_cli_rejects_out_of_range_sizes_at_parse_time(self, option,
+                                                          capsys):
+        with pytest.raises(SystemExit) as exc:
+            scale.main([option, "0", "--systems", "nfs", "--mixes",
+                        "postmark", "smallio", "--json"])
+        assert exc.value.code == 2
+        assert "must be >= 1, got 0" in capsys.readouterr().err
+
+    def test_quick_changes_only_the_defaults(self, capsys):
+        assert scale.main(["--quick", "--systems", "nfs", "--clients", "1",
+                           "--mixes", "smallio", "postmark", "--blocks",
+                           "8", "--files", "4", "--transactions", "3",
+                           "--json"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["smallio"]["nfs"]["1"]["ops"] == 8
+        assert results["postmark"]["nfs"]["1"]["ops"] == 3
+
 
 class TestScaleOutClaim:
     def test_odafs_beats_nfs_at_eight_clients(self):

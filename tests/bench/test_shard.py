@@ -64,7 +64,11 @@ class TestDeterminism:
                 assert point["throughput_mb_s"] > 0
         # Striping engaged: the 2-server smallio point fanned reads out.
         assert results["smallio"]["odafs"]["2"]["fanout_reads"] > 0
-        assert results["smallio"]["odafs"]["1"]["fanout_reads"] == 0
+        # One server runs plain clients: each read of both passes is one
+        # segment, and none fans out.
+        one = results["smallio"]["odafs"]["1"]
+        assert one["fanout_reads"] == 0
+        assert one["routed_segments"] == 2 * one["ops"]
 
     def test_summary_reports_speedups_over_one_server(self, tiny_campaign):
         summary = tiny_campaign["smallio"]["summary"]
@@ -138,6 +142,32 @@ class TestRender:
         with pytest.raises(SystemExit):
             shard.main(["--systems", "zfs"])
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--clients", "0", "must be >= 1, got 0"),
+        ("--files", "0", "must be >= 1, got 0"),
+        ("--blocks", "0", "must be >= 1, got 0"),
+        ("--blocks", "20", "must be a multiple of 16"),
+    ], ids=["clients", "files", "blocks", "blocks-partial-read"])
+    def test_cli_rejects_out_of_range_sizes_at_parse_time(
+            self, option, value, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            shard.main([option, value, "--systems", "nfs", "--servers",
+                        "1", "--mixes", "postmark", "smallio",
+                        "--no-failover", "--json"])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_quick_changes_only_the_defaults(self, capsys):
+        assert shard.main(["--quick", "--systems", "nfs", "--servers", "1",
+                           "--mixes", "smallio", "postmark", "--clients",
+                           "1", "--blocks", "16", "--files", "4",
+                           "--transactions", "3", "--no-failover",
+                           "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["n_clients"], doc["blocks"]) == (1, 16)
+        assert doc["results"]["smallio"]["nfs"]["1"]["ops"] == 1
+        assert doc["results"]["postmark"]["nfs"]["1"]["ops"] == 3
+
     def test_campaign_rejects_unknown_mix(self):
         with pytest.raises(ValueError):
             shard.shard_campaign(mixes=("sfs",))
@@ -167,7 +197,7 @@ class TestScaleOutClaim:
 
     @pytest.mark.slow
     def test_full_quick_cli_byte_identical_across_runs(self, capsys):
-        """The CI shard-smoke gate in-process: two --quick --seed 7 JSON
+        """The CI campaign-smoke gate in-process: two --quick --seed 7 JSON
         campaigns must match byte for byte."""
         assert shard.main(["--quick", "--seed", "7", "--json"]) == 0
         first = capsys.readouterr().out

@@ -221,14 +221,13 @@ class TestShardedReadRepair:
     def test_without_replicas_the_error_is_typed(self):
         # No replica chain to fall back on: the router surfaces the
         # shard's EINTEGRITY instead of masking it as a shard-down.
-        from repro.nas.shard import ShardedCluster
         p = integrity_params(True, verify_retries=1)
         p.shard.n_servers = 2
         p.shard.placement = "stripe"
         p.shard.stripe_blocks = 1
         p.shard.replicas = 0
-        c = ShardedCluster(p, system="nfs", n_clients=1, block_size=BLOCK,
-                           server_cache_blocks=16)
+        c = Cluster(p, system="nfs", n_clients=1, block_size=BLOCK,
+                    server_cache_blocks=16)
         c.create_file("rot", 8 * BLOCK, warm=False)
         inj = Injector(c)
         inj.arm()

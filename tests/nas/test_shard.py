@@ -7,10 +7,16 @@ mechanics — placement math, segment splitting, failover bookkeeping,
 and the typed error surface.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
+from repro.cluster import Cluster
 from repro.faults import FaultSchedule, Injector
-from repro.nas.shard import (HashPlacement, ShardDownError, ShardedCluster,
+from repro.nas.shard import (HashPlacement, ShardDownError, ShardRouter,
                              StripePlacement, make_placement)
 from repro.params import ShardParams, default_params
 
@@ -28,8 +34,8 @@ def make_cluster(system="odafs", n_servers=2, n_clients=1, replicas=0,
                      placement=placement)
     kwargs = ({"cache_blocks": cache_blocks}
               if system in ("dafs", "odafs") else {})
-    return ShardedCluster(p, system=system, n_clients=n_clients,
-                          client_kwargs=kwargs, **cluster_kwargs)
+    return Cluster(p, system=system, n_clients=n_clients,
+                   client_kwargs=kwargs, **cluster_kwargs)
 
 
 class TestPlacement:
@@ -98,7 +104,9 @@ class TestPlacement:
 class TestRouterSegments:
     def test_single_server_reads_are_one_segment(self):
         c = make_cluster(n_servers=1)
-        router = c.clients[0]
+        client = c.clients[0]
+        router = ShardRouter(client.host, [client], c.placement,
+                             c.block_size)
         segs = router._segments("f", 0, 8 * c.block_size)
         assert len(segs) == 1
         assert segs[0][1:] == (0, 8 * c.block_size, 8)
@@ -163,12 +171,45 @@ class TestClusterWiring:
         with pytest.raises(ValueError):
             make_cluster(system="nfs-hybrid")
 
-    def test_metrics_namespace_per_shard_and_router(self):
-        c = make_cluster(n_servers=2)
+    @pytest.mark.parametrize("n_servers, present, absent", [
+        # One server keeps the paper testbed's names: no router.
+        (1, ("server.cpu", "server.disk", "client0.ops", "client0.rpc"),
+         ("client0.shard", "server0.cpu", "client0.s0.ops")),
+        (2, ("server0.rpc", "server1.rpc", "server0.disk",
+             "client0.shard", "client0.s0.rpc", "client0.s1.rpc"),
+         ("server.cpu", "client0.ops")),
+    ], ids=["one-server", "two-servers"])
+    def test_metrics_namespace_per_shard_and_router(self, n_servers,
+                                                    present, absent):
+        c = make_cluster(n_servers=n_servers)
         names = set(c.metrics.names())
-        for want in ("server0.rpc", "server1.rpc", "server0.disk",
-                     "client0.shard", "client0.s0.rpc", "client0.s1.rpc"):
-            assert want in names
+        assert set(present) <= names
+        assert not set(absent) & names
+
+    def test_single_server_accessors_raise_on_many_servers(self):
+        one = make_cluster(n_servers=1)
+        assert one.server is one.servers[0]
+        assert one.cache is one.caches[0]
+        many = make_cluster(n_servers=2)
+        for name in ("server", "server_host", "fs", "disk", "cache",
+                     "scheduler"):
+            with pytest.raises(RuntimeError, match="2 servers"):
+                getattr(many, name)
+
+    @pytest.mark.parametrize("cluster_first", [True, False])
+    def test_sharded_cluster_alias_resolves_in_either_import_order(
+            self, cluster_first):
+        imports = ["import repro.cluster",
+                   "from repro.nas.shard import ShardedCluster"]
+        if not cluster_first:
+            imports.reverse()
+        code = "\n".join(imports + [
+            "from repro.cluster import Cluster",
+            "from repro.nas.shard import ShardedCluster",
+            "assert ShardedCluster is Cluster"])
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": src})
 
 
 class TestReadsAndWrites:

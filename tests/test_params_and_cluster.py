@@ -4,7 +4,6 @@ import pytest
 
 from repro.cluster import SYSTEMS, Cluster
 from repro.hw.memory import PAGE_SIZE, Page
-from repro.nas.shard import ShardedCluster
 from repro.params import KB, MB, Params, default_params
 
 
@@ -104,18 +103,17 @@ class TestConstructionCost:
         params.shard.n_servers = 4
         params.shard.placement = "stripe"
         clusters = [Cluster(system="odafs", n_clients=32),
-                    ShardedCluster(params, system="odafs", n_clients=8,
-                                   block_size=4 * KB,
-                                   server_cache_blocks=16)]
+                    Cluster(params, system="odafs", n_clients=8,
+                            block_size=4 * KB, server_cache_blocks=16)]
         bound = 0
         for cluster in clusters:
             for i in range(64):
                 cluster.create_file(f"f{i}", 4 * KB)
-            for client in cluster.clients:
-                for sub in getattr(client, "subclients", None) or [client]:
+            for i in range(len(cluster.clients)):
+                for _, sub in cluster.named_subclients(i):
                     bound += sub.cache.capacity_blocks * _pages_per_block(
                         sub.cache.block_size)
-            for cache in getattr(cluster, "caches", None) or [cluster.cache]:
+            for cache in cluster.caches:
                 bound += cache.stats.get("exports") * _pages_per_block(
                     cache.block_size)
         assert 0 < built[0] <= bound
