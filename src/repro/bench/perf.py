@@ -295,9 +295,11 @@ def bench_scale_smallio(quick: bool = False) -> Dict[str, Any]:
     one server through the fair-share scheduler with a bounded queue and
     a 4-thread service pool, so the engine is dominated by queueing,
     dispatch, and retransmission-after-rejection machinery rather than
-    by a single client's pipeline. Tracked as simulator events per
-    wall-second; its deterministic (ops, sim_us, events) triple also
-    pins the scheduler's event stream against accidental change.
+    by a single client's pipeline. Tracked as simulated reads per
+    wall-second, so doing the same reads in fewer kernel events reads
+    as a gain, not a loss; its deterministic (ops, sim_us, events)
+    triple also pins the scheduler's event stream against accidental
+    change.
     """
     n_clients = SCALE_CLIENTS[quick]
     blocks = 16
@@ -332,7 +334,7 @@ def bench_scale_smallio(quick: bool = False) -> Dict[str, Any]:
     return {"wall_s": wall, "ops": ops, "sim_us": cluster.sim.now,
             "events": events, "clients": n_clients,
             "rejected": cluster.scheduler.stats.get("rejected"),
-            "events_per_s": events / wall}
+            "ops_per_s": ops / wall}
 
 
 def bench_figure_sweep(quick: bool = False,
@@ -408,8 +410,8 @@ def run_suite(quick: bool = False, jobs: int = 4, repeat: int = 3,
         result = bench_scale_smallio(quick)
         if best is None or result["wall_s"] < best["wall_s"]:
             best = result
-    best["rate_key"] = "events_per_s"
-    best["normalized"] = best["events_per_s"] / calib
+    best["rate_key"] = "ops_per_s"
+    best["normalized"] = best["ops_per_s"] / calib
     benches["scale_smallio"] = best
     if sweep:
         result = bench_figure_sweep(quick, jobs=jobs)
@@ -510,7 +512,7 @@ def profile_suite(quick: bool = False, top: int = 15) -> str:
     """
     serial = dict(BENCHES)
     serial["telemetry_reads"] = (bench_telemetry_reads, "ops_per_s")
-    serial["scale_smallio"] = (bench_scale_smallio, "events_per_s")
+    serial["scale_smallio"] = (bench_scale_smallio, "ops_per_s")
     sections = []
     for name, (fn, _rate_key) in serial.items():
         profiler = cProfile.Profile()

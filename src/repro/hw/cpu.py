@@ -41,13 +41,8 @@ class CPU:
             raise ValueError(f"negative CPU cost: {cost_us}")
         if cost_us == 0:
             return
-        req = self._core.request(priority)
-        yield req
-        try:
-            yield self.sim.timeout(cost_us)
-            self.busy.add(cost_us, category)
-        finally:
-            self._core.release(req)
+        yield self._core.hold(cost_us, priority)
+        self.busy.add(cost_us, category)
 
     def copy(self, nbytes: int, cached: bool = True,
              category: str = "copy", priority: int = PRIO_NORMAL) -> Generator:

@@ -331,12 +331,7 @@ class NIC:
                 # firmware per fragment on the responding NIC, capping get
                 # throughput below the link rate.
                 frame_cost += self.params.net.gm_get_bug_stall_us
-            fw = self.firmware.request()
-            yield fw
-            try:
-                yield self.sim.timeout(frame_cost)
-            finally:
-                self.firmware.release(fw)
+            yield self.firmware.hold(frame_cost)
             if from_host and frame.payload_bytes > 0:
                 yield self.pci.dma(frame.payload_bytes)
                 self.stats.incr("dma_bytes", frame.payload_bytes)
@@ -356,12 +351,7 @@ class NIC:
         self.sim.process(self._rx_frame(frame), name=f"{self.name}.rx")
 
     def _rx_frame(self, frame: Frame) -> Generator:
-        fw = self.firmware.request()
-        yield fw
-        try:
-            yield self.sim.timeout(self.params.nic.rx_frame_us)
-        finally:
-            self.firmware.release(fw)
+        yield self.firmware.hold(self.params.nic.rx_frame_us)
         kind = frame.message.kind
         if kind is MsgKind.GM_SEND:
             yield from self._rx_gm(frame)
@@ -569,12 +559,7 @@ class NIC:
         # GM get service has two cost components: a firmware occupancy
         # (serializes concurrent gets; bounds get throughput below the raw
         # link rate) and a rendezvous turnaround that is pure latency.
-        fw = self.firmware.request()
-        yield fw
-        try:
-            yield self.sim.timeout(self.params.nic.get_occupancy_us)
-        finally:
-            self.firmware.release(fw)
+        yield self.firmware.hold(self.params.nic.get_occupancy_us)
         yield self.sim.timeout(self.params.nic.get_turnaround_us)
         self.stats.incr("rdma_get_served")
         if self.sim.tracer is not None:

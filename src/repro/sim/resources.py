@@ -3,13 +3,17 @@
 These model contended hardware: CPUs (priority resources), DMA engines and
 firmware processors (FIFO resources), buses and links (bandwidth pipes), and
 mailbox-style queues between components (stores).
+
+A service of known length, such as the per-I/O CPU cost ``o_io`` of the
+paper's overhead model or one NIC firmware step, is one
+:meth:`Resource.hold`: a single kernel event whether or not it queues.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Deque, Generator, List, Optional
+from typing import Any, Deque, List, Optional
 
 from .core import Event, SimulationError, Simulator
 
@@ -17,7 +21,7 @@ from .core import Event, SimulationError, Simulator
 class Request(Event):
     """A pending claim on a :class:`Resource` slot."""
 
-    __slots__ = ("resource", "priority", "_key")
+    __slots__ = ("resource", "priority")
 
     def __init__(self, resource: "Resource", priority: int):
         super().__init__(resource.sim)
@@ -28,14 +32,22 @@ class Request(Event):
 class Resource:
     """A server with ``capacity`` slots and a FIFO (or priority) queue.
 
-    Usage from a process::
+    A service of known length is one call from a process::
 
-        req = resource.request()
+        yield resource.hold(service_time, priority)
+
+    A claim that spans more than one wait (the disk holds its spindle
+    across a fault-injected delay) takes and returns the slot itself::
+
+        req = resource.request(priority)
         yield req
         try:
             yield sim.timeout(service_time)
         finally:
             resource.release(req)
+
+    Both kinds of claim wait in one ``(priority, seq)`` heap, so they are
+    served in the same order whichever a caller uses.
     """
 
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = ""):
@@ -44,11 +56,12 @@ class Resource:
         self.sim = sim
         self.capacity = capacity
         self.name = name
-        self._users: List[Request] = []
-        self._queue: List = []  # heap of (priority, seq, request)
+        #: Claims holding a slot: granted requests and running holds.
+        self._users: List[Event] = []
+        #: Heap of (priority, seq, claim, duration); duration is None for
+        #: a request() and the service time for a hold().
+        self._queue: List = []
         self._seq = 0
-        self.stats_granted = 0
-        self.stats_peak_queue = 0
 
     @property
     def count(self) -> int:
@@ -62,10 +75,33 @@ class Resource:
     def request(self, priority: int = 0) -> Request:
         req = Request(self, priority)
         self._seq += 1
-        heapq.heappush(self._queue, (priority, self._seq, req))
-        self.stats_peak_queue = max(self.stats_peak_queue, len(self._queue))
+        heapq.heappush(self._queue, (priority, self._seq, req, None))
         self._grant()
         return req
+
+    def hold(self, duration: float, priority: int = 0) -> Event:
+        """Occupy a slot for ``duration`` µs; the event fires when the
+        service ends.
+
+        On an idle resource the completion is scheduled at once; a busy
+        one queues the claim with :meth:`request`'s and schedules the
+        completion ``duration`` after the grant. Either way the service
+        costs one kernel event and wakes the holder once. The completion
+        frees the slot and grants the next claim before the holder
+        resumes. An interrupted holder keeps the slot until the service
+        ends.
+        """
+        if duration < 0:
+            raise SimulationError(f"negative hold duration: {duration}")
+        if len(self._users) < self.capacity:
+            done: Event = self.sim.timeout(duration)
+            self._users.append(done)
+        else:
+            done = Event(self.sim)
+            self._seq += 1
+            heapq.heappush(self._queue, (priority, self._seq, done, duration))
+        done.callbacks.append(self._finish)
+        return done
 
     def cancel(self, req: Request) -> None:
         """Withdraw a request that has not been granted yet."""
@@ -81,18 +117,26 @@ class Resource:
             raise SimulationError("release of a request that does not hold a slot")
         self._grant()
 
+    def _finish(self, done: Event) -> None:
+        """Completion callback of a hold: free its slot, grant the next."""
+        self._users.remove(done)
+        if self._queue:
+            self._grant()
+
     def _grant(self) -> None:
         while self._queue and len(self._users) < self.capacity:
-            _prio, _seq, req = heapq.heappop(self._queue)
-            self._users.append(req)
-            self.stats_granted += 1
-            req.succeed(req)
-
-    def acquire(self, priority: int = 0) -> Generator:
-        """Process-style helper: ``req = yield from resource.acquire()``."""
-        req = self.request(priority)
-        yield req
-        return req
+            _prio, _seq, claim, duration = heapq.heappop(self._queue)
+            self._users.append(claim)
+            if duration is None:
+                claim.succeed(claim)
+            else:
+                # A granted hold: its value is set but, like a Timeout,
+                # it stays pending (_deferred) until dispatched.
+                claim._value = None
+                claim._ok = True
+                claim._deferred = True
+                sim = self.sim
+                sim.schedule_at(claim, sim.now + duration)
 
 
 class Store:

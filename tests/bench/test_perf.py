@@ -47,7 +47,7 @@ class TestRunSuite:
         bench = suite_doc["benches"]["scale_smallio"]
         assert bench["clients"] == perf.SCALE_CLIENTS[True]
         assert bench["ops"] == 2 * 16 * bench["clients"]
-        assert bench["rate_key"] == "events_per_s"
+        assert bench["rate_key"] == "ops_per_s"
         assert bench["normalized"] > 0
 
     def test_disabled_telemetry_leaves_rpc_reads_digest_unchanged(

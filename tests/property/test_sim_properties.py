@@ -31,11 +31,29 @@ def test_clock_is_monotone_and_exact(delays):
     assert all(a <= b for a, b in zip(observed, observed[1:]))
 
 
+def _serve(sim, res, service, priority=0, kind="request"):
+    """One service of ``service`` µs on ``res``: a single ``hold()``, or
+    the request/timeout/release sequence it replaces. Returns the claim
+    that took the slot."""
+    if kind == "hold":
+        claim = res.hold(service, priority)
+        yield claim
+        return claim
+    claim = res.request(priority)
+    yield claim
+    try:
+        yield sim.timeout(service)
+    finally:
+        res.release(claim)
+    return claim
+
+
+@pytest.mark.parametrize("kind", ["request", "hold"])
 @settings(max_examples=100)
 @given(st.integers(min_value=1, max_value=5),
        st.lists(st.floats(min_value=0.1, max_value=50.0, allow_nan=False),
                 min_size=1, max_size=20))
-def test_resource_conserves_work(capacity, services):
+def test_resource_conserves_work(kind, capacity, services):
     """Total completion time of an M-server queue equals the analytic
     makespan for identical arrival times (work conservation)."""
     sim = Simulator()
@@ -43,12 +61,7 @@ def test_resource_conserves_work(capacity, services):
     finished = []
 
     def user(service):
-        req = res.request()
-        yield req
-        try:
-            yield sim.timeout(service)
-        finally:
-            res.release(req)
+        yield from _serve(sim, res, service, kind=kind)
         finished.append(sim.now)
 
     for service in services:
@@ -59,6 +72,59 @@ def test_resource_conserves_work(capacity, services):
     # capacity servers; the busy-time integral must be conserved.
     assert max(finished) >= sum(services) / capacity - 1e-6
     assert max(finished) <= sum(services) + 1e-6
+
+
+class _GrantLog(list):
+    """A resource's slot list that records every claim it grants."""
+
+    def __init__(self):
+        super().__init__()
+        self.granted = []
+
+    def append(self, claim):
+        self.granted.append(claim)
+        super().append(claim)
+
+
+def _serve_jobs(capacity, jobs, kinds):
+    """Run ``jobs`` of (arrival, duration, priority) on one resource,
+    job ``i`` served by ``kinds[i]``; every arrival is scheduled at t=0.
+    Returns per-job (start, end) and the order slots were granted."""
+    sim = Simulator()
+    res = Resource(sim, capacity=capacity)
+    res._users = log = _GrantLog()
+    claims = {}
+    times = [None] * len(jobs)
+
+    def user(i, arrival, duration, priority):
+        yield sim.timeout(arrival)
+        claim = yield from _serve(sim, res, duration, priority, kinds[i])
+        claims[claim] = i
+        times[i] = (sim.now - duration, sim.now)
+
+    for i, job in enumerate(jobs):
+        sim.process(user(i, *job))
+    sim.run()
+    assert res.count == 0 and res.queue_len == 0
+    return times, [claims[claim] for claim in log.granted]
+
+
+@settings(max_examples=200)
+@given(st.integers(min_value=1, max_value=3),
+       st.lists(st.tuples(st.integers(min_value=0, max_value=30),
+                          st.integers(min_value=1, max_value=20),
+                          st.integers(min_value=0, max_value=2),
+                          st.sampled_from(["request", "hold"])),
+                min_size=1, max_size=25))
+def test_hold_serves_like_request_timeout_release(capacity, jobs):
+    """``hold`` is one event per service, but it must serve exactly as
+    request/timeout/release does: same per-job start and end, same
+    grant order — also when both kinds share one resource."""
+    work = [job[:3] for job in jobs]
+    n = len(jobs)
+    reference = _serve_jobs(capacity, work, ["request"] * n)
+    assert _serve_jobs(capacity, work, ["hold"] * n) == reference
+    assert _serve_jobs(capacity, work, [job[3] for job in jobs]) == reference
 
 
 @settings(max_examples=100)

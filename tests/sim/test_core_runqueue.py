@@ -6,9 +6,10 @@ past the ``(time, seq)`` heap into a FIFO. The kernel's contract is
 unchanged: events dispatch in exact ``(time, seq)`` order, where seq is
 the global scheduling counter. These tests pin that contract two ways —
 a randomized property test that interleaves heap and run-queue events
-at equal timestamps, and end-to-end digest triples captured on the
-pre-fast-lane kernel (commit 11f4674) that the new kernel must
-reproduce bit-for-bit.
+at equal timestamps, and end-to-end (ops, sim_us, events) digest
+triples whose ops and sim_us were captured on the pre-fast-lane kernel
+(commit 11f4674). They also pin the rule that a CPU or NIC-firmware
+service (``Resource.hold``) is exactly one kernel event.
 """
 
 import random
@@ -16,7 +17,8 @@ import random
 import pytest
 
 from repro.cluster import Cluster
-from repro.params import KB, default_params
+from repro.hw.cpu import CPU
+from repro.params import KB, HostParams, default_params
 from repro.sim import Simulator
 
 
@@ -105,21 +107,28 @@ def test_zero_delay_timeout_after_heap_entry_at_same_time():
     assert order == ["heap", "runq"]
 
 
-# Captured on the pre-fast-lane kernel (commit 11f4674) with this exact
-# workload: two clients, 48x4KB warm file, two sequential passes each.
+# Workload: two clients, 48x4KB warm file, two sequential passes each.
 # (ops, sim_us, events) — events is the kernel's final seq counter, so
-# any change to scheduling order, count, or timing breaks these.
+# any change to scheduling order, count, or timing breaks these. ops and
+# sim_us are still the pre-fast-lane kernel's (commit 11f4674), byte for
+# byte. events were re-pinned (nfs 18232 -> 12322, odafs 15134 -> 11643)
+# when CPU and NIC-firmware services became one kernel event each
+# (Resource.hold) instead of a grant plus a timeout.
 KERNEL_PINS = {
-    "nfs": (192, 30188.019111110654, 18232),
-    "odafs": (192, 13409.801777777688, 15134),
+    "nfs": (192, 30188.019111110654, 12322),
+    "odafs": (192, 13409.801777777688, 11643),
 }
+PIN_BLOCKS = 48
 
 
-def _smallio_digest(system):
-    blocks, block = 48, 4 * KB
+def _smallio_cluster(system, n_servers=1):
+    """Run the pinned smallio workload; returns the quiesced cluster."""
+    blocks, block = PIN_BLOCKS, 4 * KB
     kwargs = ({"cache_blocks": 8} if system in ("dafs", "odafs")
               else {"bcache_entries": 4})
-    cluster = Cluster(default_params(), system=system, block_size=block,
+    params = default_params()
+    params.shard.n_servers = n_servers
+    cluster = Cluster(params, system=system, block_size=block,
                       n_clients=2, server_cache_blocks=blocks + 8,
                       client_kwargs=kwargs)
     cluster.create_file("pin", blocks * block)
@@ -137,12 +146,45 @@ def _smallio_digest(system):
         yield cluster.sim.all_of(procs)
 
     cluster.sim.run_process(main())
-    return 2 * 2 * blocks, cluster.sim.now, cluster.sim._seq
+    return cluster
 
 
 @pytest.mark.parametrize("system", sorted(KERNEL_PINS))
 def test_kernel_digest_identical_to_pre_fastlane_kernel(system):
-    """The fast lane is bit-identical by construction: an nfs and an
-    odafs smallio run must reproduce the pre-change kernel's exact
-    (ops, sim_us, events) triple."""
-    assert _smallio_digest(system) == KERNEL_PINS[system]
+    """An nfs and an odafs smallio run must reproduce the pinned
+    (ops, sim_us, events) triple: ops and sim_us from the pre-fast-lane
+    kernel, events from the one-event-per-service kernel."""
+    cluster = _smallio_cluster(system)
+    ops = 2 * 2 * PIN_BLOCKS  # two clients, two passes each
+    assert (ops, cluster.sim.now, cluster.sim._seq) == KERNEL_PINS[system]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_cpu_service_is_one_kernel_event(n):
+    """N processes each charging one ``cpu.execute`` at t=0 draw exactly
+    N seqs beyond their own bootstrap and finish events, whether the
+    services run at once (N=1) or queue for the core."""
+    sim = Simulator()
+    cpu = CPU(sim, HostParams())
+
+    def proc():
+        yield from cpu.execute(10.0)
+
+    for _ in range(n):
+        sim.process(proc())
+    sim.run()
+    assert sim.now == 10.0 * n
+    assert sim._seq == 2 * n + n
+
+
+@pytest.mark.parametrize("n_servers", [1, 2])
+@pytest.mark.parametrize("system", ["nfs", "dafs", "odafs"])
+def test_quiesced_run_leaves_no_held_or_queued_service(system, n_servers):
+    """Every hold frees its slot: after a run, no host's CPU core or NIC
+    firmware is held or has a claim waiting."""
+    cluster = _smallio_cluster(system, n_servers)
+    hosts = cluster.server_hosts + cluster.client_hosts
+    assert len(cluster.server_hosts) == n_servers
+    for host in hosts:
+        for res in (host.cpu._core, host.nic.firmware):
+            assert (res.count, res.queue_len) == (0, 0), res.name

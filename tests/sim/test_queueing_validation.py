@@ -18,8 +18,13 @@ from repro.sim import LatencyStats, RandomStreams, Resource, Simulator
 
 
 def run_queue(lam: float, mu: float, n_jobs: int, deterministic: bool,
-              seed: int = 11) -> LatencyStats:
-    """Drive an open single-server queue; returns time-in-system stats."""
+              seed: int = 11, kind: str = "request") -> LatencyStats:
+    """Drive an open single-server queue; returns time-in-system stats.
+
+    ``kind`` picks how a job takes the server: ``"request"`` (request,
+    timeout, release) or ``"hold"`` (one :meth:`Resource.hold`, which
+    needs the service time when the job arrives).
+    """
     sim = Simulator()
     server = Resource(sim, capacity=1)
     rng = RandomStreams(seed).stream("queueing")
@@ -27,6 +32,11 @@ def run_queue(lam: float, mu: float, n_jobs: int, deterministic: bool,
 
     def job():
         arrived = sim.now
+        if kind == "hold":
+            yield server.hold(1.0 / mu if deterministic
+                              else rng.expovariate(mu))
+            stats.record(sim.now - arrived)
+            return
         req = server.request()
         yield req
         try:
@@ -60,11 +70,12 @@ def test_mm1_higher_load_longer_waits():
     assert high.mean / low.mean == pytest.approx(3.5, rel=0.25)
 
 
-def test_md1_waits_half_of_mm1():
+@pytest.mark.parametrize("kind", ["request", "hold"])
+def test_md1_waits_half_of_mm1(kind):
     """Deterministic service halves the queueing delay (PK formula)."""
     lam, mu = 0.7, 1.0
     mm1 = run_queue(lam, mu, 20_000, deterministic=False)
-    md1 = run_queue(lam, mu, 20_000, deterministic=True)
+    md1 = run_queue(lam, mu, 20_000, deterministic=True, kind=kind)
     mm1_wait = mm1.mean - 1.0 / mu
     md1_wait = md1.mean - 1.0 / mu
     assert md1_wait / mm1_wait == pytest.approx(0.5, rel=0.15)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import BandwidthPipe, Resource, SimulationError, Simulator, Store
+from repro.sim import (BandwidthPipe, Interrupt, Resource, SimulationError,
+                       Simulator, Store)
 
 
 class TestResource:
@@ -113,16 +114,48 @@ class TestResource:
         with pytest.raises(SimulationError):
             Resource(sim, capacity=0)
 
-    def test_stats(self):
+    def test_hold_stays_pending_until_its_service_ends(self):
         sim = Simulator()
         res = Resource(sim, capacity=1)
-        reqs = [res.request() for _ in range(3)]
-        assert res.stats_peak_queue >= 2
-        for req in reqs:
-            sim.run()
-            if req in res._users:
-                res.release(req)
-        assert res.stats_granted == 3
+        first = res.hold(10.0)  # idle: completion scheduled at once
+        second = res.hold(5.0)  # busy: queued until first ends
+        both = sim.all_of([first, second])
+        sim.run(until=12.0)
+        assert first.triggered and not second.triggered
+        assert res.count == 1 and res.queue_len == 0
+        assert not both.triggered
+        sim.run()
+        assert second.triggered and both.triggered
+        assert sim.now == 15.0
+        assert res.count == 0
+
+    def test_interrupted_holder_keeps_the_slot(self):
+        sim = Simulator()
+        res = Resource(sim, capacity=1)
+        ends = []
+
+        def holder():
+            try:
+                yield res.hold(10.0)
+            except Interrupt:
+                ends.append(("interrupted", sim.now))
+
+        def waiter():
+            yield sim.timeout(1.0)
+            yield res.hold(5.0)
+            ends.append(("waiter", sim.now))
+
+        proc = sim.process(holder())
+        sim.process(waiter())
+        sim.call_at(3.0, proc.interrupt)
+        sim.run()
+        assert ends == [("interrupted", 3.0), ("waiter", 15.0)]
+
+    def test_hold_rejects_negative_duration(self):
+        sim = Simulator()
+        res = Resource(sim, capacity=1)
+        with pytest.raises(SimulationError):
+            res.hold(-1.0)
 
 
 class TestStore:
