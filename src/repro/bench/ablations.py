@@ -22,8 +22,8 @@ from ..hw.nic import NotifyMode
 from ..params import KB, Params, default_params
 from ..sim import LatencyStats
 from ..workloads.postmark import PostMarkWorkload
-from ..workloads.smallio import MultiClientReadWorkload
-from .figures import _response_time
+from .figures import (_response_time, fig7_cell, postmark_workload,
+                      stream_cell)
 
 
 def ablation_polling(params: Optional[Params] = None,
@@ -33,23 +33,13 @@ def ablation_polling(params: Optional[Params] = None,
     out: Dict[str, Dict[str, float]] = {}
     for label, mode in [("interrupts", NotifyMode.BLOCK),
                         ("polling", NotifyMode.POLL)]:
-        block = 4 * KB
-        file_size = blocks_per_file * block
-        results = {}
-        for system in ("dafs", "odafs"):
-            cluster = Cluster(params.copy(), system=system, block_size=block,
-                              n_clients=2,
-                              server_cache_blocks=blocks_per_file + 8,
-                              server_notify_mode=mode,
-                              client_kwargs={"cache_blocks": 32})
-            cluster.create_file("big", file_size)
-            workload = MultiClientReadWorkload(cluster, "big", file_size,
-                                               app_block_size=8 * block)
-            results[system] = workload.run()["throughput_mb_s"]
+        dafs, odafs = (fig7_cell(params, system, 4, blocks_per_file,
+                                 mode)["throughput_mb_s"]
+                       for system in ("dafs", "odafs"))
         out[label] = {
-            "dafs_mb_s": results["dafs"],
-            "odafs_mb_s": results["odafs"],
-            "odafs_gain": results["odafs"] / results["dafs"] - 1.0,
+            "dafs_mb_s": dafs,
+            "odafs_mb_s": odafs,
+            "odafs_gain": odafs / dafs - 1.0,
         }
     return out
 
@@ -65,25 +55,17 @@ def ablation_ordma_hit_rate(params: Optional[Params] = None,
     params = params or default_params()
     out: Dict[float, Dict[str, float]] = {}
     for fraction in server_cache_fractions:
-        cache_blocks = max(4, int(n_files * fraction))
         per_system = {}
-        faults = ordma_reads = 0
         for system in ("dafs", "odafs"):
-            cluster = Cluster(params.copy(), system=system,
-                              block_size=4 * KB,
-                              server_cache_blocks=cache_blocks,
-                              client_kwargs={"cache_blocks":
-                                             max(1, n_files // 8)})
-            workload = PostMarkWorkload(cluster, n_files=n_files,
-                                        transactions=transactions)
-            workload.setup()
-            result = workload.run()
-            per_system[system] = result["txns_per_s"]
-            if system == "odafs":
-                client = cluster.clients[0]
-                faults = client.stats.get("ordma_faults")
-                ordma_reads = client.stats.get("ordma_reads")
-        total = faults + ordma_reads
+            workload = postmark_workload(
+                params, system, n_files, transactions,
+                server_cache_blocks=max(4, int(n_files * fraction)),
+                client_cache_blocks=max(1, n_files // 8))
+            per_system[system] = workload.run()["txns_per_s"]
+        # The loop ends on ODAFS, whose client counts the ORDMA faults.
+        stats = workload.cluster.clients[0].stats
+        faults = stats.get("ordma_faults")
+        total = faults + stats.get("ordma_reads")
         out[fraction] = {
             "dafs_txns_s": per_system["dafs"],
             "odafs_txns_s": per_system["odafs"],
@@ -160,24 +142,10 @@ def ablation_registration_cache(params: Optional[Params] = None,
                                 block_kb: int = 64
                                 ) -> Dict[str, Dict[str, float]]:
     """NFS hybrid with and without registration caching (Section 3)."""
-    from ..workloads.sequential import SequentialReadWorkload
     params = params or default_params()
-    out: Dict[str, Dict[str, float]] = {}
-    for label, cached in [("cached", True), ("per_io", False)]:
-        block = block_kb * KB
-        cluster = Cluster(params.copy(), system="nfs-hybrid",
-                          block_size=block,
-                          server_cache_blocks=blocks + 8,
-                          client_kwargs={"cache_registrations": cached})
-        cluster.create_file("stream", blocks * block)
-        workload = SequentialReadWorkload(cluster, "stream", blocks * block,
-                                          block, window=16)
-        result = workload.run()
-        out[label] = {
-            "throughput_mb_s": result["throughput_mb_s"],
-            "client_cpu": result["client_cpu"],
-        }
-    return out
+    return {label: stream_cell(params, "nfs-hybrid", block_kb, blocks,
+                               client_kwargs={"cache_registrations": cached})
+            for label, cached in [("cached", True), ("per_io", False)]}
 
 
 def ablation_nic_tlb(params: Optional[Params] = None,
@@ -377,13 +345,10 @@ def ablation_memory_pressure(params: Optional[Params] = None,
     params = params or default_params()
     out: Dict[float, Dict[str, float]] = {}
     for interval in reclaim_intervals_us:
-        cluster = Cluster(params.copy(), system="odafs", block_size=4 * KB,
-                          server_cache_blocks=n_files + 8,
-                          client_kwargs={"cache_blocks":
-                                         max(1, n_files // 4)})
-        workload = PostMarkWorkload(cluster, n_files=n_files,
-                                    transactions=transactions)
-        workload.setup()
+        workload = postmark_workload(params, "odafs", n_files, transactions,
+                                     server_cache_blocks=n_files + 8,
+                                     client_cache_blocks=max(1, n_files // 4))
+        cluster = workload.cluster
         proc = cluster.sim.process(workload._main())
         daemon = None
         if interval > 0:
@@ -417,34 +382,21 @@ def ablation_client_scaling(params: Optional[Params] = None,
     server adds queueing delay to response time (Section 2.3). DAFS
     saturates the server CPU and queues; ODAFS scales to the link.
     """
-    from ..workloads.smallio import MultiClientReadWorkload
-
     params = params or default_params()
-    block = 4 * KB
     out: Dict[str, Dict[int, Dict[str, float]]] = {}
     for system in ("dafs", "odafs"):
         out[system] = {}
         for n in client_counts:
-            file_size = blocks_per_file * block
-            cluster = Cluster(params.copy(), system=system,
-                              block_size=block, n_clients=n,
-                              server_cache_blocks=blocks_per_file + 8,
-                              client_kwargs={"cache_blocks": 32})
-            cluster.create_file("big", file_size)
-            workload = MultiClientReadWorkload(cluster, "big", file_size,
-                                               app_block_size=8 * block)
-            result = workload.run()
+            result = fig7_cell(params, system, 4, blocks_per_file,
+                               n_clients=n)
             reads_per_client = blocks_per_file // 8
-            elapsed = n * file_size / result["throughput_mb_s"]
-            out[system][n] = {
-                "throughput_mb_s": result["throughput_mb_s"],
-                "server_cpu": result["server_cpu"],
-                # Mean app-read completion time seen by one client: every
-                # client runs for the whole measured pass, issuing
-                # reads_per_client synchronous app reads (queueing delay
-                # at a loaded server shows up here — Section 2.3).
-                "mean_read_us": elapsed / reads_per_client,
-            }
+            elapsed = n * blocks_per_file * 4 * KB / result["throughput_mb_s"]
+            # Mean app-read completion time seen by one client: every
+            # client runs for the whole measured pass, issuing
+            # reads_per_client synchronous app reads (queueing delay at a
+            # loaded server shows up here — Section 2.3).
+            out[system][n] = {**result,
+                              "mean_read_us": elapsed / reads_per_client}
     return out
 
 
@@ -463,24 +415,17 @@ def ablation_read_write_mix(params: Optional[Params] = None,
     params = params or default_params()
     out: Dict[float, Dict[str, float]] = {}
     for ratio in read_ratios:
-        per_system = {}
-        for system in ("dafs", "odafs"):
-            cluster = Cluster(params.copy(), system=system,
-                              block_size=4 * KB,
+        dafs, odafs = (
+            postmark_workload(params, system, n_files, transactions,
                               server_cache_blocks=n_files + 8,
-                              client_kwargs={"cache_blocks":
-                                             max(1, n_files // 4)})
-            workload = PostMarkWorkload(cluster, n_files=n_files,
-                                        transactions=transactions,
-                                        read_ratio=ratio)
-            workload.setup()
-            per_system[system] = workload.run()
+                              client_cache_blocks=max(1, n_files // 4),
+                              read_ratio=ratio).run()
+            for system in ("dafs", "odafs"))
         out[ratio] = {
-            "dafs_txns_s": per_system["dafs"]["txns_per_s"],
-            "odafs_txns_s": per_system["odafs"]["txns_per_s"],
-            "odafs_gain": (per_system["odafs"]["txns_per_s"]
-                           / per_system["dafs"]["txns_per_s"] - 1.0),
-            "odafs_server_cpu": per_system["odafs"]["server_cpu"],
+            "dafs_txns_s": dafs["txns_per_s"],
+            "odafs_txns_s": odafs["txns_per_s"],
+            "odafs_gain": odafs["txns_per_s"] / dafs["txns_per_s"] - 1.0,
+            "odafs_server_cpu": odafs["server_cpu"],
         }
     return out
 
@@ -509,16 +454,8 @@ def ablation_tcp_transport(params: Optional[Params] = None,
 
     params = params or default_params()
     block = block_kb * KB
-    out: Dict[str, Dict[str, float]] = {}
-
-    # --- UDP (the testbed configuration) -------------------------------
-    cluster = Cluster(params.copy(), system="nfs", block_size=block,
-                      server_cache_blocks=blocks + 8)
-    cluster.create_file("stream", blocks * block)
-    result = SequentialReadWorkload(cluster, "stream", blocks * block,
-                                    block, window=16).run()
-    out["udp"] = {"throughput_mb_s": result["throughput_mb_s"],
-                  "client_cpu": result["client_cpu"]}
+    # UDP is the testbed configuration: the Fig. 3 stream itself.
+    out = {"udp": stream_cell(params, "nfs", block_kb, blocks)}
 
     # --- TCP ------------------------------------------------------------
     p = params.copy()
@@ -581,37 +518,12 @@ def ablation_capabilities(params: Optional[Params] = None,
                           n_blocks: int = 256) -> Dict[str, float]:
     """ORDMA response time with and without capability checks."""
     params = params or default_params()
-    with_caps = _ordma_latency(params, use_capabilities=True,
-                               n_blocks=n_blocks)
-    without = _ordma_latency(params, use_capabilities=False,
-                             n_blocks=n_blocks)
+    with_caps, without = (
+        _response_time(params, "odafs", "direct", n_blocks, n_blocks,
+                       use_capabilities=caps) for caps in (True, False))
     return {"with_capabilities_us": with_caps,
             "without_capabilities_us": without,
             "overhead_us": with_caps - without}
-
-
-def _ordma_latency(params: Params, use_capabilities: bool,
-                   n_blocks: int) -> float:
-    block = 4 * KB
-    cluster = Cluster(params.copy(), system="odafs", block_size=block,
-                      server_cache_blocks=n_blocks + 8,
-                      use_capabilities=use_capabilities,
-                      client_kwargs={"cache_blocks": 8})
-    cluster.create_file("micro", n_blocks * block)
-    client = cluster.clients[0]
-    stats = LatencyStats()
-
-    def main():
-        yield from client.open("micro")
-        for i in range(n_blocks):
-            yield from client.read("micro", i * block, block)
-        for i in range(n_blocks):
-            start = cluster.sim.now
-            yield from client.read("micro", i * block, block)
-            stats.record(cluster.sim.now - start)
-        return stats.mean
-
-    return cluster.sim.run_process(main())
 
 
 # ---------------------------------------------------------------------------

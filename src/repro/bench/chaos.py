@@ -25,17 +25,19 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Generator, Optional, Sequence, Tuple
 
 from ..cluster import SYSTEMS, Cluster
 from ..faults import Injector
 from ..hw.tpt import RemoteAccessFault
+from ..integrity import IntegrityError, is_corrupt
 from ..params import KB, Params, default_params
 from ..proto.rpc import RPCError
 from ..sim import LatencyStats, SimulationError, Tracer
+from .figures import dafs_cache_kwargs
 from .plot import ascii_chart
-from .runner import add_campaign_args, campaign_json, run_grid, \
-    seeded_params
+from .runner import add_campaign_args, campaign_json, positive_int, \
+    run_grid, seeded_params
 from .runner import base_params as runner_base_params
 
 #: One injectable failure domain per campaign axis.
@@ -59,12 +61,46 @@ def add_fault_campaign_args(parser: argparse.ArgumentParser,
     registered exactly once per parser — duplicating ``--seed`` in a
     subcommand would crash argparse and double it in ``--help``.
     """
-    parser.add_argument("--blocks", type=int, default=64,
-                        help="4 KB blocks per pass (default 64)")
-    parser.add_argument("--passes", type=int, default=2,
+    parser.add_argument("--blocks", type=positive_int, default=None,
+                        help="4 KB blocks per pass (default 64, 24 with "
+                             "--quick)")
+    parser.add_argument("--passes", type=positive_int, default=2,
                         help="read passes over the file (default 2)")
     parser.add_argument("--quick", action="store_true", help=quick_help)
     add_campaign_args(parser, seed_help=seed_help)
+
+
+class WarmScan:
+    """Client 0 reads a warm file's 4 KB blocks in order, ``passes``
+    times over. A read that fails with a typed error (RPC, remote access
+    or integrity) is counted, not raised; the scan also counts corrupt
+    payloads and meters the latency of the reads that succeeded."""
+
+    def __init__(self, cluster: Cluster, name: str, blocks: int,
+                 passes: int):
+        self.cluster, self.name = cluster, name
+        self.blocks, self.passes = blocks, passes
+        self.ok = self.failed = self.corrupt = 0
+        self.meter = LatencyStats("op_us")
+
+    def reads(self) -> Generator:
+        """The scan, as a simulation process body."""
+        client, sim = self.cluster.clients[0], self.cluster.sim
+        block = 4 * KB
+        yield from client.open(self.name)
+        for _ in range(self.passes):
+            for i in range(self.blocks):
+                start = sim.now
+                try:
+                    data = yield from client.read(self.name, i * block,
+                                                  block)
+                except (IntegrityError, RPCError, RemoteAccessFault):
+                    self.failed += 1
+                else:
+                    self.ok += 1
+                    self.meter.record(sim.now - start)
+                    if is_corrupt(data):
+                        self.corrupt += 1
 
 
 def _configure(inj: Injector, fault_class: str, rate: float) -> None:
@@ -105,51 +141,34 @@ def run_point(system: str, fault_class: str, rate: float,
     # access, which is exactly what the disk fault class needs.
     cache_blocks = max(8, blocks // 2) if fault_class == "disk" \
         else blocks + 8
-    client_kwargs: Dict[str, Any] = {}
-    if system in ("dafs", "odafs"):
-        client_kwargs = {"cache_blocks": 8, "rpc_read_mode": "direct"}
     cluster = Cluster(p, system=system, block_size=block,
                       server_cache_blocks=cache_blocks,
-                      client_kwargs=client_kwargs)
+                      client_kwargs=dafs_cache_kwargs(system, 8))
     cluster.create_file("chaos", blocks * block)
     tracer = Tracer.attach(cluster.sim) if trace else None
     inj = Injector(cluster)
     inj.enable_resilience()
     _configure(inj, fault_class, rate)
     inj.arm()
-    client = cluster.clients[0]
-    meter = LatencyStats("op_us")
-    state = {"ok": 0, "failed": 0}
-
-    def workload():
-        yield from client.open("chaos")
-        for _ in range(passes):
-            for i in range(blocks):
-                start = cluster.sim.now
-                try:
-                    yield from client.read("chaos", i * block, block)
-                except (RPCError, RemoteAccessFault):
-                    state["failed"] += 1
-                else:
-                    state["ok"] += 1
-                    meter.record(cluster.sim.now - start)
-
+    scan = WarmScan(cluster, "chaos", blocks, passes)
     completed = True
     try:
-        cluster.sim.run_process(workload())
+        cluster.sim.run_process(scan.reads())
     except SimulationError:
         # Deadlock: the workload hung on a lost event. This is exactly
         # what the resilience layer exists to prevent — report it.
         completed = False
 
     elapsed = cluster.sim.now
+    client = cluster.clients[0]
+    meter = scan.meter
     rpc = client.rpc.stats
     point: Dict[str, Any] = {
         "completed": completed,
-        "ops_ok": state["ok"],
-        "ops_failed": state["failed"],
+        "ops_ok": scan.ok,
+        "ops_failed": scan.failed,
         "sim_us": round(elapsed, 2),
-        "throughput_mb_s": (round(state["ok"] * block / elapsed, 3)
+        "throughput_mb_s": (round(scan.ok * block / elapsed, 3)
                             if elapsed > 0 else 0.0),
         "p50_us": round(meter.percentile(50), 2) if meter.count else 0.0,
         "p95_us": round(meter.percentile(95), 2) if meter.count else 0.0,
@@ -278,7 +297,8 @@ def main(argv=None) -> int:
                              f"(default: {DEFAULT_RATES})")
     add_fault_campaign_args(
         parser, seed_help="master seed for all fault/jitter streams",
-        quick_help="smaller grid (24 blocks, 3 rates)")
+        quick_help="smaller defaults (24 blocks, 3 rates); explicit "
+                   "options still win")
     parser.add_argument("--dump", metavar="PATH",
                         help="also run one traced point (first system/"
                              "class, highest rate) and dump its trace "
@@ -288,7 +308,7 @@ def main(argv=None) -> int:
     params = seeded_params(args.seed)
     rates = tuple(args.rates) if args.rates else \
         (QUICK_RATES if args.quick else DEFAULT_RATES)
-    blocks = 24 if args.quick else args.blocks
+    blocks = args.blocks or (24 if args.quick else 64)
 
     results = chaos_campaign(params=params, systems=args.systems,
                              fault_classes=args.fault_classes,

@@ -13,83 +13,82 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import functools
+import importlib
+import json
 import sys
 import time
 import traceback
-from typing import Callable, Dict, Optional
+from typing import Any, Callable, Dict, Tuple
 
-from ..params import Params, default_params
+from ..hw.nic import NotifyMode
 from . import ablations, baseline, decompose, figures, report
+from .plot import chart_from_sweep
+from .runner import add_campaign_args, seeded_params
+
+#: Subcommands with their own option sets: name -> module with ``main``.
+SUBCOMMANDS = {
+    "trace": "tracecli",      # request spans, waterfalls, exports
+    "chaos": "chaos",         # fault-injection degradation campaigns
+    "perf": "perf",           # engine microbenchmarks
+    "telemetry": "telemetry",  # sampled gauge timelines
+    "scale": "scale",         # client counts vs the admission scheduler
+    "shard": "shard",         # server counts over striped files
+    "scrub": "scrub",         # silent corruption vs checksums
+}
 
 
-def _run_table2(quick: bool, params: Optional[Params],
-                jobs: Optional[int]) -> None:
-    print(report.render_table2(baseline.table2(params=params),
-                               baseline.PAPER_TABLE2))
+def _sweep(fn: Callable[..., Any], **quick_sizes: int) -> Callable[..., Any]:
+    """A collector running the sweep ``fn`` at its own sizes, or at
+    ``quick_sizes`` under ``--quick``; keyword overrides pass through."""
+    def collect(quick, params, jobs, **overrides):
+        return fn(params=params, jobs=jobs,
+                  **(quick_sizes if quick else {}), **overrides)
+    return collect
 
 
-def _run_fig3(quick: bool, params: Optional[Params],
-              jobs: Optional[int]) -> None:
-    kwargs = {"blocks_per_point": 192} if quick else {}
-    results = figures.fig3_fig4(params=params, jobs=jobs, **kwargs)
+def _show_table2(results, rerun) -> None:
+    print(report.render_table2(results, baseline.PAPER_TABLE2))
+
+
+def _show_fig3(results, rerun) -> None:
     print("Fig. 3 — client read throughput (paper plateaus: NFS ~65, "
           "pre-posting ~235, hybrid ~230, DAFS ~230 MB/s)")
     print(report.render_sweep(results, "throughput_mb_s", "MB/s"))
-    from .plot import chart_from_sweep
     print()
     print(chart_from_sweep(results, "throughput_mb_s", ymax=250.0,
                            ylabel="MB/s", xlabel="block KB"))
 
 
-def _run_fig4(quick: bool, params: Optional[Params],
-              jobs: Optional[int]) -> None:
-    kwargs = {"blocks_per_point": 192} if quick else {}
-    results = figures.fig3_fig4(params=params, jobs=jobs, **kwargs)
+def _show_fig4(results, rerun) -> None:
     print("Fig. 4 — client CPU utilization (DAFS <15% at >=64 KB)")
     print(report.render_sweep(results, "client_cpu", "%", scale=100.0))
 
 
-def _run_fig5(quick: bool, params: Optional[Params],
-              jobs: Optional[int]) -> None:
-    kwargs = {"n_records": 128} if quick else {}
-    results = figures.fig5_berkeley_db(params=params, jobs=jobs, **kwargs)
+def _show_fig5(results, rerun) -> None:
     print("Fig. 5 — Berkeley DB throughput vs bytes copied per record (KB)")
     flat = {s: {k: {"mb_s": v} for k, v in series.items()}
             for s, series in results.items()}
     print(report.render_sweep(flat, "mb_s", "MB/s"))
 
 
-def _run_table3(quick: bool, params: Optional[Params],
-                jobs: Optional[int]) -> None:
-    kwargs = {"n_blocks": 256, "measure_blocks": 128} if quick else {}
+def _show_table3(results, rerun) -> None:
     print("Table 3 — 4 KB read response time")
-    print(report.render_table3(
-        figures.table3_response_time(params=params, jobs=jobs, **kwargs),
-        figures.PAPER_TABLE3))
+    print(report.render_table3(results, figures.PAPER_TABLE3))
 
 
-def _run_fig6(quick: bool, params: Optional[Params],
-              jobs: Optional[int]) -> None:
-    kwargs = {"n_files": 256, "transactions": 1500} if quick else {}
+def _show_fig6(results, rerun) -> None:
     print("Fig. 6 — PostMark throughput vs client cache hit ratio")
-    print(report.render_fig6(figures.fig6_postmark(params=params, jobs=jobs,
-                                                   **kwargs)))
+    print(report.render_fig6(results))
 
 
-def _run_fig7(quick: bool, params: Optional[Params],
-              jobs: Optional[int]) -> None:
-    kwargs = {"blocks_per_file": 384} if quick else {}
+def _show_fig7(fig7, rerun) -> None:
     print("Fig. 7 — server throughput, two clients (interrupt-mode server)")
-    fig7 = figures.fig7_server_throughput(params=params, jobs=jobs, **kwargs)
     print(report.render_fig7(fig7))
-    from .plot import chart_from_sweep
     print()
     print(chart_from_sweep(fig7, "throughput_mb_s", ymax=250.0,
                            ylabel="MB/s", xlabel="cache block KB"))
-    from ..hw.nic import NotifyMode
-    poll = figures.fig7_server_throughput(
-        params=params, block_sizes_kb=(4,), server_mode=NotifyMode.POLL,
-        jobs=jobs, **kwargs)
+    poll = rerun(block_sizes_kb=(4,), server_mode=NotifyMode.POLL)
     dafs = poll["dafs"][4]["throughput_mb_s"]
     odafs = poll["odafs"][4]["throughput_mb_s"]
     print(f"\npolling server @4KB: DAFS {dafs:.0f} MB/s (paper ~170), "
@@ -97,9 +96,7 @@ def _run_fig7(quick: bool, params: Optional[Params],
           f"(paper ~32%)")
 
 
-def _run_ablations(quick: bool, params: Optional[Params],
-                   jobs: Optional[int]) -> None:
-    data = ablations.collect(params=params, quick=quick, jobs=jobs)
+def _show_ablations(data, rerun) -> None:
     print("Interrupts vs polling (4 KB, two clients):")
     print(report.render_dict_table(data["polling"], "server mode"))
     print("\nORDMA success rate (server cache fraction of file set):")
@@ -137,127 +134,66 @@ def _run_ablations(quick: bool, params: Optional[Params],
         print(f"  {key}: {value:.2f}")
 
 
-def _run_decompose(quick: bool, params: Optional[Params],
-                   jobs: Optional[int]) -> None:
+def _show_decompose(result, rerun) -> None:
     print("Overhead decomposition o(m) = m*o_byte + o_io (Section 2.2 fit)")
-    result = decompose.decompose(params=params, n_ios=48 if quick else 96)
     print(decompose.render(result))
 
 
-TARGETS: Dict[str, Callable[[bool, Optional[Params], Optional[int]],
-                            None]] = {
-    "table2": _run_table2,
-    "fig3": _run_fig3,
-    "fig4": _run_fig4,
-    "fig5": _run_fig5,
-    "table3": _run_table3,
-    "fig6": _run_fig6,
-    "fig7": _run_fig7,
-    "ablations": _run_ablations,
-    "decompose": _run_decompose,
-}
+_fig3_collect = _sweep(figures.fig3_fig4, blocks_per_point=192)
 
-
-#: Raw-data collectors for --json output (machine-readable results).
-COLLECTORS: Dict[str, Callable[[bool, Optional[Params], Optional[int]],
-                               object]] = {
-    "table2": lambda quick, params, jobs: baseline.table2(params=params),
-    "fig3": lambda quick, params, jobs: figures.fig3_fig4(
-        params=params, jobs=jobs,
-        **({"blocks_per_point": 192} if quick else {})),
-    "fig4": lambda quick, params, jobs: figures.fig3_fig4(
-        params=params, jobs=jobs,
-        **({"blocks_per_point": 192} if quick else {})),
-    "fig5": lambda quick, params, jobs: figures.fig5_berkeley_db(
-        params=params, jobs=jobs, **({"n_records": 128} if quick else {})),
-    "table3": lambda quick, params, jobs: figures.table3_response_time(
-        params=params, jobs=jobs,
-        **({"n_blocks": 256, "measure_blocks": 128} if quick else {})),
-    "fig6": lambda quick, params, jobs: figures.fig6_postmark(
-        params=params, jobs=jobs,
-        **({"n_files": 256, "transactions": 1500} if quick else {})),
-    "fig7": lambda quick, params, jobs: figures.fig7_server_throughput(
-        params=params, jobs=jobs,
-        **({"blocks_per_file": 384} if quick else {})),
-    "ablations": lambda quick, params, jobs: ablations.collect(
-        params=params, quick=quick, jobs=jobs),
-    "decompose": lambda quick, params, jobs: decompose.decompose(
-        params=params, n_ios=48 if quick else 96),
+#: target -> (collect, show). ``collect(quick, params, jobs)`` returns the
+#: raw results that ``--json`` prints; ``show(results, rerun)`` prints the
+#: tables, where ``rerun(**overrides)`` collects again with other sweep
+#: arguments (Fig. 7 adds its polling-server cells this way).
+TARGETS: Dict[str, Tuple[Callable[..., Any], Callable[..., None]]] = {
+    "table2": (lambda quick, params, jobs: baseline.table2(params=params),
+               _show_table2),
+    "fig3": (_fig3_collect, _show_fig3),
+    "fig4": (_fig3_collect, _show_fig4),
+    "fig5": (_sweep(figures.fig5_berkeley_db, n_records=128), _show_fig5),
+    "table3": (_sweep(figures.table3_response_time, n_blocks=256,
+                      measure_blocks=128), _show_table3),
+    "fig6": (_sweep(figures.fig6_postmark, n_files=256, transactions=1500),
+             _show_fig6),
+    "fig7": (_sweep(figures.fig7_server_throughput, blocks_per_file=384),
+             _show_fig7),
+    "ablations": (lambda quick, params, jobs: ablations.collect(
+        params=params, quick=quick, jobs=jobs), _show_ablations),
+    "decompose": (lambda quick, params, jobs: decompose.decompose(
+        params=params, n_ios=48 if quick else 96), _show_decompose),
 }
 
 
 def main(argv=None) -> int:
     """Entry point for the ``repro-bench`` console script."""
-    import json
-
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "trace":
-        # Span/trace analysis has its own option set (see tracecli).
-        from .tracecli import main as trace_main
-        return trace_main(list(argv[1:]))
-    if argv and argv[0] == "chaos":
-        # Fault-injection campaigns likewise (see chaos).
-        from .chaos import main as chaos_main
-        return chaos_main(list(argv[1:]))
-    if argv and argv[0] == "perf":
-        # Engine microbenchmarks and the tracked perf trajectory.
-        from .perf import main as perf_main
-        return perf_main(list(argv[1:]))
-    if argv and argv[0] == "telemetry":
-        # Continuous-telemetry timelines and cross-system comparisons.
-        from .telemetry import main as telemetry_main
-        return telemetry_main(list(argv[1:]))
-    if argv and argv[0] == "scale":
-        # Client-scaling sweeps against the admission scheduler.
-        from .scale import main as scale_main
-        return scale_main(list(argv[1:]))
-    if argv and argv[0] == "shard":
-        # Multi-server scale-out sweeps over the shard layer.
-        from .shard import main as shard_main
-        return shard_main(list(argv[1:]))
-    if argv and argv[0] == "scrub":
-        # End-to-end integrity: silent corruption vs checksums.
-        from .scrub import main as scrub_main
-        return scrub_main(list(argv[1:]))
+    if argv and argv[0] in SUBCOMMANDS:
+        module = importlib.import_module(
+            f"{__package__}.{SUBCOMMANDS[argv[0]]}")
+        return module.main(list(argv[1:]))
 
     parser = argparse.ArgumentParser(
         prog="repro-bench",
         description="Regenerate the FAST'03 paper's tables and figures. "
-                    "Extra subcommands: 'trace' analyzes end-to-end "
-                    "request spans, 'chaos' runs fault-injection "
-                    "degradation campaigns, 'perf' benchmarks the "
-                    "simulation engine itself, 'telemetry' renders "
-                    "sampled gauge timelines, 'scale' sweeps client "
-                    "counts against the server admission scheduler, "
-                    "'shard' sweeps server counts over striped files, "
-                    "'scrub' runs end-to-end integrity campaigns "
-                    "(repro-bench perf --help).")
-    parser.add_argument("target", choices=list(TARGETS) + ["all"],
-                        help="which table/figure to regenerate (or "
-                             "'trace'/'chaos'/'perf'/'telemetry'/'scale'"
-                             "/'shard'/'scrub' subcommands)")
+                    "Extra subcommands, each with its own options "
+                    "(repro-bench SUBCOMMAND --help): "
+                    + ", ".join(SUBCOMMANDS) + ".")
+    parser.add_argument("target", choices=[*TARGETS, "all"],
+                        help="which table/figure to regenerate (or one "
+                             "of the subcommands above)")
     parser.add_argument("--quick", action="store_true",
                         help="smaller workloads (same shapes, faster)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="master seed for every simulation RNG stream "
-                             "(default: the calibrated Params seed)")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="worker processes for sweep grids (default: "
-                             "serial; results are byte-identical for any "
-                             "job count)")
-    parser.add_argument("--json", action="store_true",
-                        help="emit raw results as JSON instead of tables "
-                             "(not available for 'all')")
+    add_campaign_args(parser, seed_help="master seed for every simulation "
+                                        "RNG stream (default: the "
+                                        "calibrated Params seed)")
     args = parser.parse_args(argv)
-    params = (default_params().copy(seed=args.seed)
-              if args.seed is not None else None)
+    params = seeded_params(args.seed)
     if args.json:
-        collector = COLLECTORS.get(args.target)
-        if collector is None:
-            parser.error(f"--json not supported for {args.target!r}")
+        if args.target == "all":
+            parser.error("--json not supported for 'all'")
         try:
-            result = collector(args.quick, params, args.jobs)
+            result = TARGETS[args.target][0](args.quick, params, args.jobs)
         except Exception:
             traceback.print_exc()
             return 1
@@ -268,8 +204,10 @@ def main(argv=None) -> int:
     for name in targets:
         start = time.time()
         print(f"=== {name} ===")
+        collect, show = TARGETS[name]
+        rerun = functools.partial(collect, args.quick, params, args.jobs)
         try:
-            TARGETS[name](args.quick, params, args.jobs)
+            show(rerun(), rerun)
         except Exception:
             # A failed target must not mask the others, but the process
             # exit code has to say the run was not clean.

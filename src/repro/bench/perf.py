@@ -46,7 +46,7 @@ import platform
 import pstats
 import sys
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..cluster import Cluster
 from ..net.link import Switch
@@ -222,14 +222,15 @@ def bench_link_frames(quick: bool = False) -> Dict[str, Any]:
             "frames_per_s": switch.frames_forwarded / wall}
 
 
-def bench_rpc_reads(quick: bool = False) -> Dict[str, Any]:
-    """End-to-end 4 KB cached reads through a full DAFS cluster."""
+def _read_cluster(quick: bool) -> Tuple[Cluster, Generator, int]:
+    """The ``rpc_reads`` shape: a DAFS client with an 8-block cache reads
+    a warm file twice in 4 KB reads. Returns (cluster, the workload's
+    process body, reads)."""
     blocks = RPC_BLOCKS[quick]
     block = 4 * KB
     cluster = Cluster(default_params(), system="dafs", block_size=block,
                       server_cache_blocks=blocks + 8,
-                      client_kwargs={"cache_blocks": 8,
-                                     "rpc_read_mode": "direct"})
+                      client_kwargs={"cache_blocks": 8})
     cluster.create_file("perf", blocks * block)
     client = cluster.clients[0]
 
@@ -239,10 +240,15 @@ def bench_rpc_reads(quick: bool = False) -> Dict[str, Any]:
             for i in range(blocks):
                 yield from client.read("perf", i * block, block)
 
+    return cluster, workload(), 2 * blocks
+
+
+def bench_rpc_reads(quick: bool = False) -> Dict[str, Any]:
+    """End-to-end 4 KB cached reads through a full DAFS cluster."""
+    cluster, workload, ops = _read_cluster(quick)
     t0 = time.perf_counter()
-    cluster.sim.run_process(workload())
+    cluster.sim.run_process(workload)
     wall = time.perf_counter() - t0
-    ops = 2 * blocks
     return {"wall_s": wall, "ops": ops, "sim_us": cluster.sim.now,
             "events": cluster.sim._seq, "ops_per_s": ops / wall}
 
@@ -256,28 +262,13 @@ def bench_telemetry_reads(quick: bool = False) -> Dict[str, Any]:
     the ``rpc_reads`` digest itself (run with telemetry off) proves the
     disabled path is entirely untouched.
     """
-    blocks = RPC_BLOCKS[quick]
-    block = 4 * KB
-    cluster = Cluster(default_params(), system="dafs", block_size=block,
-                      server_cache_blocks=blocks + 8,
-                      client_kwargs={"cache_blocks": 8,
-                                     "rpc_read_mode": "direct"})
-    cluster.create_file("perf", blocks * block)
-    client = cluster.clients[0]
-
-    def workload():
-        yield from client.open("perf")
-        for _ in range(2):
-            for i in range(blocks):
-                yield from client.read("perf", i * block, block)
-
-    proc = cluster.sim.process(workload())
+    cluster, workload, ops = _read_cluster(quick)
+    proc = cluster.sim.process(workload)
     sampler = cluster.attach_sampler(interval_us=20.0)
     sampler.start(stop_on=proc)
     t0 = time.perf_counter()
     cluster.sim.run()
     wall = time.perf_counter() - t0
-    ops = 2 * blocks
     return {"wall_s": wall, "ops": ops, "sim_us": cluster.sim.now,
             "events": cluster.sim._seq,
             "samples": sampler.ticks * len(sampler.series),
@@ -373,6 +364,13 @@ BENCHES = {
     "rpc_reads": (bench_rpc_reads, "ops_per_s"),
 }
 
+#: Benches newer than the seed-kernel reference (the telemetry sampler
+#: and the admission scheduler came later), so kept out of ``BENCHES``.
+LATER_BENCHES = {
+    "telemetry_reads": (bench_telemetry_reads, "ops_per_s"),
+    "scale_smallio": (bench_scale_smallio, "ops_per_s"),
+}
+
 #: Deterministic (machine-independent) fields per bench, for --digest.
 DIGEST_FIELDS = ("events", "sim_us", "child_triggers", "interrupts",
                  "frames", "ops", "samples", "identical", "checksum",
@@ -384,35 +382,12 @@ def run_suite(quick: bool = False, jobs: int = 4, repeat: int = 3,
     """Run every bench; returns the BENCH_perf.json document."""
     calib = calibrate()
     benches: Dict[str, Any] = {}
-    for name, (fn, rate_key) in BENCHES.items():
-        best: Optional[Dict[str, Any]] = None
-        for _ in range(max(1, repeat)):
-            result = fn(quick)
-            if best is None or result["wall_s"] < best["wall_s"]:
-                best = result
+    for name, (fn, rate_key) in {**BENCHES, **LATER_BENCHES}.items():
+        best = min((fn(quick) for _ in range(max(1, repeat))),
+                   key=lambda result: result["wall_s"])
         best["rate_key"] = rate_key
         best["normalized"] = best[rate_key] / calib
         benches[name] = best
-    # Telemetry-on variant of rpc_reads; lives outside BENCHES because
-    # the seed-kernel reference predates the sampler.
-    best = None
-    for _ in range(max(1, repeat)):
-        result = bench_telemetry_reads(quick)
-        if best is None or result["wall_s"] < best["wall_s"]:
-            best = result
-    best["rate_key"] = "ops_per_s"
-    best["normalized"] = best["ops_per_s"] / calib
-    benches["telemetry_reads"] = best
-    # Many-client admission-scheduler bench; also outside BENCHES (the
-    # seed-kernel reference predates the scheduler subsystem).
-    best = None
-    for _ in range(max(1, repeat)):
-        result = bench_scale_smallio(quick)
-        if best is None or result["wall_s"] < best["wall_s"]:
-            best = result
-    best["rate_key"] = "ops_per_s"
-    best["normalized"] = best["ops_per_s"] / calib
-    benches["scale_smallio"] = best
     if sweep:
         result = bench_figure_sweep(quick, jobs=jobs)
         # Normalized *cost* (lower is better): serial wall scaled by
@@ -510,11 +485,8 @@ def profile_suite(quick: bool = False, top: int = 15) -> str:
     that a parent-side profile cannot see. One run per bench (profiling
     overhead would poison a best-of-N comparison anyway).
     """
-    serial = dict(BENCHES)
-    serial["telemetry_reads"] = (bench_telemetry_reads, "ops_per_s")
-    serial["scale_smallio"] = (bench_scale_smallio, "ops_per_s")
     sections = []
-    for name, (fn, _rate_key) in serial.items():
+    for name, (fn, _rate_key) in {**BENCHES, **LATER_BENCHES}.items():
         profiler = cProfile.Profile()
         profiler.enable()
         fn(quick)

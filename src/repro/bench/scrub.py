@@ -43,13 +43,13 @@ from typing import Any, Dict, Optional, Sequence
 from ..cluster import SYSTEMS, Cluster
 from ..faults import Injector
 from ..hw.tpt import RemoteAccessFault
-from ..integrity import IntegrityError, is_corrupt
+from ..integrity import IntegrityError
 from ..nas.shard import ShardDownError
 from ..nas.shard.placement import shard_config_error
 from ..params import KB, Params, default_params
 from ..proto.rpc import RPCError
-from ..sim import LatencyStats
-from .chaos import add_fault_campaign_args
+from .chaos import WarmScan, add_fault_campaign_args
+from .figures import dafs_cache_kwargs
 from .runner import campaign_json, run_grid, seeded_params
 from .runner import base_params as runner_base_params
 
@@ -83,12 +83,9 @@ def run_point(system: str, checksums: bool, rate: float,
     """
     p = params.copy() if params is not None else default_params()
     p.integrity.enabled = checksums
-    client_kwargs: Dict[str, Any] = {}
-    if system in ("dafs", "odafs"):
-        client_kwargs = {"cache_blocks": 8, "rpc_read_mode": "direct"}
     cluster = Cluster(p, system=system, block_size=BLOCK,
                       server_cache_blocks=max(8, blocks // 2),
-                      client_kwargs=client_kwargs)
+                      client_kwargs=dafs_cache_kwargs(system, 8))
     cluster.create_file("scrub", blocks * BLOCK)
     inj = Injector(cluster)
     if rate > 0.0:
@@ -96,35 +93,19 @@ def run_point(system: str, checksums: bool, rate: float,
         if system == "odafs":
             inj.ordma_silent_corruption(rate)
     inj.arm()
-    client = cluster.clients[0]
-    meter = LatencyStats("op_us")
-    state = {"ok": 0, "failed": 0, "corrupt": 0}
-
-    def workload():
-        yield from client.open("scrub")
-        for _ in range(passes):
-            for i in range(blocks):
-                start = cluster.sim.now
-                try:
-                    data = yield from client.read("scrub", i * BLOCK, BLOCK)
-                except (IntegrityError, RPCError, RemoteAccessFault):
-                    state["failed"] += 1
-                else:
-                    state["ok"] += 1
-                    meter.record(cluster.sim.now - start)
-                    if is_corrupt(data):
-                        state["corrupt"] += 1
-
-    cluster.sim.run_process(workload())
+    scan = WarmScan(cluster, "scrub", blocks, passes)
+    cluster.sim.run_process(scan.reads())
     elapsed = cluster.sim.now
     server = cluster.server
+    client = cluster.clients[0]
+    meter = scan.meter
     detected = (server.integrity.get("detected")
                 + client.stats.get("integrity_detected"))
     repair = server.repair_latency
     point: Dict[str, Any] = {
-        "ops_ok": state["ok"],
-        "ops_failed": state["failed"],
-        "corrupt_reads": state["corrupt"],
+        "ops_ok": scan.ok,
+        "ops_failed": scan.failed,
+        "corrupt_reads": scan.corrupt,
         "injected": (inj.stats.get("disk.bitrot")
                      + inj.stats.get("nic.ordma_corrupt")),
         "detected": detected,
@@ -132,7 +113,7 @@ def run_point(system: str, checksums: bool, rate: float,
         "quarantined": server.integrity.get("quarantined"),
         "client_detected": client.stats.get("integrity_detected"),
         "sim_us": round(elapsed, 2),
-        "throughput_mb_s": (round(state["ok"] * BLOCK / elapsed, 3)
+        "throughput_mb_s": (round(scan.ok * BLOCK / elapsed, 3)
                             if elapsed > 0 else 0.0),
         "p50_us": round(meter.percentile(50), 2) if meter.count else 0.0,
         "p95_us": round(meter.percentile(95), 2) if meter.count else 0.0,
@@ -200,12 +181,9 @@ def run_repair_point(params: Optional[Params] = None, n_servers: int = 2,
     p.shard.placement = "stripe"
     p.shard.stripe_blocks = 1
     p.shard.replicas = 1
-    client_kwargs: Dict[str, Any] = {}
-    if system in ("dafs", "odafs"):
-        client_kwargs = {"cache_blocks": 8, "rpc_read_mode": "direct"}
     cluster = Cluster(p, system=system, n_clients=1, block_size=BLOCK,
                       server_cache_blocks=blocks + 8,
-                      client_kwargs=client_kwargs)
+                      client_kwargs=dafs_cache_kwargs(system, 8))
     # Cold caches: every first read pays a disk fill, which on server 0
     # always rots.
     cluster.create_file("rot", blocks * BLOCK, warm=False)
@@ -213,23 +191,12 @@ def run_repair_point(params: Optional[Params] = None, n_servers: int = 2,
     inj.arm()
     inj.disk_faults(0).bitrot_next = 1 << 30
     router = cluster.clients[0]
-    state = {"ok": 0, "failed": 0, "corrupt": 0}
-
-    def read_all():
-        for i in range(blocks):
-            try:
-                data = yield from router.read("rot", i * BLOCK, BLOCK)
-            except (IntegrityError, RPCError, RemoteAccessFault):
-                state["failed"] += 1
-            else:
-                state["ok"] += 1
-                if is_corrupt(data):
-                    state["corrupt"] += 1
+    # Pass 1 detects, reroutes and writes back; in pass 2 the repaired
+    # blocks serve clean.
+    scan = WarmScan(cluster, "rot", blocks, passes=2)
 
     def workload():
-        yield from router.open("rot")
-        yield from read_all()   # pass 1: detect, reroute, write back
-        yield from read_all()   # pass 2: repaired blocks serve clean
+        yield from scan.reads()
         yield from router.close("rot")
 
     completed = True
@@ -241,9 +208,9 @@ def run_repair_point(params: Optional[Params] = None, n_servers: int = 2,
     s0 = cluster.servers[0].integrity
     return {
         "completed": completed,
-        "ops_ok": state["ok"],
-        "ops_failed": state["failed"],
-        "corrupt_reads": state["corrupt"],
+        "ops_ok": scan.ok,
+        "ops_failed": scan.failed,
+        "corrupt_reads": scan.corrupt,
         "integrity_errors": router.stats.get("integrity_errors"),
         "replica_reads": router.stats.get("replica_reads"),
         "read_repairs": router.stats.get("read_repairs"),
@@ -390,14 +357,15 @@ def main(argv=None) -> int:
                              "replica)")
     add_fault_campaign_args(
         parser, seed_help="master seed for all corruption streams",
-        quick_help="smaller grid (24 blocks, 2 rates)")
+        quick_help="smaller defaults (24 blocks, 2 rates); explicit "
+                   "options still win")
     args = parser.parse_args(argv)
 
     params = seeded_params(args.seed)
     systems = tuple(args.systems) if args.systems else DEFAULT_SYSTEMS
     rates = tuple(args.rates) if args.rates else \
         (QUICK_RATES if args.quick else DEFAULT_RATES)
-    blocks = 24 if args.quick else args.blocks
+    blocks = args.blocks or (24 if args.quick else 64)
 
     repair_shard = params.copy().shard
     repair_shard.n_servers = args.repair_servers

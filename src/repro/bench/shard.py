@@ -440,6 +440,8 @@ def main(argv=None) -> int:
                              failover=not args.no_failover,
                              jobs=args.jobs)
 
+    fo = results.get("failover")
+    failed = fo is not None and not fo["completed"]
     if args.json:
         print(campaign_json(results, seed=params.seed,
                             servers=list(counts),
@@ -451,11 +453,9 @@ def main(argv=None) -> int:
               f"{blocks}x4KB blocks")
         print()
         print(render_campaign(results))
-        fo = results.get("failover")
-        if fo is not None and not fo["completed"]:
+        if failed:
             print("FAILED: failover point hung")
-            return 1
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

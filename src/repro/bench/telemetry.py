@@ -31,7 +31,6 @@ import sys
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..cluster import SYSTEMS
-from ..params import default_params
 from . import runner, tracecli
 
 #: Sparkline glyph ramp, lowest to highest.
@@ -139,11 +138,9 @@ def run_telemetry_point(point: Tuple) -> Dict[str, Any]:
     no live simulator objects cross the process boundary.
     """
     system, blocks, block_kb, passes, interval_us, seed = point
-    params = (default_params().copy(seed=seed)
-              if seed is not None else None)
     live = tracecli.run_workload(system=system, blocks=blocks,
                                  block_kb=block_kb, passes=passes,
-                                 params=params,
+                                 params=runner.seeded_params(seed),
                                  sample_interval_us=interval_us)
     sampler = live["sampler"]
     return {
@@ -214,16 +211,18 @@ def main(argv=None) -> int:
     parser.add_argument("--systems", metavar="A,B,...",
                         help="comparison campaign over these systems "
                              "instead of single-run timelines")
-    parser.add_argument("--blocks", type=int, default=64,
-                        help="blocks per pass in the workload")
+    parser.add_argument("--blocks", type=runner.positive_int, default=None,
+                        help="blocks per pass in the workload (default 64, "
+                             "16 with --quick)")
     parser.add_argument("--block-kb", type=int, default=4,
                         help="I/O size in KB")
-    parser.add_argument("--passes", type=int, default=2,
+    parser.add_argument("--passes", type=runner.positive_int, default=2,
                         help="number of read passes over the file")
     parser.add_argument("--interval", type=float, default=50.0,
                         metavar="US", help="sampling interval in sim-us")
     parser.add_argument("--quick", action="store_true",
-                        help="smaller workload (16 blocks)")
+                        help="smaller defaults (16 blocks); explicit "
+                             "options still win")
     parser.add_argument("--series", metavar="SUBSTR[,SUBSTR...]",
                         help="only show series whose name contains one "
                              "of these substrings")
@@ -237,7 +236,7 @@ def main(argv=None) -> int:
     runner.add_campaign_args(
         parser, seed_help="master seed for every simulation RNG")
     args = parser.parse_args(argv)
-    blocks = 16 if args.quick else args.blocks
+    blocks = args.blocks or (16 if args.quick else 64)
 
     if args.systems:
         systems = [s.strip() for s in args.systems.split(",") if s.strip()]
@@ -265,9 +264,7 @@ def main(argv=None) -> int:
     live = tracecli.run_workload(system=args.system, blocks=blocks,
                                  block_kb=args.block_kb,
                                  passes=args.passes,
-                                 params=(default_params().copy(
-                                     seed=args.seed)
-                                     if args.seed is not None else None),
+                                 params=runner.seeded_params(args.seed),
                                  sample_interval_us=args.interval)
     sampler = live["sampler"]
     if args.dump:

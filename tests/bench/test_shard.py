@@ -112,6 +112,16 @@ class TestFailover:
                                          reads=4)
         assert point["completed"] is False
 
+    @pytest.mark.parametrize("mode", [["--json"], []], ids=["json", "text"])
+    def test_cli_exits_1_when_the_failover_did_not_complete(
+            self, monkeypatch, capsys, mode):
+        real = shard.run_failover_point
+        monkeypatch.setattr(shard, "run_failover_point", lambda *a, **kw:
+                            {**real(*a, **kw), "completed": False})
+        assert shard.main(["--systems", "nfs", "--servers", "1", "2",
+                           "--mixes", "smallio", "--clients", "1",
+                           "--blocks", "16", *mode]) == 1
+
 
 class TestRender:
     def test_render_mentions_every_system_and_summary(self, tiny_campaign):
