@@ -35,16 +35,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from ..cluster import SYSTEMS, Cluster
+from ..cluster import SHARD_SYSTEMS, Cluster
 from ..params import KB, Params, default_params
 from ..sim import LatencyStats
 from ..workloads.postmark import run_shared_postmark
 from ..workloads.smallio import MultiClientReadWorkload
 from .plot import ascii_chart
-from .runner import add_campaign_args, campaign_json, collect_point, \
-    positive_int, run_grid, seeded_params
+from .runner import add_campaign_args, campaign_json, positive_int, \
+    run_grid, seeded_params
 from .runner import base_params as runner_base_params
 
 #: Workload mixes the campaign can sweep.
@@ -62,27 +62,77 @@ QUICK_SYSTEMS = ("nfs", "odafs")
 BLOCK = 4 * KB
 
 
-def _sched_params(params: Optional[Params], policy: str,
-                  service_threads: int, max_queue: int) -> Params:
-    """A params copy with the admission scheduler switched on."""
-    p = (params or default_params()).copy()
-    p.sched.policy = policy
-    p.sched.service_threads = service_threads
-    p.sched.max_queue = max_queue
-    return p
+class ClientCacheHitError(RuntimeError):
+    """A smallio point read from a client cache instead of the network."""
 
 
-def _client_kwargs(system: str) -> Dict[str, Any]:
-    """Small client caches so the measured pass always misses locally."""
-    if system in ("dafs", "odafs"):
-        return {"cache_blocks": 8, "rpc_read_mode": "direct"}
-    return {"bcache_entries": 8}
+def run_point(params: Params, mix: str, system: str, n_clients: int,
+              client_kwargs: Dict[str, Any], app_block: int, name: str,
+              fields: Callable[[Cluster], Dict[str, Any]], blocks: int,
+              n_files: int, transactions: int) -> Dict[str, Any]:
+    """One ``scale``/``shard`` point on a fresh cluster, rounded so runs
+    are byte-identical (key order is part of the JSON bytes).
+
+    ``smallio``: every client reads a warm ``blocks``-block file
+    ``name`` twice in ``app_block`` reads; pass 2 is measured, and a
+    client-cache hit raises :class:`ClientCacheHitError`. ``postmark``:
+    each client runs ``transactions`` read-only transactions over
+    ``n_files`` shared files, drawn from ``{name}.pm{i}`` streams. The
+    campaign's ``fields(cluster)`` follow the shared leading fields, and
+    ODAFS points end with the share of remote fills served by ORDMA.
+    """
+    smallio = mix == "smallio"
+    server_blocks = (blocks if smallio else n_files) + 8
+    cluster = Cluster(params, system=system, n_clients=n_clients,
+                      block_size=BLOCK, server_cache_blocks=server_blocks,
+                      client_kwargs=client_kwargs)
+    subs = [sub for i in range(n_clients)
+            for _, sub in cluster.named_subclients(i)]
+    if smallio:
+        cluster.create_file(name, blocks * BLOCK)
+        latency = LatencyStats("read_us")
+        result = MultiClientReadWorkload(cluster, name, blocks * BLOCK,
+                                         app_block_size=app_block,
+                                         latency=latency).run()
+        ops = n_clients * blocks * BLOCK // app_block  # measured pass only
+        elapsed = ops * app_block / result["throughput_mb_s"]
+        hits = sum(sub.stats.get("cache_reads") if system == "nfs"
+                   else sub.cache.stats.get("hits") for sub in subs)
+        if hits:
+            raise ClientCacheHitError(
+                f"smallio {system} at {cluster.n_servers} server(s), "
+                f"{n_clients} client(s), {blocks} blocks: {hits} "
+                f"client-cache hit(s); each server's share of the file "
+                f"must exceed the client cache")
+    else:
+        latency = LatencyStats("txn_us")
+        elapsed = run_shared_postmark(cluster, n_files, transactions,
+                                      latency, stream_prefix=name)
+        ops, app_block = n_clients * transactions, BLOCK
+    point: Dict[str, Any] = {
+        "ops": ops,
+        "sim_us": round(cluster.sim.now, 2),
+        "elapsed_us": round(elapsed, 2),
+        "throughput_mb_s": (round(ops * app_block / elapsed, 3)
+                            if elapsed > 0 else 0.0),
+        "ops_s": (round(ops / elapsed * 1e6, 1) if elapsed > 0 else 0.0),
+        "p50_us": round(latency.percentile(50), 2) if latency.count else 0.0,
+        "p95_us": round(latency.percentile(95), 2) if latency.count else 0.0,
+        "p99_us": round(latency.percentile(99), 2) if latency.count else 0.0,
+        "server_cpu": round(cluster.server_cpu_utilization(), 4),
+        **fields(cluster),
+    }
+    if system == "odafs":
+        ordma = sum(sub.stats.get("ordma_reads") for sub in subs)
+        fills = ordma + sum(sub.stats.get("rpc_fills") for sub in subs)
+        point["ordma_frac"] = round(ordma / fills, 4) if fills else 0.0
+    return point
 
 
-def _collect(cluster: Cluster, ops: int, elapsed: float,
-             latency: LatencyStats) -> Dict[str, Any]:
+def _sched_fields(cluster: Cluster) -> Dict[str, Any]:
+    """The scheduler's ledger and the clients' rejected calls."""
     sched = cluster.scheduler
-    return collect_point(cluster, ops, BLOCK, elapsed, latency, {
+    return {
         "sched": {
             "admitted": sched.stats.get("admitted"),
             "rejected": sched.stats.get("rejected"),
@@ -92,63 +142,35 @@ def _collect(cluster: Cluster, ops: int, elapsed: float,
         },
         "client_rejected_calls": sum(c.rpc.stats.get("rejected_calls")
                                      for c in cluster.clients),
-    })
+    }
+
+
+def _scale_point(spec, params: Optional[Params] = None) -> Dict[str, Any]:
+    """One grid point, shaped for :func:`repro.bench.runner.run_points`:
+    ``params`` (default: the campaign's base) with the admission
+    scheduler switched on."""
+    (mix, system, n_clients, blocks, n_files, transactions,
+     policy, service_threads, max_queue) = spec
+    p = (params or runner_base_params()).copy()
+    p.sched.policy = policy
+    p.sched.service_threads = service_threads
+    p.sched.max_queue = max_queue
+    # Small client caches so the measured pass always misses locally.
+    kwargs = ({"cache_blocks": 8} if system in ("dafs", "odafs")
+              else {"bcache_entries": 8})
+    return run_point(p, mix, system, n_clients, kwargs, BLOCK, "scale",
+                     _sched_fields, blocks, n_files, transactions)
 
 
 def run_point_smallio(system: str, n_clients: int,
                       params: Optional[Params] = None, blocks: int = 48,
                       policy: str = "fair", service_threads: int = 4,
                       max_queue: int = 32) -> Dict[str, Any]:
-    """One small-I/O point: N clients stream a warm ``blocks``-block file
-    twice; pass 2 is measured (ODAFS runs it over client-initiated
-    ORDMA, the reference directory warm from pass 1)."""
-    p = _sched_params(params, policy, service_threads, max_queue)
-    cluster = Cluster(p, system=system, n_clients=n_clients,
-                      block_size=BLOCK, server_cache_blocks=blocks + 8,
-                      client_kwargs=_client_kwargs(system))
-    cluster.create_file("scale", blocks * BLOCK)
-    latency = LatencyStats("read_us")
-    workload = MultiClientReadWorkload(cluster, "scale", blocks * BLOCK,
-                                       app_block_size=BLOCK,
-                                       latency=latency)
-    result = workload.run()
-    ops = n_clients * blocks  # measured pass only
-    elapsed = ops * BLOCK / result["throughput_mb_s"]
-    return _collect(cluster, ops, elapsed, latency)
-
-
-def run_point_postmark(system: str, n_clients: int,
-                       params: Optional[Params] = None, n_files: int = 32,
-                       transactions: int = 48, policy: str = "fair",
-                       service_threads: int = 4,
-                       max_queue: int = 32) -> Dict[str, Any]:
-    """One PostMark point: N clients each run ``transactions`` read-only
-    open/read/close transactions over a shared warm small-file set."""
-    p = _sched_params(params, policy, service_threads, max_queue)
-    cluster = Cluster(p, system=system, n_clients=n_clients,
-                      block_size=BLOCK, server_cache_blocks=n_files + 8,
-                      client_kwargs=_client_kwargs(system))
-    latency = LatencyStats("txn_us")
-    elapsed = run_shared_postmark(cluster, n_files, transactions, latency,
-                                  stream_prefix="scale")
-    return _collect(cluster, n_clients * transactions, elapsed, latency)
-
-
-def _scale_point(spec) -> Dict[str, Any]:
-    """One grid point, shaped for :func:`repro.bench.runner.run_points`."""
-    (mix, system, n_clients, blocks, n_files, transactions,
-     policy, service_threads, max_queue) = spec
-    params = runner_base_params()
-    if mix == "smallio":
-        return run_point_smallio(system, n_clients, params=params,
-                                 blocks=blocks, policy=policy,
-                                 service_threads=service_threads,
-                                 max_queue=max_queue)
-    return run_point_postmark(system, n_clients, params=params,
-                              n_files=n_files, transactions=transactions,
-                              policy=policy,
-                              service_threads=service_threads,
-                              max_queue=max_queue)
+    """One small-I/O point of :func:`run_point`: N clients stream a warm
+    ``blocks``-block file twice in 4 KB reads; pass 2 is measured."""
+    return _scale_point(("smallio", system, n_clients, blocks, 0, 0,
+                         policy, service_threads, max_queue),
+                        params or default_params())
 
 
 def saturation_summary(series: Dict[str, Dict[str, Dict[str, Any]]]
@@ -198,8 +220,9 @@ def scale_campaign(params: Optional[Params] = None,
     byte-identical to a serial run.
     """
     for system in systems:
-        if system not in SYSTEMS:
-            raise ValueError(f"unknown system {system!r}; one of {SYSTEMS}")
+        if system not in SHARD_SYSTEMS:
+            raise ValueError(f"unknown system {system!r}; "
+                             f"one of {SHARD_SYSTEMS}")
     for mix in mixes:
         if mix not in MIXES:
             raise ValueError(f"unknown mix {mix!r}; one of {MIXES}")
@@ -269,7 +292,7 @@ def main(argv=None) -> int:
                     "vs client count per NAS system, with the server "
                     "admission/request scheduler enabled.")
     parser.add_argument("--systems", nargs="+", default=None,
-                        choices=SYSTEMS, metavar="SYSTEM",
+                        choices=SHARD_SYSTEMS, metavar="SYSTEM",
                         help=f"systems to sweep (default: "
                              f"{', '.join(DEFAULT_SYSTEMS)})")
     parser.add_argument("--mixes", nargs="+", default=None,
@@ -311,13 +334,17 @@ def main(argv=None) -> int:
     blocks = args.blocks or (24 if quick else 48)
     transactions = args.transactions or (24 if quick else 48)
 
-    results = scale_campaign(params=params, systems=systems, mixes=mixes,
-                             client_counts=counts, blocks=blocks,
-                             n_files=args.files,
-                             transactions=transactions,
-                             policy=args.policy,
-                             service_threads=args.threads,
-                             max_queue=args.queue, jobs=args.jobs)
+    try:
+        results = scale_campaign(params=params, systems=systems,
+                                 mixes=mixes, client_counts=counts,
+                                 blocks=blocks, n_files=args.files,
+                                 transactions=transactions,
+                                 policy=args.policy,
+                                 service_threads=args.threads,
+                                 max_queue=args.queue, jobs=args.jobs)
+    except ClientCacheHitError as err:
+        print(f"repro-bench scale: {err}", file=sys.stderr)
+        return 2
 
     if args.json:
         print(campaign_json(results, seed=params.seed,

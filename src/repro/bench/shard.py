@@ -50,16 +50,11 @@ from ..nas.shard import ShardDownError
 from ..nas.shard.placement import shard_config_error
 from ..params import KB, Params, default_params
 from ..proto.rpc import RPCError
-from ..sim import LatencyStats
-from ..workloads.postmark import run_shared_postmark
-from ..workloads.smallio import MultiClientReadWorkload
 from .plot import ascii_chart
-from .runner import add_campaign_args, campaign_json, collect_point, \
-    positive_int, run_grid, seeded_params
+from .runner import add_campaign_args, campaign_json, positive_int, \
+    run_grid, seeded_params
 from .runner import base_params as runner_base_params
-
-#: Workload mixes the campaign can sweep.
-MIXES = ("smallio", "postmark")
+from .scale import MIXES, ClientCacheHitError, run_point
 
 #: Server counts, default and --quick grids.
 DEFAULT_SERVERS = (1, 2, 4)
@@ -106,12 +101,12 @@ def _client_kwargs(system: str, width: int = APP_BLOCK // BLOCK
     misses.
     """
     if system in ("dafs", "odafs"):
-        return {"cache_blocks": width + 4, "rpc_read_mode": "direct"}
+        return {"cache_blocks": width + 4}
     return {"bcache_entries": 2}
 
 
-def _collect(cluster: Cluster, ops: int, unit_bytes: int,
-             elapsed: float, latency: LatencyStats) -> Dict[str, Any]:
+def _shard_fields(cluster: Cluster) -> Dict[str, Any]:
+    """Per-server and client CPU, and how the routers split reads."""
     if cluster.n_servers == 1:
         # Plain clients: every read is one segment and none fans out.
         routed = sum(c.stats.get("reads") for c in cluster.clients)
@@ -119,55 +114,37 @@ def _collect(cluster: Cluster, ops: int, unit_bytes: int,
     else:
         routed = sum(r.stats.get("routed_segments") for r in cluster.clients)
         fanout = sum(r.stats.get("fanout_reads") for r in cluster.clients)
-    return collect_point(cluster, ops, unit_bytes, elapsed, latency, {
+    return {
         "server_cpus": [round(u, 4)
                         for u in cluster.server_cpu_utilizations()],
         "client_cpu": round(cluster.client_cpu_utilization(0), 4),
         "routed_segments": routed,
         "fanout_reads": fanout,
-    })
+    }
+
+
+def _shard_point(spec, params: Optional[Params] = None) -> Dict[str, Any]:
+    """One grid point, shaped for :func:`repro.bench.runner.run_points`:
+    ``params`` (default: the campaign's base) with the shard layer
+    configured; smallio reads are ``APP_BLOCK`` wide."""
+    (mix, system, n_servers, placement, n_clients, blocks,
+     n_files, transactions) = spec
+    width = APP_BLOCK // BLOCK if mix == "smallio" else 1
+    return run_point(
+        _shard_params(params or runner_base_params(), n_servers, placement),
+        mix, system, n_clients, _client_kwargs(system, width), APP_BLOCK,
+        "shard", _shard_fields, blocks, n_files, transactions)
 
 
 def run_point_smallio(system: str, n_servers: int,
                       params: Optional[Params] = None,
                       placement: str = "stripe", n_clients: int = 8,
                       blocks: int = 128) -> Dict[str, Any]:
-    """One small-I/O point: N clients stream a warm striped
-    ``blocks``-block file twice in ``APP_BLOCK`` reads; pass 2 is
-    measured (for ODAFS it runs over client-initiated ORDMA against
-    every shard's directory, warm from pass 1)."""
-    p = _shard_params(params, n_servers, placement)
-    cluster = Cluster(p, system=system, n_clients=n_clients,
-                      block_size=BLOCK, server_cache_blocks=blocks + 8,
-                      client_kwargs=_client_kwargs(system))
-    cluster.create_file("shard", blocks * BLOCK)
-    latency = LatencyStats("read_us")
-    workload = MultiClientReadWorkload(cluster, "shard", blocks * BLOCK,
-                                       app_block_size=APP_BLOCK,
-                                       latency=latency)
-    result = workload.run()
-    ops = n_clients * blocks * BLOCK // APP_BLOCK  # measured pass only
-    elapsed = ops * APP_BLOCK / result["throughput_mb_s"]
-    return _collect(cluster, ops, APP_BLOCK, elapsed, latency)
-
-
-def run_point_postmark(system: str, n_servers: int,
-                       params: Optional[Params] = None,
-                       placement: str = "stripe", n_clients: int = 8,
-                       n_files: int = 32,
-                       transactions: int = 48) -> Dict[str, Any]:
-    """One PostMark point: N clients each run ``transactions`` read-only
-    open/read/close transactions over a shared warm small-file set whose
-    files spread across shards by placement hash."""
-    p = _shard_params(params, n_servers, placement)
-    cluster = Cluster(p, system=system, n_clients=n_clients,
-                      block_size=BLOCK, server_cache_blocks=n_files + 8,
-                      client_kwargs=_client_kwargs(system, width=1))
-    latency = LatencyStats("txn_us")
-    elapsed = run_shared_postmark(cluster, n_files, transactions, latency,
-                                  stream_prefix="shard")
-    return _collect(cluster, n_clients * transactions, BLOCK, elapsed,
-                    latency)
+    """One small-I/O point of :func:`repro.bench.scale.run_point`: N
+    clients read a warm striped file twice in ``APP_BLOCK`` reads."""
+    return _shard_point(("smallio", system, n_servers, placement,
+                         n_clients, blocks, 0, 0),
+                        params or default_params())
 
 
 def run_failover_point(system: str = "odafs", n_servers: int = 4,
@@ -223,20 +200,6 @@ def run_failover_point(system: str = "odafs", n_servers: int = 4,
         "down_marks": stats.get("down_marks"),
         "sim_us": round(cluster.sim.now, 2),
     }
-
-
-def _shard_point(spec) -> Dict[str, Any]:
-    """One grid point, shaped for :func:`repro.bench.runner.run_points`."""
-    (mix, system, n_servers, placement, n_clients, blocks,
-     n_files, transactions) = spec
-    params = runner_base_params()
-    if mix == "smallio":
-        return run_point_smallio(system, n_servers, params=params,
-                                 placement=placement,
-                                 n_clients=n_clients, blocks=blocks)
-    return run_point_postmark(system, n_servers, params=params,
-                              placement=placement, n_clients=n_clients,
-                              n_files=n_files, transactions=transactions)
 
 
 def scaling_summary(series: Dict[str, Dict[str, Any]]) -> Dict[str, Any]:
@@ -431,14 +394,18 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
 
-    results = shard_campaign(params=params, systems=systems, mixes=mixes,
-                             server_counts=counts,
-                             placement=args.placement,
-                             n_clients=n_clients, blocks=blocks,
-                             n_files=args.files,
-                             transactions=transactions,
-                             failover=not args.no_failover,
-                             jobs=args.jobs)
+    try:
+        results = shard_campaign(params=params, systems=systems,
+                                 mixes=mixes, server_counts=counts,
+                                 placement=args.placement,
+                                 n_clients=n_clients, blocks=blocks,
+                                 n_files=args.files,
+                                 transactions=transactions,
+                                 failover=not args.no_failover,
+                                 jobs=args.jobs)
+    except ClientCacheHitError as err:
+        print(f"repro-bench shard: {err}", file=sys.stderr)
+        return 2
 
     fo = results.get("failover")
     failed = fo is not None and not fo["completed"]

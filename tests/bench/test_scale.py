@@ -16,9 +16,10 @@ import pytest
 from repro.bench import perf, scale
 from repro.params import default_params
 
-#: Tiny same-shape grid so the determinism tests stay fast.
+#: Tiny same-shape grid so the determinism tests stay fast. 16 blocks,
+#: twice the 8-block client caches, so the measured pass misses them.
 TINY = dict(systems=("nfs", "odafs"), mixes=("smallio",),
-            client_counts=(1, 2, 4), blocks=8)
+            client_counts=(1, 2, 4), blocks=16)
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +52,7 @@ class TestDeterminism:
 
     def test_both_mixes_emit_full_grids(self):
         results = scale.scale_campaign(systems=("odafs",),
-                                       client_counts=(1, 2), blocks=8,
+                                       client_counts=(1, 2), blocks=16,
                                        transactions=8, n_files=8)
         for mix in scale.MIXES:
             points = results[mix]["odafs"]
@@ -88,15 +89,23 @@ class TestRender:
 
     def test_cli_json_round_trips(self, capsys):
         assert scale.main(["--systems", "nfs", "--mixes", "smallio",
-                           "--clients", "1", "2", "--blocks", "8",
+                           "--clients", "1", "2", "--blocks", "16",
                            "--seed", "3", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["seed"] == 3
         assert set(doc["results"]["smallio"]["nfs"]) == {"1", "2"}
 
-    def test_cli_rejects_unknown_system(self):
-        with pytest.raises(SystemExit):
-            scale.main(["--systems", "zfs"])
+    # nfs-prepost is a Cluster system, but the scale-out runner only
+    # wires the clients of nfs, dafs and odafs.
+    @pytest.mark.parametrize("system", ["zfs", "nfs-prepost"])
+    def test_cli_rejects_unknown_system(self, system):
+        with pytest.raises(SystemExit) as exc:
+            scale.main(["--systems", system])
+        assert exc.value.code == 2
+
+    def test_campaign_rejects_a_system_the_runner_does_not_wire(self):
+        with pytest.raises(ValueError, match="unknown system"):
+            scale.scale_campaign(systems=("nfs-prepost",))
 
     @pytest.mark.parametrize("option", ["--clients", "--blocks", "--files",
                                         "--threads", "--queue"])
@@ -111,11 +120,34 @@ class TestRender:
     def test_quick_changes_only_the_defaults(self, capsys):
         assert scale.main(["--quick", "--systems", "nfs", "--clients", "1",
                            "--mixes", "smallio", "postmark", "--blocks",
-                           "8", "--files", "4", "--transactions", "3",
+                           "16", "--files", "4", "--transactions", "3",
                            "--json"]) == 0
         results = json.loads(capsys.readouterr().out)["results"]
-        assert results["smallio"]["nfs"]["1"]["ops"] == 8
+        assert results["smallio"]["nfs"]["1"]["ops"] == 16
         assert results["postmark"]["nfs"]["1"]["ops"] == 3
+
+
+class TestClientCacheCheck:
+    """A smallio point measures reads that cross the network: one served
+    by a client cache is a failure, never a data point."""
+
+    @pytest.mark.parametrize("system", ["nfs", "odafs"])
+    def test_point_raises_when_the_file_fits_the_client_cache(self, system):
+        with pytest.raises(scale.ClientCacheHitError,
+                           match=f"smallio {system} .* 16 client-cache hit"):
+            scale.run_point_smallio(system, 2, blocks=8)
+
+    @pytest.mark.parametrize("mode", [[], ["--json"],
+                                      ["--json", "--jobs", "2"]],
+                             ids=["text", "json", "json-jobs2"])
+    def test_cli_exits_2_and_prints_no_results(self, capsys, mode):
+        assert scale.main(["--blocks", "8", "--clients", "1", "2",
+                           "--systems", "odafs", "--mixes", "smallio",
+                           *mode]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("repro-bench scale: smallio odafs")
+        assert "8 blocks" in err and "client-cache hit" in err
 
 
 class TestScaleOutClaim:

@@ -17,9 +17,11 @@ from repro.nas.shard import ShardRouter
 from repro.params import default_params
 from repro.proto.rpc import RPCError
 
-#: Tiny same-shape grid so the determinism tests stay fast.
+#: Tiny same-shape grid so the determinism tests stay fast. 48 blocks
+#: (three 64 KB reads) is the smallest file whose 2-server slices outgrow
+#: the 20-block client caches, so the measured pass misses them.
 TINY = dict(systems=("nfs", "odafs"), mixes=("smallio",),
-            server_counts=(1, 2), n_clients=2, blocks=16,
+            server_counts=(1, 2), n_clients=2, blocks=48,
             failover=False)
 
 
@@ -55,7 +57,7 @@ class TestDeterminism:
     def test_both_mixes_emit_full_grids(self):
         results = shard.shard_campaign(
             systems=("odafs",), server_counts=(1, 2), n_clients=2,
-            blocks=16, n_files=8, transactions=8, failover=False)
+            blocks=48, n_files=8, transactions=8, failover=False)
         for mix in shard.MIXES:
             points = results[mix]["odafs"]
             assert set(points) == {"1", "2"}
@@ -120,7 +122,7 @@ class TestFailover:
                             {**real(*a, **kw), "completed": False})
         assert shard.main(["--systems", "nfs", "--servers", "1", "2",
                            "--mixes", "smallio", "--clients", "1",
-                           "--blocks", "16", *mode]) == 1
+                           "--blocks", "48", *mode]) == 1
 
 
 class TestRender:
@@ -141,7 +143,7 @@ class TestRender:
     def test_cli_json_round_trips(self, capsys):
         assert shard.main(["--systems", "odafs", "--mixes", "smallio",
                            "--servers", "1", "2", "--clients", "2",
-                           "--blocks", "16", "--no-failover",
+                           "--blocks", "48", "--no-failover",
                            "--seed", "3", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["seed"] == 3
@@ -170,17 +172,47 @@ class TestRender:
     def test_quick_changes_only_the_defaults(self, capsys):
         assert shard.main(["--quick", "--systems", "nfs", "--servers", "1",
                            "--mixes", "smallio", "postmark", "--clients",
-                           "1", "--blocks", "16", "--files", "4",
+                           "1", "--blocks", "48", "--files", "4",
                            "--transactions", "3", "--no-failover",
                            "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert (doc["n_clients"], doc["blocks"]) == (1, 16)
-        assert doc["results"]["smallio"]["nfs"]["1"]["ops"] == 1
+        assert (doc["n_clients"], doc["blocks"]) == (1, 48)
+        assert doc["results"]["smallio"]["nfs"]["1"]["ops"] == 3
         assert doc["results"]["postmark"]["nfs"]["1"]["ops"] == 3
 
     def test_campaign_rejects_unknown_mix(self):
         with pytest.raises(ValueError):
             shard.shard_campaign(mixes=("sfs",))
+
+
+class TestClientCacheCheck:
+    """A smallio point measures reads that cross the network: one served
+    by a client cache is a failure, never a data point."""
+
+    # 8 striped servers leave each a 16-block slice of the 128-block
+    # file; hash placement at the default seed leaves one server 20
+    # blocks at 4. Either fits the 20-block client cache.
+    @pytest.mark.parametrize("n_servers, placement",
+                             [(8, "stripe"), (4, "hash")])
+    def test_point_raises_when_a_slice_fits_the_client_cache(
+            self, n_servers, placement):
+        with pytest.raises(shard.ClientCacheHitError,
+                           match=f"at {n_servers} server"):
+            shard.run_point_smallio("odafs", n_servers,
+                                    placement=placement)
+
+    @pytest.mark.parametrize("mode", [[], ["--json"],
+                                      ["--json", "--jobs", "2"]],
+                             ids=["text", "json", "json-jobs2"])
+    def test_cli_exits_2_and_prints_no_results(self, capsys, mode):
+        assert shard.main(["--systems", "odafs", "--servers", "4", "8",
+                           "--mixes", "smallio", "--no-failover",
+                           *mode]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("repro-bench shard: smallio odafs at 8 "
+                              "server(s), 8 client(s), 128 blocks: 1024 "
+                              "client-cache hit(s)")
 
 
 class TestScaleOutClaim:
