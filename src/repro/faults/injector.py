@@ -283,12 +283,10 @@ class Injector:
                 on_end()
 
     def arm(self) -> None:
-        """Spawn one driver process per bound schedule."""
+        """Spawn one task per bound schedule to run it."""
         self._armed = True
         for sched, name, on_start, on_end in self._schedules:
-            self.sim.process(
-                self._run_schedule(sched, name, on_start, on_end),
-                name=f"faults.{name}")
+            self.sim.spawn(self._run_schedule(sched, name, on_start, on_end))
 
     # -- resilience ---------------------------------------------------------
 

@@ -76,8 +76,7 @@ class CompletionQueue:
     def push(self, comp: Completion) -> None:
         self.delivered += 1
         if self.mode is NotifyMode.BLOCK:
-            self.sim.process(self._blocking_delivery(comp),
-                             name=f"cq-intr:{self.name}")
+            self.sim.spawn(self._blocking_delivery(comp))
         else:
             self._store.put(comp)
 
@@ -185,8 +184,7 @@ class NIC:
         if self.sim.tracer is not None:
             self.sim.tracer.emit(self.name, "gm-send", dst=dst, port=port,
                                  bytes=nbytes, msg=msg.msg_id)
-        self.sim.process(self._tx(msg, from_host=True, fetch_descriptor=True),
-                         name=f"{self.name}.tx")
+        self.sim.spawn(self._tx(msg, from_host=True, fetch_descriptor=True))
 
     # ------------------------------------------------------------------
     # Ethernet emulation (UDP/IP path)
@@ -203,8 +201,7 @@ class NIC:
         msg = Message(MsgKind.ETH, self.name, dst, nbytes, port=port,
                       data=data, meta=meta or {})
         self.stats.incr("eth_send")
-        self.sim.process(self._tx(msg, from_host=True, fetch_descriptor=True),
-                         name=f"{self.name}.eth-tx")
+        self.sim.spawn(self._tx(msg, from_host=True, fetch_descriptor=True))
 
     # ------------------------------------------------------------------
     # RDDP-RPC support (Section 3.2): tagged pre-posted user buffers
@@ -250,8 +247,7 @@ class NIC:
         if span is not None:
             span.mark(self.name, "nic.doorbell", op="rdma-put",
                       bytes=nbytes)
-        self.sim.process(self._tx(msg, from_host=True, fetch_descriptor=True),
-                         name=f"{self.name}.put")
+        self.sim.spawn(self._tx(msg, from_host=True, fetch_descriptor=True))
         if self.rdma_timeout_us is None:
             result = yield done
         else:
@@ -285,8 +281,7 @@ class NIC:
         if span is not None:
             span.mark(self.name, "nic.doorbell", op="rdma-get",
                       bytes=nbytes)
-        self.sim.process(self._tx(msg, from_host=True, fetch_descriptor=True),
-                         name=f"{self.name}.get")
+        self.sim.spawn(self._tx(msg, from_host=True, fetch_descriptor=True))
         if self.rdma_timeout_us is None:
             data = yield done
         else:
@@ -348,7 +343,7 @@ class NIC:
     # ------------------------------------------------------------------
 
     def _deliver(self, frame: Frame) -> None:
-        self.sim.process(self._rx_frame(frame), name=f"{self.name}.rx")
+        self.sim.spawn(self._rx_frame(frame))
 
     def _rx_frame(self, frame: Frame) -> Generator:
         yield self.firmware.hold(self.params.nic.rx_frame_us)
@@ -578,9 +573,8 @@ class NIC:
             data = corrupt_payload(data, "ordma")
         resp = Message(MsgKind.RDMA_GET_RESP, self.name, msg.src, nbytes,
                        data=data, meta={"for": msg.msg_id})
-        self.sim.process(self._tx(resp, from_host=True,
-                                  fetch_descriptor=False),
-                         name=f"{self.name}.get-resp")
+        self.sim.spawn(self._tx(resp, from_host=True,
+                                fetch_descriptor=False))
 
     def _rx_get_response(self, frame: Frame) -> Generator:
         msg = frame.message
@@ -605,6 +599,5 @@ class NIC:
 
     def _nic_send(self, msg: Message) -> None:
         """Transmit a NIC-originated control message (ack/fault)."""
-        self.sim.process(self._tx(msg, from_host=False,
-                                  fetch_descriptor=False),
-                         name=f"{self.name}.ctl")
+        self.sim.spawn(self._tx(msg, from_host=False,
+                                fetch_descriptor=False))

@@ -48,8 +48,7 @@ class Scrubber:
             raise RuntimeError("scrubber already running")
         self._running = True
         self._stop_on = stop_on
-        sim = self.server.host.sim
-        sim.process(self._daemon(), name=f"{self.server.name}.scrub")
+        self.server.host.sim.spawn(self._daemon())
 
     def stop(self) -> None:
         self._running = False

@@ -46,7 +46,7 @@ class MemoryPressure:
             raise RuntimeError("pressure daemon already running")
         self._running = True
         self._stop_on = stop_on
-        self.sim.process(self._daemon(), name="vm-pressure")
+        self.sim.spawn(self._daemon())
 
     def stop(self) -> None:
         self._running = False

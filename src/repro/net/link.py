@@ -108,8 +108,7 @@ class Switch:
         """
         if frame.dst not in self._ports:
             raise KeyError(f"unknown destination host {frame.dst!r}")
-        self.sim.process(self._transmit(src, frame),
-                         name=f"xmit:{src}->{frame.dst}")
+        self.sim.spawn(self._transmit(src, frame))
 
     def _transmit(self, src: str, frame: Frame):
         src_port = self._ports[src]

@@ -154,7 +154,7 @@ class RPCClient:
         #: Recently completed xids, to tell a retransmission's duplicate
         #: reply from a genuinely unknown (orphan) one.
         self._recent: "OrderedDict[int, bool]" = OrderedDict()
-        host.sim.process(self._recv_loop(), name=f"{host.name}.rpc-recv")
+        host.sim.spawn(self._recv_loop())
 
     def gauges(self) -> Dict[str, Callable[[], float]]:
         """Telemetry probes for a :class:`~repro.sim.TimeSeriesSampler`:
@@ -429,7 +429,7 @@ class RPCServer:
         if self._started:
             raise RPCError("server already started")
         self._started = True
-        self.host.sim.process(self._loop(), name=f"{self.name}.loop")
+        self.host.sim.spawn(self._loop())
 
     def _loop(self) -> Generator:
         while True:
@@ -443,13 +443,11 @@ class RPCServer:
                 continue
             sched = self.scheduler
             if sched is None:
-                self.host.sim.process(self._serve(msg),
-                                      name=f"{self.name}.serve")
+                self.host.sim.spawn(self._serve(msg))
             elif sched.admit(msg):
                 self._dispatch()
             else:
-                self.host.sim.process(self._send_rejection(msg),
-                                      name=f"{self.name}.reject")
+                self.host.sim.spawn(self._send_rejection(msg))
 
     def gauges(self) -> Dict[str, Callable[[], float]]:
         """Telemetry probes for a :class:`~repro.sim.TimeSeriesSampler`:
@@ -469,8 +467,7 @@ class RPCServer:
             if entry is None:
                 return
             sched.note_active(+1)
-            self.host.sim.process(self._serve_scheduled(entry),
-                                  name=f"{self.name}.serve")
+            self.host.sim.spawn(self._serve_scheduled(entry))
 
     def _serve_scheduled(self, entry) -> Generator:
         """One service thread's turn: run the handler, free the slot,

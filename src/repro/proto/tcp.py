@@ -103,8 +103,7 @@ class TCPStack:
                                           port=conn.peer_port)
 
     def _from_nic(self, msg: Message) -> None:
-        self.host.sim.process(self._deliver(msg),
-                              name=f"{self.host.name}.tcp-rx")
+        self.host.sim.spawn(self._deliver(msg))
 
     def _deliver(self, msg: Message) -> Generator:
         cpu = self.host.cpu

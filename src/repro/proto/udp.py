@@ -52,9 +52,8 @@ class UDPStack:
     # -- receive path ------------------------------------------------------
 
     def _from_nic(self, msg: Message) -> None:
-        """NIC upcall (NIC context): hand off to a host-side process."""
-        self.host.sim.process(self._deliver(msg),
-                              name=f"{self.host.name}.udp-rx")
+        """NIC upcall (NIC context): hand off to a host-side task."""
+        self.host.sim.spawn(self._deliver(msg))
 
     def _deliver(self, msg: Message) -> Generator:
         cpu = self.host.cpu

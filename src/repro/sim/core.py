@@ -41,12 +41,21 @@ this loop, so per-hop constant factors dominate campaign wall-clock):
 * ``run()`` inlines the dispatch loop instead of calling ``step()`` per
   event (``step()`` remains for single-step use and is semantically
   identical).
+* **Detached tasks**: work nothing waits on — a frame crossing the
+  switch, a NIC receiving a frame or sending a message, an RPC being
+  served — starts with :meth:`Simulator.spawn` instead of
+  :meth:`Simulator.process`. Its bootstrap is the same trampoline,
+  drawn at the same moment, but there is no :class:`Process` object and
+  no completion event. Only that event, which nothing could observe,
+  goes; every other event keeps its ``(time, seq)`` order by
+  construction, and ``sim._seq`` falls by one per finished task.
 
-None of this changes event ordering or seq accounting: the (time, seq)
-dispatch discipline and the points at which seq is drawn are exactly the
-old ones (run-queue entries draw seqs too), so seeded runs are
-bit-identical to the pre-optimization kernel down to ``sim._seq`` — the
-seeded digest tests in ``tests/sim/test_core_runqueue.py`` pin this.
+None of this changes event ordering: the (time, seq) dispatch discipline
+and the points at which seq is drawn are exactly the old ones (run-queue
+entries draw seqs too), so seeded runs are bit-identical to the
+pre-optimization kernel. ``sim._seq`` itself differs only by the
+completion events detached tasks no longer draw — the seeded digest
+tests in ``tests/sim/test_core_runqueue.py`` pin both.
 """
 
 from __future__ import annotations
@@ -294,6 +303,43 @@ class Process(Event):
         self._waiting_on = target
 
 
+class _Task:
+    """A generator started by :meth:`Simulator.spawn`, which nothing can
+    wait on, interrupt or name.
+
+    Not an event: when the generator returns there is no completion to
+    schedule, and an exception escaping it propagates out of the
+    dispatch loop at once. Its loop is :meth:`Process._resume` without
+    the stale-wait check and the completion event. The two stay separate
+    short loops: a shared stepping routine costs every resume of both
+    kinds one more Python call, and measured slower for both.
+    """
+
+    __slots__ = ("sim", "_gen")
+
+    def __init__(self, sim: "Simulator", gen: Generator):
+        self.sim = sim
+        self._gen = gen
+
+    def _resume(self, event: Event) -> None:
+        try:
+            if event._ok:
+                target = self._gen.send(event._value)
+            else:
+                target = self._gen.throw(event._value)
+        except StopIteration:
+            return
+        if not isinstance(target, Event):
+            self._gen.close()
+            raise SimulationError(
+                f"task {self._gen.__qualname__!r} yielded non-event "
+                f"{target!r}")
+        if target.callbacks is None:
+            self.sim._trampoline(self._resume, target._value, target._ok)
+        else:
+            target.callbacks.append(self._resume)
+
+
 class Condition(Event):
     """Base for :class:`AllOf` / :class:`AnyOf` composite events."""
 
@@ -459,8 +505,26 @@ class Simulator:
         return Event(self)
 
     def process(self, gen: Generator, name: str = "") -> Process:
-        """Spawn ``gen`` as a process starting at the current time."""
+        """Start ``gen`` as a process at the current time.
+
+        The returned :class:`Process` is an event that fires when the
+        generator finishes, for callers that wait on it or interrupt it.
+        Start work nothing waits on with :meth:`spawn` instead.
+        """
         return Process(self, gen, name=name)
+
+    def spawn(self, gen: Generator) -> None:
+        """Start ``gen`` at the current time as a detached task.
+
+        The first step runs exactly where :meth:`process` would run it:
+        from one bootstrap on the run queue, drawn now. There is no
+        handle, so no :class:`Process` object and no completion event,
+        and ``sim._seq`` ends one lower per task that finishes. An
+        exception escaping ``gen`` is nobody's to catch: it propagates
+        out of :meth:`run` at once, with its own type. Yielding a
+        non-event raises :class:`SimulationError` naming the generator.
+        """
+        self._trampoline(_Task(self, gen)._resume, None, True)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """An event that fires when every child event has succeeded."""

@@ -211,7 +211,7 @@ class TimeSeriesSampler:
             raise RuntimeError("sampler already running")
         self._running = True
         self._stop_on = stop_on
-        self.sim.process(self._daemon(), name="timeseries-sampler")
+        self.sim.spawn(self._daemon())
 
     def stop(self) -> None:
         self._running = False

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fs.files import FileSystem
-from repro.sim import BandwidthPipe, Resource, Simulator
+from repro.sim import BandwidthPipe, Resource, Simulator, Store
 
 
 @settings(max_examples=100)
@@ -125,6 +125,84 @@ def test_hold_serves_like_request_timeout_release(capacity, jobs):
     reference = _serve_jobs(capacity, work, ["request"] * n)
     assert _serve_jobs(capacity, work, ["hold"] * n) == reference
     assert _serve_jobs(capacity, work, [job[3] for job in jobs]) == reference
+
+
+#: Steps of a random worker: wait a zero or non-zero timeout, hold the
+#: shared resource, put to or get from the shared store, wait again on
+#: the event it last waited on (by then processed), or start a new
+#: instance of a worker further down the program.
+_STEPS = st.one_of(
+    st.tuples(st.just("timeout"), st.integers(min_value=0, max_value=3)),
+    st.tuples(st.just("hold"), st.integers(min_value=0, max_value=3),
+              st.integers(min_value=0, max_value=1)),
+    st.tuples(st.just("put"), st.integers(min_value=0, max_value=9)),
+    st.tuples(st.just("get")),
+    st.tuples(st.just("again")),
+    st.tuples(st.just("start"), st.integers(min_value=1, max_value=3)),
+)
+#: Worker instances one program may start, counting its roots.
+_MAX_WORKERS = 24
+
+
+def _run_workers(program, roots, capacity, start):
+    """Run ``program`` (one step list per worker), starting its first
+    ``roots`` workers at t=0 and every worker with ``sim.<start>``.
+    Returns the ``(now, worker, step)`` log, the workers that finished
+    in finishing order, and the final seq counter."""
+    sim = Simulator()
+    res = Resource(sim, capacity=capacity)
+    store = Store(sim)
+    log, finished, started = [], [], []
+
+    def launch(i):
+        name = f"w{i}.{len(started)}"
+        started.append(name)
+        getattr(sim, start)(worker(i, name))
+
+    def worker(i, name):
+        last = None
+        for step, (kind, *args) in enumerate(program[i]):
+            log.append((sim.now, name, step))
+            if kind == "timeout":
+                last = sim.timeout(args[0])
+                yield last
+            elif kind == "hold":
+                last = res.hold(*args)
+                yield last
+            elif kind == "put":
+                store.put((name, args[0]))
+            elif kind == "get":
+                last = store.get()
+                item = yield last
+                log.append((sim.now, name, step, item))
+            elif kind == "again" and last is not None:
+                yield last
+            elif kind == "start":
+                if i + args[0] < len(program) \
+                        and len(started) < _MAX_WORKERS:
+                    launch(i + args[0])
+        finished.append(name)
+
+    for i in range(min(roots, len(program))):
+        launch(i)
+    sim.run()
+    return log, finished, sim._seq
+
+
+@settings(max_examples=200)
+@given(st.lists(st.lists(_STEPS, max_size=6), min_size=1, max_size=5),
+       st.integers(min_value=1, max_value=5),
+       st.integers(min_value=1, max_value=2))
+def test_spawn_dispatches_like_process(program, roots, capacity):
+    """Starting every worker with ``spawn`` instead of ``process`` must
+    not move a single step: same log, same finishers (a worker blocked
+    on an empty store never finishes). The only difference is the seq
+    counter, one lower per finished task: the completion event a
+    process fires and a task does not."""
+    log, finished, seq = _run_workers(program, roots, capacity, "process")
+    spawned = _run_workers(program, roots, capacity, "spawn")
+    assert spawned[:2] == (log, finished)
+    assert seq - spawned[2] == len(finished)
 
 
 @settings(max_examples=100)

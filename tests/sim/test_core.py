@@ -127,28 +127,55 @@ def test_process_exception_propagates_to_waiter():
     assert sim.run_process(outer()) == "handled"
 
 
-def test_unhandled_process_exception_raises_from_run():
+@pytest.mark.parametrize("start", ["process", "spawn"])
+def test_unhandled_process_exception_raises_from_run(start):
     sim = Simulator()
 
     def bad():
         yield sim.timeout(1.0)
         raise RuntimeError("unhandled")
 
-    sim.process(bad())
-    with pytest.raises(RuntimeError, match="unhandled"):
+    getattr(sim, start)(bad())
+    with pytest.raises(RuntimeError, match="unhandled") as excinfo:
         sim.run()
+    assert excinfo.type is RuntimeError
+    assert sim.now == 1.0
 
 
-def test_yield_non_event_fails_process():
+@pytest.mark.parametrize("start", ["process", "spawn"])
+def test_yield_non_event_fails_process(start):
     sim = Simulator()
 
     def bad():
         yield 5  # not an Event
 
-    proc = sim.process(bad())
-    with pytest.raises(SimulationError):
+    handle = getattr(sim, start)(bad())
+    with pytest.raises(SimulationError, match="'.*bad' yielded non-event 5"):
         sim.run()
-    assert proc.triggered
+    if start == "process":
+        assert handle.triggered
+
+
+def test_spawn_starts_like_process_in_call_order():
+    """``spawn`` returns no handle and runs nothing synchronously: a
+    task's first step waits on the run queue exactly as a process's
+    does, so tasks and processes started at one instant step in call
+    order."""
+    sim = Simulator()
+    order = []
+
+    def worker(tag):
+        order.append((sim.now, tag))
+        yield sim.timeout(1.0)
+        order.append((sim.now, tag))
+
+    assert sim.spawn(worker("a")) is None
+    sim.process(worker("b"))
+    assert sim.spawn(worker("c")) is None
+    assert order == []
+    sim.run()
+    assert order == [(0.0, "a"), (0.0, "b"), (0.0, "c"),
+                     (1.0, "a"), (1.0, "b"), (1.0, "c")]
 
 
 def test_simultaneous_events_fire_in_schedule_order():
@@ -268,18 +295,21 @@ def test_call_at_in_the_past_rejected():
         sim.run()
 
 
-def test_waiting_on_already_processed_event():
+@pytest.mark.parametrize("start", ["process", "spawn"])
+def test_waiting_on_already_processed_event(start):
     sim = Simulator()
     ev = sim.event()
     ev.succeed("early")
+    got = []
 
     def late_waiter():
         # Let the event be processed before anyone waits on it.
         yield sim.timeout(5.0)
-        value = yield ev
-        return value
+        got.append((yield ev))
 
-    assert sim.run_process(late_waiter()) == "early"
+    getattr(sim, start)(late_waiter())
+    sim.run()
+    assert got == ["early"]
 
 
 def test_stop_halts_run():
