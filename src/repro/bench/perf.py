@@ -534,10 +534,10 @@ def main(argv=None) -> int:
                     "parallel campaign runner's figure-sweep speedup.")
     parser.add_argument("--quick", action="store_true",
                         help="smaller bench shapes (CI-sized)")
-    parser.add_argument("--jobs", type=int, default=4,
+    parser.add_argument("--jobs", type=runner.positive_int, default=4,
                         help="pool size for the figure-sweep comparison "
                              "(default 4)")
-    parser.add_argument("--repeat", type=int, default=3,
+    parser.add_argument("--repeat", type=runner.positive_int, default=3,
                         help="runs per microbench; best wall time wins "
                              "(default 3)")
     parser.add_argument("--no-sweep", action="store_true",

@@ -9,7 +9,7 @@ seed with a stable hash. Points therefore share no mutable state and can
 run in any order, on any worker, with byte-identical results.
 
 :func:`run_points` exploits that: it maps a module-level worker function
-over the point list, either serially (``jobs <= 1``) or on a *warm*
+over the point list, either serially (``jobs`` unset or <= 1) or on a *warm*
 ``multiprocessing`` pool, and always returns results in point order — so
 assembling the campaign dict from the returned list produces output
 byte-identical to a serial run (the parallel-equivalence tests and the CI
@@ -34,43 +34,11 @@ from __future__ import annotations
 
 import argparse
 import atexit
-import hashlib
 import json
 import multiprocessing
-import os
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple)
 
 from ..params import Params, default_params
-
-#: Environment override for the default job count (used by CI).
-JOBS_ENV = "REPRO_BENCH_JOBS"
-
-
-def default_jobs() -> int:
-    """The job count used when a CLI is invoked without ``--jobs``.
-
-    Reads ``REPRO_BENCH_JOBS`` if set, else 1 (serial): parallelism is
-    opt-in so plain invocations behave exactly as before.
-    """
-    value = os.environ.get(JOBS_ENV)
-    if value:
-        try:
-            return max(1, int(value))
-        except ValueError:
-            pass
-    return 1
-
-
-def derive_seed(master_seed: int, name: str) -> int:
-    """A stable 63-bit seed for a named sub-campaign of ``master_seed``.
-
-    Mirrors :class:`repro.sim.RandomStreams` derivation (sha256, not
-    ``hash()``) so the value survives interpreter restarts and
-    ``PYTHONHASHSEED`` salting — a worker process re-deriving its stream
-    gets exactly the seed the serial run would have used.
-    """
-    digest = hashlib.sha256(f"{master_seed}:{name}".encode()).digest()
-    return int.from_bytes(digest[:8], "big") >> 1
 
 
 def _pool_context() -> multiprocessing.context.BaseContext:
@@ -178,17 +146,17 @@ def _prime(_index: int) -> None:
 
 
 def run_points(fn: Callable[[Any], Any], points: Sequence[Any],
-               jobs: Optional[int] = None, chunksize: int = 1,
+               jobs: Optional[int] = None,
                base: Optional[Params] = None,
                cost: Optional[Callable[[Any], float]] = None) -> List[Any]:
     """Map ``fn`` over ``points``, preserving point order in the result.
 
-    ``jobs`` <= 1 (or a single point) runs serially in-process with no
-    multiprocessing machinery at all. Otherwise the points fan out across
-    the persistent ``jobs``-worker pool; ``chunksize=1`` load-balances
-    unequal point costs (a 512 KB figure point costs far more than a 4 KB
-    one). Results come back in point order either way, so callers can
-    zip them against the point list.
+    ``jobs`` of ``None`` or <= 1 (or a single point) runs serially
+    in-process with no multiprocessing machinery at all. Otherwise the
+    points fan out across the persistent ``jobs``-worker pool, one point
+    per task, which load-balances unequal point costs (a 512 KB figure
+    point costs far more than a 4 KB one). Results come back in point
+    order either way, so callers can zip them against the point list.
 
     ``base`` is the campaign's base :class:`Params`, primed once per
     worker and read back via :func:`base_params`. ``cost`` estimates a
@@ -200,19 +168,17 @@ def run_points(fn: Callable[[Any], Any], points: Sequence[Any],
     """
     global _worker_base
     points = list(points)
-    if jobs is None:
-        jobs = default_jobs()
     if base is not None:
         _worker_base = base  # serial path + parent-side helpers
-    if jobs <= 1 or len(points) <= 1 or _in_worker():
+    if jobs is None or jobs <= 1 or len(points) <= 1 or _in_worker():
         return [fn(point) for point in points]
     pool = _get_pool(jobs, base)
     if cost is None:
-        return pool.map(fn, points, chunksize=chunksize)
+        return pool.map(fn, points, chunksize=1)
     # Stable sort: equal-cost points keep grid order, so the submission
     # order — and therefore the result bytes — is deterministic.
     order = sorted(range(len(points)), key=lambda i: -cost(points[i]))
-    mapped = pool.map(fn, [points[i] for i in order], chunksize=chunksize)
+    mapped = pool.map(fn, [points[i] for i in order], chunksize=1)
     results: List[Any] = [None] * len(points)
     for slot, result in zip(order, mapped):
         results[slot] = result
@@ -263,12 +229,23 @@ def positive_int(text: str) -> int:
     return value
 
 
+def positive_float(text: str) -> float:
+    """argparse ``type=`` for intervals: a number > 0, so a zero or
+    negative interval exits 2 with a usage message instead of a
+    traceback."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value:g}")
+    return value
+
+
 def add_campaign_args(parser: argparse.ArgumentParser,
                       seed_help: str = "master seed for every RNG "
                                        "stream") -> None:
     """The ``--seed/--jobs/--json`` trio every campaign CLI shares."""
     parser.add_argument("--seed", type=int, default=None, help=seed_help)
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
+    parser.add_argument("--jobs", type=positive_int, default=None,
+                        metavar="N",
                         help="worker processes for the campaign grid "
                              "(default: serial; output is byte-identical "
                              "for any job count)")

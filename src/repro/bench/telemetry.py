@@ -214,11 +214,12 @@ def main(argv=None) -> int:
     parser.add_argument("--blocks", type=runner.positive_int, default=None,
                         help="blocks per pass in the workload (default 64, "
                              "16 with --quick)")
-    parser.add_argument("--block-kb", type=int, default=4,
+    parser.add_argument("--block-kb", type=runner.positive_int, default=4,
                         help="I/O size in KB")
     parser.add_argument("--passes", type=runner.positive_int, default=2,
                         help="number of read passes over the file")
-    parser.add_argument("--interval", type=float, default=50.0,
+    parser.add_argument("--interval", type=runner.positive_float,
+                        default=50.0,
                         metavar="US", help="sampling interval in sim-us")
     parser.add_argument("--quick", action="store_true",
                         help="smaller defaults (16 blocks); explicit "
@@ -226,7 +227,7 @@ def main(argv=None) -> int:
     parser.add_argument("--series", metavar="SUBSTR[,SUBSTR...]",
                         help="only show series whose name contains one "
                              "of these substrings")
-    parser.add_argument("--width", type=int, default=60,
+    parser.add_argument("--width", type=runner.positive_int, default=60,
                         help="sparkline width in characters")
     parser.add_argument("--dump", metavar="PATH",
                         help="also write the sampled series as JSONL "

@@ -29,7 +29,7 @@ from ..sim import (LatencyStats, SimulationError, Span, Tracer, load_jsonl)
 from ..sim.timeseries import window_mean
 from . import traceexport
 from .figures import dafs_cache_kwargs
-from .runner import positive_int, seeded_params
+from .runner import positive_float, positive_int, seeded_params
 
 #: Order in which data paths are reported.
 PATH_ORDER = ("rpc", "rdma", "ordma", "ordma-fallback", "local")
@@ -471,7 +471,7 @@ def main(argv=None) -> int:
     parser.add_argument("--blocks", type=positive_int, default=None,
                         help="blocks per pass in the live workload "
                              "(default 64, 16 with --quick)")
-    parser.add_argument("--block-kb", type=int, default=4,
+    parser.add_argument("--block-kb", type=positive_int, default=4,
                         help="I/O size in KB")
     parser.add_argument("--passes", type=positive_int, default=2,
                         help="number of read passes over the file")
@@ -486,7 +486,8 @@ def main(argv=None) -> int:
     parser.add_argument("--critical-path", action="store_true",
                         help="print the service-vs-queueing attribution "
                              "table per path class")
-    parser.add_argument("--sample-interval", type=float, default=50.0,
+    parser.add_argument("--sample-interval", type=positive_float,
+                        default=50.0,
                         metavar="US",
                         help="telemetry sampling interval in sim-us "
                              "(default 50)")

@@ -138,6 +138,4 @@ class ClientFileCache:
         return len(victims)
 
     def hit_ratio(self) -> float:
-        hits = self.stats.get("hits")
-        total = hits + self.stats.get("misses")
-        return hits / total if total else 0.0
+        return self.stats.hit_ratio()

@@ -133,10 +133,7 @@ class Cluster:
         self.placement = make_placement(shard_p, self.params.seed)
         self.sim = Simulator()
         self.rand = RandomStreams(self.params.seed)
-        # The switch draws loss decisions from a named stream of the
-        # master seed (not a hardcoded one) so --seed reaches every RNG.
-        self.switch = Switch(self.sim, self.params.net,
-                             rng=self.rand.stream("net.loss"))
+        self.switch = Switch(self.sim, self.params.net)
         self.block_size = block_size or self.params.storage.server_cache_block
 
         # -- servers: one full stack per shard ---------------------------

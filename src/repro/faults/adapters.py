@@ -15,6 +15,10 @@ Two determinism rules hold throughout:
 * every injected fault is accounted exactly once, through :meth:`_note`,
   which bumps the shared counter *and* emits a ``fault`` trace event —
   counters and tracer can never diverge.
+
+Every probabilistic mode decides through :meth:`LayerFaults._fires`: a
+pending one-shot trap fires first and is noted ``forced``; otherwise the
+RNG is drawn, and only when the probability is non-zero.
 """
 
 from __future__ import annotations
@@ -44,6 +48,24 @@ class LayerFaults:
         self.stats.incr(f"{self.layer}.{mode}")
         trace_emit(self.sim, self.component, "fault", cls=self.layer,
                    mode=mode, **detail)
+
+    def _fires(self, mode: str, p: float, trap: str = "",
+               **detail) -> bool:
+        """Decide one ``mode`` fault and note it if it fires.
+
+        ``trap`` names a one-shot counter attribute (``drop_next``, ...):
+        while it is positive the fault fires without a draw, is noted
+        ``forced`` and the counter drops by one. Otherwise the RNG is
+        drawn against ``p``, and only when ``p > 0``.
+        """
+        if trap and getattr(self, trap) > 0:
+            setattr(self, trap, getattr(self, trap) - 1)
+            self._note(mode, **detail, forced=True)
+            return True
+        if p > 0.0 and self.rng.random() < p:
+            self._note(mode, **detail)
+            return True
+        return False
 
 
 class LinkFaults(LayerFaults):
@@ -92,23 +114,12 @@ class LinkFaults(LayerFaults):
                                   or dst in self._partitioned):
             self._note("partition_drop", src=src, dst=dst)
             return "drop", 0.0
-        if self.drop_next > 0:
-            self.drop_next -= 1
-            self._note("drop", src=src, dst=dst, forced=True)
+        if self._fires("drop", self.drop_p, "drop_next", src=src, dst=dst):
             return "drop", 0.0
-        if self.drop_p > 0.0 and self.rng.random() < self.drop_p:
-            self._note("drop", src=src, dst=dst)
-            return "drop", 0.0
-        if self.corrupt_p > 0.0 and self.rng.random() < self.corrupt_p:
-            self._note("corrupt", src=src, dst=dst)
+        if self._fires("corrupt", self.corrupt_p, src=src, dst=dst):
             return "corrupt", 0.0
-        if self.delay_next > 0:
-            self.delay_next -= 1
-            self._note("delay", src=src, dst=dst, us=self.delay_us,
-                       forced=True)
-            return "ok", self.delay_us
-        if self.delay_p > 0.0 and self.rng.random() < self.delay_p:
-            self._note("delay", src=src, dst=dst, us=self.delay_us)
+        if self._fires("delay", self.delay_p, "delay_next", src=src,
+                       dst=dst, us=self.delay_us):
             return "ok", self.delay_us
         return "ok", 0.0
 
@@ -142,25 +153,15 @@ class NicFaults(LayerFaults):
 
     def doorbell_delay(self) -> float:
         """Extra stall (us) for the doorbell being rung now, or 0.0."""
-        if self.stall_next > 0:
-            self.stall_next -= 1
-            self._note("doorbell_stall", us=self.stall_us, forced=True)
-            return self.stall_us
-        if self.stall_p > 0.0 and self.rng.random() < self.stall_p:
-            self._note("doorbell_stall", us=self.stall_us)
+        if self._fires("doorbell_stall", self.stall_p, "stall_next",
+                       us=self.stall_us):
             return self.stall_us
         return 0.0
 
     def ordma_reject(self) -> bool:
         """Should the target NIC fault this optimistic access?"""
-        if self.ordma_reject_next > 0:
-            self.ordma_reject_next -= 1
-            self._note("ordma_reject", forced=True)
-            return True
-        if self.ordma_reject_p > 0.0 and self.rng.random() < self.ordma_reject_p:
-            self._note("ordma_reject")
-            return True
-        return False
+        return self._fires("ordma_reject", self.ordma_reject_p,
+                           "ordma_reject_next")
 
     def ordma_corrupt(self) -> bool:
         """Should this served optimistic get carry corrupted data?
@@ -169,15 +170,8 @@ class NicFaults(LayerFaults):
         receives a normal completion with a wrong payload. Only a
         client-side checksum (``params.integrity``) can tell.
         """
-        if self.ordma_corrupt_next > 0:
-            self.ordma_corrupt_next -= 1
-            self._note("ordma_corrupt", forced=True)
-            return True
-        if self.ordma_corrupt_p > 0.0 \
-                and self.rng.random() < self.ordma_corrupt_p:
-            self._note("ordma_corrupt")
-            return True
-        return False
+        return self._fires("ordma_corrupt", self.ordma_corrupt_p,
+                           "ordma_corrupt_next")
 
 
 class DiskFaults(LayerFaults):
@@ -213,27 +207,16 @@ class DiskFaults(LayerFaults):
 
     def io_plan(self) -> Tuple[bool, float]:
         """Plan one access: (fails?, extra latency us)."""
-        if self.error_next > 0:
-            self.error_next -= 1
-            self._note("io_error", forced=True)
+        if self._fires("io_error", self.error_p, "error_next"):
             return True, 0.0
-        if self.error_p > 0.0 and self.rng.random() < self.error_p:
-            self._note("io_error")
-            return True, 0.0
-        if self.delay_p > 0.0 and self.rng.random() < self.delay_p:
-            self._note("delay", us=self.delay_us)
+        if self._fires("delay", self.delay_p, us=self.delay_us):
             return False, self.delay_us
         return False, 0.0
 
     def bitrot_payload(self, data: Any) -> Any:
         """Filter one payload read from the platter: bit rot wraps it as
         silently corrupted (the read itself succeeded)."""
-        if self.bitrot_next > 0:
-            self.bitrot_next -= 1
-            self._note("bitrot", forced=True)
-            return corrupt_payload(data, "bitrot")
-        if self.bitrot_p > 0.0 and self.rng.random() < self.bitrot_p:
-            self._note("bitrot")
+        if self._fires("bitrot", self.bitrot_p, "bitrot_next"):
             return corrupt_payload(data, "bitrot")
         return data
 
@@ -241,12 +224,7 @@ class DiskFaults(LayerFaults):
         """Filter one written payload: a misdirected write lands on the
         wrong sector, so the block's stored copy is silently wrong while
         the write completes successfully."""
-        if self.misdirect_next > 0:
-            self.misdirect_next -= 1
-            self._note("misdirect", forced=True)
-            return corrupt_payload(data, "misdirect")
-        if self.misdirect_p > 0.0 and self.rng.random() < self.misdirect_p:
-            self._note("misdirect")
+        if self._fires("misdirect", self.misdirect_p, "misdirect_next"):
             return corrupt_payload(data, "misdirect")
         return data
 

@@ -369,23 +369,11 @@ class NIC:
 
     def _rx_gm(self, frame: Frame) -> Generator:
         msg = frame.message
-        # RDDP-RPC header splitting: if the host tagged this RPC's xid, the
-        # data payload bypasses intermediate buffers and lands in the
-        # pre-posted user buffer (Section 3.2). The header still goes up
-        # through the normal receive path.
-        xid = msg.meta.get("rddp_xid")
-        split = xid is not None and xid in self._rddp_tags
         if frame.payload_bytes > 0:
             yield self.pci.dma(frame.payload_bytes)
             self.stats.incr("dma_bytes", frame.payload_bytes)
         if not self._reassembler.add(frame):
             return
-        if split:
-            target = self._rddp_tags.pop(xid)
-            payload = msg.meta.get("rddp_payload")
-            if payload is not None and msg.meta.get("rddp_bytes", 0) > 0:
-                target.data = payload
-            self.stats.incr("rddp_split")
         queue = self._recv_buffers.get(msg.port)
         if queue is None:
             raise ProtectionError(
@@ -415,10 +403,10 @@ class NIC:
             raise ProtectionError(f"{self.name}: no Ethernet handler bound")
         if msg is None:
             return
-        # RDDP-RPC header splitting on the Ethernet path (Section 3.2):
-        # a response whose RPC xid matches a pre-posted tag has its payload
-        # placed directly in the tagged user buffer; the host stack then
-        # sees headers only (meta["rddp_split_done"]).
+        # RDDP-RPC header splitting (Section 3.2), here only: RDDP-RPC
+        # rides UDP. A response whose RPC xid matches a pre-posted tag has
+        # its payload placed directly in the tagged user buffer; the host
+        # stack then sees headers only (meta["rddp_split_done"]).
         xid = msg.meta.get("rddp_xid")
         if xid is not None and xid in self._rddp_tags:
             target = self._rddp_tags.pop(xid)
@@ -440,10 +428,34 @@ class NIC:
 
     # -- RDMA target side ------------------------------------------------
 
-    def _validate(self, msg: Message, nbytes: int) -> Optional[FaultReason]:
+    def _check_optimistic(self, msg: Message, nbytes: int,
+                          **detail: Any) -> Generator:
+        """The target's check of one optimistic access (Section 4.1).
+
+        An injected rejection, else the TPT's capability and residency
+        check, else the capability-verify time. A fault is counted,
+        traced (``ordma-fault``, with ``detail`` last), marked on the
+        request span and answered with ``RDMA_FAULT``. Returns the
+        :class:`FaultReason`, or ``None`` when the access may proceed.
+        """
         meta = msg.meta
-        fault = self.tpt.check_access(meta["addr"], nbytes,
-                                      meta.get("capability"))
+        if self.faults is not None and self.faults.ordma_reject():
+            fault = FaultReason.INJECTED
+        else:
+            fault = self.tpt.check_access(meta["addr"], nbytes,
+                                          meta.get("capability"))
+        if fault is None:
+            if self.tpt.use_capabilities:
+                yield self.sim.timeout(self.params.nic.capability_verify_us)
+            return None
+        self.stats.incr("ordma_fault")
+        trace_emit(self.sim, self.name, "ordma-fault", initiator=msg.src,
+                   reason=fault.value, msg=msg.msg_id, **detail)
+        span = meta.get("_span")
+        if span is not None:
+            span.mark(self.name, "ordma.reject", reason=fault.value)
+        self._nic_send(Message(MsgKind.RDMA_FAULT, self.name, msg.src, 0,
+                               meta={"for": msg.msg_id, "reason": fault}))
         return fault
 
     def _tlb_walk(self, addr: int, nbytes: int,
@@ -474,32 +486,15 @@ class NIC:
         meta = msg.meta
         first = frame.index == 0
         if first:
-            fault = None
             if meta.get("optimistic"):
-                if self.faults is not None and self.faults.ordma_reject():
-                    fault = FaultReason.INJECTED
-                if fault is None:
-                    fault = self._validate(msg, msg.size)
-                if fault is None and self.tpt.use_capabilities:
-                    yield self.sim.timeout(
-                        self.params.nic.capability_verify_us)
+                fault = yield from self._check_optimistic(msg, msg.size,
+                                                          op="put")
+                if fault is not None:
+                    meta["faulted"] = fault
             elif self.tpt.translate(meta["addr"]) is None:
                 raise ProtectionError(
                     f"{self.name}: plain RDMA put to unregistered "
                     f"{meta['addr']:#x}")
-            if fault is not None:
-                meta["faulted"] = fault
-                self.stats.incr("ordma_fault")
-                trace_emit(self.sim, self.name, "ordma-fault",
-                           initiator=msg.src, reason=fault.value,
-                           msg=msg.msg_id, op="put")
-                span = meta.get("_span")
-                if span is not None:
-                    span.mark(self.name, "ordma.reject",
-                              reason=fault.value)
-                self._nic_send(Message(
-                    MsgKind.RDMA_FAULT, self.name, msg.src, 0,
-                    meta={"for": msg.msg_id, "reason": fault}))
         if meta.get("faulted"):
             return  # sink remaining frames of a faulted put
         if frame.payload_bytes > 0:
@@ -526,25 +521,8 @@ class NIC:
         nbytes = meta["nbytes"]
         optimistic = meta.get("optimistic", False)
         if optimistic:
-            fault = None
-            if self.faults is not None and self.faults.ordma_reject():
-                fault = FaultReason.INJECTED
-            if fault is None:
-                fault = self._validate(msg, nbytes)
-            if fault is None and self.tpt.use_capabilities:
-                yield self.sim.timeout(self.params.nic.capability_verify_us)
+            fault = yield from self._check_optimistic(msg, nbytes)
             if fault is not None:
-                self.stats.incr("ordma_fault")
-                trace_emit(self.sim, self.name, "ordma-fault",
-                           initiator=msg.src, reason=fault.value,
-                           msg=msg.msg_id)
-                span = meta.get("_span")
-                if span is not None:
-                    span.mark(self.name, "ordma.reject",
-                              reason=fault.value)
-                self._nic_send(Message(
-                    MsgKind.RDMA_FAULT, self.name, msg.src, 0,
-                    meta={"for": msg.msg_id, "reason": fault}))
                 return
         elif self.tpt.translate(meta["addr"]) is None:
             raise ProtectionError(

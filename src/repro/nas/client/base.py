@@ -177,8 +177,23 @@ class NASClient:
         raise NotImplementedError
 
     def write(self, name: str, offset: int, nbytes: int) -> Generator:
-        """Write ``nbytes`` at ``offset`` from an application buffer."""
-        raise NotImplementedError
+        """Write ``nbytes`` at ``offset`` from an application buffer.
+
+        The plain path: one RPC carrying the payload inline, sent by
+        scatter/gather DMA straight from the user buffer with no staging
+        copy. Clients that copy, register or cache override it.
+        """
+        span = self._start_span("write", name=name, offset=offset,
+                                nbytes=nbytes)
+        yield from self._syscall()
+        response = yield from self._call(
+            "write", {"name": name, "offset": offset, "nbytes": nbytes},
+            req_bytes=RPC_HEADER_BYTES + nbytes, span=span)
+        self.stats.incr("writes")
+        self.stats.incr("write_bytes", nbytes)
+        if span is not None:
+            span.finish(self.host.name)
+        return response.meta
 
     def read_async(self, name: str, offset: int, nbytes: int,
                    app_buffer: Optional[Buffer] = None):

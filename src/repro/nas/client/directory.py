@@ -71,9 +71,7 @@ class ORDMADirectory:
         return True
 
     def hit_ratio(self) -> float:
-        hits = self.stats.get("hits")
-        total = hits + self.stats.get("misses")
-        return hits / total if total else 0.0
+        return self.stats.hit_ratio()
 
     def gauges(self):
         """Telemetry probes for a :class:`~repro.sim.TimeSeriesSampler`:

@@ -15,7 +15,6 @@ from typing import Dict, Generator, Optional
 from ...hw.host import Host
 from ...hw.memory import Buffer
 from ...hw.tpt import Segment
-from ...proto.rpc import RPC_HEADER_BYTES
 from ...proto.udp import UDPStack
 from ..server.server import NFS_PORT
 from .base import NASClient
@@ -104,16 +103,3 @@ class NFSHybridClient(NASClient):
         if span is not None:
             span.finish(self.host.name)
         return app_buffer.data
-
-    def write(self, name: str, offset: int, nbytes: int) -> Generator:
-        span = self._start_span("write", name=name, offset=offset,
-                                nbytes=nbytes)
-        yield from self._syscall()
-        response = yield from self._call(
-            "write", {"name": name, "offset": offset, "nbytes": nbytes},
-            req_bytes=RPC_HEADER_BYTES + nbytes, span=span)
-        self.stats.incr("writes")
-        self.stats.incr("write_bytes", nbytes)
-        if span is not None:
-            span.finish(self.host.name)
-        return response.meta

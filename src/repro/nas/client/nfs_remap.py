@@ -19,7 +19,6 @@ from typing import Generator, Optional
 
 from ...hw.host import Host
 from ...hw.memory import PAGE_SIZE, Buffer
-from ...proto.rpc import RPC_HEADER_BYTES
 from ...proto.udp import UDPStack
 from ..server.server import NFS_PORT
 from .base import NASClient
@@ -73,17 +72,3 @@ class NFSRemapClient(NASClient):
         if span is not None:
             span.finish(self.host.name)
         return app_buffer.data
-
-    def write(self, name: str, offset: int, nbytes: int) -> Generator:
-        # Outgoing path: scatter/gather DMA, as for the pre-posting client.
-        span = self._start_span("write", name=name, offset=offset,
-                                nbytes=nbytes)
-        yield from self._syscall()
-        response = yield from self._call(
-            "write", {"name": name, "offset": offset, "nbytes": nbytes},
-            req_bytes=RPC_HEADER_BYTES + nbytes, span=span)
-        self.stats.incr("writes")
-        self.stats.incr("write_bytes", nbytes)
-        if span is not None:
-            span.finish(self.host.name)
-        return response.meta

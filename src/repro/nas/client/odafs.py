@@ -61,28 +61,6 @@ class ODAFSClient(DAFSClient):
             self.directory.insert((name, index), ref)
         self.stats.incr("refs_absorbed", len(refs))
 
-    def _remote_fill_rpc(self, name, index, block, span=None) -> Generator:
-        bs = self.cache_block_size
-        if span is not None and span.path == "rpc" \
-                and self.rpc_read_mode == "direct":
-            span.path = "rdma"
-        args = {"name": name, "offset": index * bs, "nbytes": bs,
-                "mode": self.rpc_read_mode}
-        if self.rpc_read_mode == "direct":
-            args["client_addr"] = block.buffer.base
-            args["client_cap"] = None
-        response = yield from self._call("read", args, span=span)
-        if self.rpc_read_mode == "direct":
-            data = block.buffer.data
-        else:
-            yield from self.cpu.copy(bs, cached=False)
-            data = response.data
-        self.cache.fill(block, data)
-        response.meta["refs_name"] = name
-        self._absorb_refs(response)
-        self.stats.incr("rpc_fills")
-        return data
-
     def prefetch_refs(self, name: str) -> Generator:
         """Eager directory building (Section 4.2 principle (a)): fetch
         remote references for every cached block of ``name`` in one RPC.

@@ -165,15 +165,10 @@ class ServerFileCache:
                          capability=block.segment.capability,
                          csum=csum)
 
-    def hit_ratio(self) -> float:
-        hits = self.stats.get("hits")
-        total = hits + self.stats.get("misses")
-        return hits / total if total else 0.0
-
     def gauges(self):
         """Telemetry probes for a :class:`~repro.sim.TimeSeriesSampler`:
         resident block count and hit rate over the sampling window (not
-        the cumulative :meth:`hit_ratio`)."""
+        the cumulative ``stats.hit_ratio()``)."""
         stats = self.stats
         return {
             "blocks": lambda: float(len(self._blocks)),

@@ -30,7 +30,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 from ...hw.host import Host
 from ...integrity.checksum import IntegrityError
 from ...proto.rpc import RPCTimeoutError
-from ...sim import Counter, Span
+from ...sim import Counter, Span, span_start
 from ..client.base import NASClient
 from ..delegation import READ
 from .placement import Placement
@@ -74,12 +74,6 @@ class ShardRouter:
     @property
     def sim(self):
         return self.host.sim
-
-    def _start_span(self, op: str, **detail) -> Optional[Span]:
-        tracer = self.sim.tracer
-        if tracer is None:
-            return None
-        return tracer.start_span(self.host.name, op, **detail)
 
     def is_down(self, shard: int) -> bool:
         """Whether ``shard`` is inside its down-cooldown window."""
@@ -309,8 +303,8 @@ class ShardRouter:
              app_buffer=None) -> Generator:
         """Read a byte range, fanning same-shard segments out in parallel
         and reassembling the payload in block order."""
-        span = self._start_span("shard.read", name=name, offset=offset,
-                                nbytes=nbytes)
+        span = span_start(self.sim, self.host.name, "shard.read",
+                          name=name, offset=offset, nbytes=nbytes)
         segments = self._segments(name, offset, nbytes)
         if span is not None:
             span.mark(self.host.name, "shard.route",
@@ -374,8 +368,8 @@ class ShardRouter:
 
     def write(self, name: str, offset: int, nbytes: int) -> Generator:
         """Write a byte range through the primaries (and replicas)."""
-        span = self._start_span("shard.write", name=name, offset=offset,
-                                nbytes=nbytes)
+        span = span_start(self.sim, self.host.name, "shard.write",
+                          name=name, offset=offset, nbytes=nbytes)
         segments = self._segments(name, offset, nbytes)
         results: List[Any] = [None] * len(segments)
         if len(segments) == 1:

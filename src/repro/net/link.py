@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict
 
-import random
-
 from ..params import NetworkParams
 from ..sim import BandwidthPipe, Simulator, rate_probe
 from .packet import Frame
@@ -57,20 +55,16 @@ class Switch:
     """Cut-through switch connecting all hosts."""
 
     def __init__(self, sim: Simulator, params: NetworkParams,
-                 name: str = "switch",
-                 rng: "random.Random" = None):
+                 name: str = "switch"):
         self.sim = sim
         self.params = params
         self.name = name
         self._ports: Dict[str, NetworkPort] = {}
         self.frames_forwarded = 0
         self.frames_dropped = 0
-        #: Loss injection (params.loss_probability) for transport-recovery
-        #: experiments; Myrinet itself is effectively lossless, so GM-based
-        #: protocols assume zero loss and only the TCP ablations raise it.
-        self._rng = rng or random.Random(0xFA57)
-        #: Fault-injection state (repro.faults.LinkFaults); ``None`` means
-        #: the fabric is healthy and the forwarding path pays no checks.
+        #: Fault-injection state (repro.faults.LinkFaults), the one way
+        #: frames are lost; ``None`` means the fabric is healthy and the
+        #: forwarding path pays no checks.
         self.faults = None
 
     def attach(self, host_name: str) -> NetworkPort:
@@ -123,10 +117,6 @@ class Switch:
         # Cut-through: with an idle receive link the bits streamed in while
         # the sender serialized, so arrival is immediate; under convergence
         # the frame queues for the receive link's full serialization time.
-        if (self.params.loss_probability > 0.0
-                and self._rng.random() < self.params.loss_probability):
-            self.frames_dropped += 1
-            return
         if self.faults is not None:
             # Injected fabric faults: drop (or CRC-corrupt, equivalent at
             # the receiver) the frame, or stretch its forwarding latency.

@@ -146,11 +146,6 @@ class NetworkParams:
     emulate_gm_get_bug: bool = False
     #: Firmware stall per fragment when the GM-get bug emulation is on.
     gm_get_bug_stall_us: float = 20.0
-    #: Per-frame drop probability injected at the switch. Myrinet is
-    #: effectively lossless (Section 5 justifies UDP with its "very low
-    #: transmission error rates"); only loss-recovery experiments (TCP)
-    #: raise this above zero.
-    loss_probability: float = 0.0
 
 
 @dataclass

@@ -38,9 +38,8 @@ this loop, so per-hop constant factors dominate campaign wall-clock):
 * :meth:`Simulator.schedule_at` is the slim scheduling path: one seq
   bump and one push, no guard re-checks. ``succeed``/``fail``/
   ``Timeout`` inline their state flips around it.
-* ``run()`` inlines the dispatch loop instead of calling ``step()`` per
-  event (``step()`` remains for single-step use and is semantically
-  identical).
+* ``run()`` is the only dispatch loop: pop, dispatch and recycle are
+  inlined in it, with no per-event method call.
 * **Detached tasks**: work nothing waits on — a frame crossing the
   switch, a NIC receiving a frame or sending a message, an RPC being
   served — starts with :meth:`Simulator.spawn` instead of
@@ -439,17 +438,6 @@ class Simulator:
         else:
             _heappush(self._heap, (when, self._seq, event))
 
-    def _schedule_event(self, event: Event, delay: float = 0.0) -> None:
-        if event._scheduled:
-            raise SimulationError("event already scheduled")
-        event._scheduled = True
-        self._seq += 1
-        when = self.now + delay
-        if when <= self.now:
-            self._runq.append(event)
-        else:
-            _heappush(self._heap, (when, self._seq, event))
-
     def _trampoline(self, callback: Callable[[Event], None], value: Any,
                     ok: bool) -> None:
         """Schedule ``callback`` for the current time on a pooled event."""
@@ -547,45 +535,6 @@ class Simulator:
 
     # -- execution -------------------------------------------------------
 
-    def _next_event(self) -> Event:
-        """Pop the next event in (time, seq) order, advancing the clock.
-
-        Heap entries at the current time predate every run-queue entry
-        (smaller seqs — see the module docstring), so they go first; the
-        run-queue itself is already in seq order.
-        """
-        heap = self._heap
-        runq = self._runq
-        if runq:
-            if heap and heap[0][0] <= self.now:
-                return _heappop(heap)[2]
-            return runq.popleft()
-        when, _seq, event = _heappop(heap)
-        self.now = when
-        return event
-
-    def step(self) -> None:
-        """Dispatch the single next event."""
-        event = self._next_event()
-        event._deferred = False
-        callbacks, event.callbacks = event.callbacks, None
-        for fn in callbacks:
-            fn(event)
-        if event._ok is False and not callbacks:
-            # A failed event nobody waited for is a lost error; surface it.
-            raise event._value
-        cls = type(event)
-        if cls is _Trampoline:
-            self._recycle(event, callbacks)
-        elif cls is Timeout and _getrefcount(event) == 2:
-            # Only the dispatch loop still references it: recycle.
-            callbacks.clear()
-            event.callbacks = callbacks
-            event._value = PENDING
-            event._ok = None
-            event._scheduled = False
-            self._timeouts.append(event)
-
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queues drain or simulated time reaches ``until``."""
         if self._running:
@@ -596,7 +545,6 @@ class Simulator:
         timeouts = self._timeouts
         try:
             while True:
-                # Inline of _next_event() + step(): pop, dispatch, recycle.
                 if runq:
                     if heap and heap[0][0] <= self.now:
                         # Equal-time heap entries predate (and out-rank)

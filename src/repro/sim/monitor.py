@@ -251,3 +251,9 @@ class Counter:
         if den == 0:
             return None
         return self.get(numerator) / den
+
+    def hit_ratio(self) -> float:
+        """``hits / (hits + misses)``; 0.0 before the first lookup."""
+        hits = self.get("hits")
+        total = hits + self.get("misses")
+        return hits / total if total else 0.0

@@ -167,124 +167,10 @@ class Span:
         return span
 
 
-class Tracer:
-    """Bounded in-memory trace collector: events + spans."""
-
-    def __init__(self, sim: Simulator, capacity: int = 100_000,
-                 span_capacity: Optional[int] = None):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1: {capacity}")
-        self.sim = sim
-        self.capacity = capacity
-        self._events: Deque[TraceEvent] = deque(maxlen=capacity)
-        self.dropped = 0
-        self.emitted = 0
-        #: Completed and in-flight spans, oldest first (bounded ring).
-        self.spans: Deque[Span] = deque(maxlen=span_capacity or capacity)
-        self.spans_started = 0
-        self._rids = itertools.count(1)
-
-    @classmethod
-    def attach(cls, sim: Simulator, capacity: int = 100_000,
-               span_capacity: Optional[int] = None) -> "Tracer":
-        """Create a tracer and attach it as ``sim.tracer``."""
-        tracer = cls(sim, capacity, span_capacity=span_capacity)
-        sim.tracer = tracer
-        return tracer
-
-    @staticmethod
-    def detach(sim: Simulator) -> None:
-        sim.tracer = None
-
-    # -- recording ---------------------------------------------------------
-
-    def emit(self, component: str, kind: str, **detail: Any) -> None:
-        if len(self._events) == self.capacity:
-            self.dropped += 1
-        self.emitted += 1
-        self._events.append(
-            TraceEvent(self.sim.now, component, kind, detail))
-
-    def start_span(self, origin: str, op: str, **detail: Any) -> Span:
-        """Open a request span anchored at the current time."""
-        span = Span(self.sim, next(self._rids), op, origin,
-                    detail or None)
-        self.spans_started += 1
-        self.spans.append(span)
-        return span
-
-    # -- querying ------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self._events)
-
-    def filter(self, component: Optional[str] = None,
-               kind: Optional[str] = None,
-               since: float = 0.0) -> List[TraceEvent]:
-        return [ev for ev in self._events
-                if (component is None or ev.component == component)
-                and (kind is None or ev.kind == kind)
-                and ev.ts >= since]
-
-    def counts(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for ev in self._events:
-            out[ev.kind] = out.get(ev.kind, 0) + 1
-        return out
-
-    def finished_spans(self, op: Optional[str] = None,
-                       path: Optional[str] = None) -> List[Span]:
-        return [s for s in self.spans if s.finished
-                and (op is None or s.op == op)
-                and (path is None or s.path == path)]
-
-    def clear(self) -> None:
-        self._events.clear()
-        self.spans.clear()
-
-    # -- export ------------------------------------------------------------
-
-    def dump_jsonl(self, path: str) -> int:
-        """Write the trace as JSON lines; returns the data-line count.
-
-        The first line is a header carrying the ring buffer's
-        ``emitted``/``dropped`` accounting, followed by the buffered
-        events in insertion (= time) order, then the buffered spans.
-        :func:`load_jsonl` round-trips the whole file.
-        """
-        count = 0
-        with open(path, "w") as fh:
-            fh.write(json.dumps({
-                "kind": HEADER_KIND, "version": 1,
-                "emitted": self.emitted, "dropped": self.dropped,
-                "events": len(self._events), "spans": len(self.spans),
-                "spans_started": self.spans_started,
-            }) + "\n")
-            # The deque guarantees insertion order, which is time order
-            # because the simulation clock is monotone.
-            for ev in self._events:
-                fh.write(json.dumps(ev.as_dict(), default=str) + "\n")
-                count += 1
-            for span in self.spans:
-                record = {"kind": SPAN_KIND}
-                record.update(span.as_dict())
-                fh.write(json.dumps(record, default=str) + "\n")
-                count += 1
-        return count
-
-
-class TraceDump:
-    """A trace loaded back from JSONL: events + spans + ring metadata."""
-
-    def __init__(self, events: List[TraceEvent], spans: List[Span],
-                 emitted: int = 0, dropped: int = 0):
-        self.events = events
-        self.spans = spans
-        self.emitted = emitted
-        self.dropped = dropped
+class _TraceQueries:
+    """Read-only queries over the ``events`` and ``spans`` sequences,
+    shared by the live :class:`Tracer` and a :class:`TraceDump` loaded
+    back from JSONL."""
 
     def __len__(self) -> int:
         return len(self.events)
@@ -311,6 +197,98 @@ class TraceDump:
         return [s for s in self.spans if s.finished
                 and (op is None or s.op == op)
                 and (path is None or s.path == path)]
+
+
+class Tracer(_TraceQueries):
+    """Bounded in-memory trace collector: events + spans."""
+
+    def __init__(self, sim: Simulator, capacity: int = 100_000,
+                 span_capacity: Optional[int] = None):
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1: {capacity}")
+        self.sim = sim
+        self.capacity = capacity
+        self.events: Deque[TraceEvent] = deque(maxlen=capacity)
+        self.dropped = 0
+        self.emitted = 0
+        #: Completed and in-flight spans, oldest first (bounded ring).
+        self.spans: Deque[Span] = deque(maxlen=span_capacity or capacity)
+        self.spans_started = 0
+        self._rids = itertools.count(1)
+
+    @classmethod
+    def attach(cls, sim: Simulator, capacity: int = 100_000,
+               span_capacity: Optional[int] = None) -> "Tracer":
+        """Create a tracer and attach it as ``sim.tracer``."""
+        tracer = cls(sim, capacity, span_capacity=span_capacity)
+        sim.tracer = tracer
+        return tracer
+
+    @staticmethod
+    def detach(sim: Simulator) -> None:
+        sim.tracer = None
+
+    # -- recording ---------------------------------------------------------
+
+    def emit(self, component: str, kind: str, **detail: Any) -> None:
+        if len(self.events) == self.capacity:
+            self.dropped += 1
+        self.emitted += 1
+        self.events.append(
+            TraceEvent(self.sim.now, component, kind, detail))
+
+    def start_span(self, origin: str, op: str, **detail: Any) -> Span:
+        """Open a request span anchored at the current time."""
+        span = Span(self.sim, next(self._rids), op, origin,
+                    detail or None)
+        self.spans_started += 1
+        self.spans.append(span)
+        return span
+
+    def clear(self) -> None:
+        self.events.clear()
+        self.spans.clear()
+
+    # -- export ------------------------------------------------------------
+
+    def dump_jsonl(self, path: str) -> int:
+        """Write the trace as JSON lines; returns the data-line count.
+
+        The first line is a header carrying the ring buffer's
+        ``emitted``/``dropped`` accounting, followed by the buffered
+        events in insertion (= time) order, then the buffered spans.
+        :func:`load_jsonl` round-trips the whole file.
+        """
+        count = 0
+        with open(path, "w") as fh:
+            fh.write(json.dumps({
+                "kind": HEADER_KIND, "version": 1,
+                "emitted": self.emitted, "dropped": self.dropped,
+                "events": len(self.events), "spans": len(self.spans),
+                "spans_started": self.spans_started,
+            }) + "\n")
+            # The deque guarantees insertion order, which is time order
+            # because the simulation clock is monotone.
+            for ev in self.events:
+                fh.write(json.dumps(ev.as_dict(), default=str) + "\n")
+                count += 1
+            for span in self.spans:
+                record = {"kind": SPAN_KIND}
+                record.update(span.as_dict())
+                fh.write(json.dumps(record, default=str) + "\n")
+                count += 1
+        return count
+
+
+class TraceDump(_TraceQueries):
+    """A trace loaded back from JSONL: events + spans + ring metadata."""
+
+    def __init__(self, events: List[TraceEvent], spans: List[Span],
+                 emitted: int = 0, dropped: int = 0):
+        self.events = events
+        self.spans = spans
+        self.emitted = emitted
+        self.dropped = dropped
 
 
 def load_jsonl(path: str) -> TraceDump:

@@ -4,7 +4,7 @@ parse time, and JSON and text modes exit alike."""
 
 import pytest
 
-from repro.bench import chaos, scrub, telemetry, tracecli
+from repro.bench import chaos, cli, scrub, telemetry, tracecli
 
 #: Each subcommand's entry point, with options that keep one run small.
 SMALL = {
@@ -28,15 +28,41 @@ def test_quick_changes_only_the_defaults(command, capsys):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("option", ["--blocks", "--passes"])
-@pytest.mark.parametrize("command", sorted(SMALL))
+def _bad(command, option, value, bound=">= 1"):
+    """One out-of-range number, given to ``repro-bench command``."""
+    suffix = "" if value == "0" else f"={value}"
+    return pytest.param(command, option, value, f"must be {bound}, got "
+                        f"{value}", id=f"{command}-{option}{suffix}")
+
+
+#: Sizes, counts and intervals every CLI checks at parse time.
+OUT_OF_RANGE = [
+    *[_bad(command, option, "0") for command in sorted(SMALL)
+      for option in ("--blocks", "--passes")],
+    _bad("trace", "--block-kb", "0"),
+    _bad("trace", "--block-kb", "-4"),
+    _bad("telemetry", "--block-kb", "0"),
+    _bad("telemetry", "--width", "0"),
+    _bad("trace", "--sample-interval", "0", bound="> 0"),
+    _bad("trace", "--sample-interval", "-5", bound="> 0"),
+    _bad("telemetry", "--interval", "0", bound="> 0"),
+    # Every CLI that takes add_campaign_args' --jobs, and perf's own.
+    *[_bad(command, "--jobs", value)
+      for command in ("chaos", "scrub", "telemetry", "scale", "shard",
+                      "table2", "perf") for value in ("0", "-3")],
+    _bad("perf", "--repeat", "0"),
+]
+
+
+@pytest.mark.parametrize("command,option,value,message", OUT_OF_RANGE)
 def test_cli_rejects_out_of_range_sizes_at_parse_time(command, option,
+                                                      value, message,
                                                       capsys):
-    main, small = SMALL[command]
+    small = SMALL[command][1] if command in SMALL else []
     with pytest.raises(SystemExit) as exc:
-        main([*small, option, "0", "--json"])
+        cli.main([command, *small, option, value, "--json"])
     assert exc.value.code == 2
-    assert "must be >= 1, got 0" in capsys.readouterr().err
+    assert f"argument {option}: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mode", [["--json"], []], ids=["json", "text"])

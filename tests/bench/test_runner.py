@@ -2,13 +2,11 @@
 guarantee — campaign output must not depend on the job count."""
 
 import json
-import os
 
 import pytest
 
 from repro.bench import chaos, figures, runner
-from repro.bench.runner import (JOBS_ENV, base_params, default_jobs,
-                                derive_seed, run_points, shutdown_pool,
+from repro.bench.runner import (base_params, run_points, shutdown_pool,
                                 warm_pool)
 from repro.params import default_params
 
@@ -48,6 +46,12 @@ class TestRunPoints:
         state = []
         run_points(state.append, [42], jobs=8)
         assert state == [42]
+
+    def test_unset_jobs_runs_in_process(self):
+        # No --jobs means serial: the points run here, not in workers.
+        state = []
+        run_points(state.append, [1, 2])
+        assert state == [1, 2]
 
     def test_empty_points(self):
         assert run_points(_square, [], jobs=4) == []
@@ -111,37 +115,6 @@ class TestWarmPool:
         assert run_points(_square, [2, 3], jobs=2) == [4, 9]
 
 
-class TestDefaultJobs:
-    def test_unset_means_serial(self, monkeypatch):
-        monkeypatch.delenv(JOBS_ENV, raising=False)
-        assert default_jobs() == 1
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(JOBS_ENV, "6")
-        assert default_jobs() == 6
-
-    def test_garbage_env_falls_back(self, monkeypatch):
-        monkeypatch.setenv(JOBS_ENV, "many")
-        assert default_jobs() == 1
-
-    def test_env_floor_is_one(self, monkeypatch):
-        monkeypatch.setenv(JOBS_ENV, "0")
-        assert default_jobs() == 1
-
-
-class TestDeriveSeed:
-    def test_stable_across_calls(self):
-        assert derive_seed(7, "fig3") == derive_seed(7, "fig3")
-
-    def test_distinct_per_name_and_seed(self):
-        seeds = {derive_seed(7, "fig3"), derive_seed(7, "fig5"),
-                 derive_seed(8, "fig3")}
-        assert len(seeds) == 3
-
-    def test_fits_in_63_bits(self):
-        assert 0 <= derive_seed(123456, "x") < 2 ** 63
-
-
 class TestCampaignByteIdentity:
     """--jobs N output must be byte-identical to --jobs 1 (ISSUE
     acceptance: fixed seed, any job count, same JSON)."""
@@ -166,12 +139,4 @@ class TestCampaignByteIdentity:
                       rates=(0.0, 0.02), blocks=16, passes=1)
         serial = chaos.chaos_campaign(jobs=1, **kwargs)
         parallel = chaos.chaos_campaign(jobs=2, **kwargs)
-        assert self._canon(serial) == self._canon(parallel)
-
-    def test_jobs_env_does_not_change_results(self, monkeypatch):
-        kwargs = dict(block_sizes_kb=(4,), blocks_per_point=16)
-        monkeypatch.delenv(JOBS_ENV, raising=False)
-        serial = figures.fig3_fig4(**kwargs)
-        monkeypatch.setenv(JOBS_ENV, "2")
-        parallel = figures.fig3_fig4(**kwargs)
         assert self._canon(serial) == self._canon(parallel)

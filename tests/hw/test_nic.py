@@ -1,12 +1,15 @@
 """Integration tests for the NIC: GM messaging, RDMA, ORDMA faults."""
 
+import random
+
 import pytest
 
+from repro.faults import NicFaults
 from repro.hw import Host, NotifyMode, RemoteAccessFault
 from repro.hw.tpt import FaultReason
-from repro.net import Switch
-from repro.params import default_params
-from repro.sim import Simulator
+from repro.net import MsgKind, Switch
+from repro.params import KB, default_params
+from repro.sim import Simulator, Tracer
 
 
 @pytest.fixture
@@ -304,3 +307,73 @@ class TestRDMA:
 
         concurrent_time = sim.run_process(concurrent())
         assert concurrent_time < 0.6 * serial_time
+
+
+class TestOptimisticCheck:
+    """Puts and gets share the target's one optimistic-access check."""
+
+    def _access(self, rig, op, reject):
+        """One traced 16 KB optimistic ``op`` from hostA to hostB, with an
+        injected rejection pending if ``reject``. Returns (fault reason or
+        None, tracer, span, control messages hostB sent, first message
+        hostA sent, target buffer)."""
+        sim, params, a, b = rig
+        tracer = Tracer.attach(sim)
+        b.nic.faults = NicFaults(sim, random.Random(0), component="hostB")
+        b.nic.faults.ordma_reject_next = int(reject)
+        target = b.mem.alloc(16 * KB, name="target")
+        target.data = "original"
+        seg = b.nic.tpt.register(target, pin=False)
+        sent, replies = [], []
+        transmit, nic_send = a.nic.switch.transmit, b.nic._nic_send
+        a.nic.switch.transmit = lambda src, frame: (
+            sent.append(frame.message), transmit(src, frame))
+        b.nic._nic_send = lambda msg: (replies.append(msg.kind),
+                                       nic_send(msg))
+        span = tracer.start_span("hostA", op)
+
+        def access():
+            try:
+                if op == "put":
+                    yield from a.nic.rdma_put(
+                        "hostB", seg.base, 16 * KB, data="new",
+                        capability=seg.capability, optimistic=True,
+                        span=span)
+                else:
+                    yield from a.nic.rdma_get(
+                        "hostB", seg.base, 16 * KB, a.mem.alloc(16 * KB),
+                        capability=seg.capability, optimistic=True,
+                        span=span)
+            except RemoteAccessFault as fault:
+                return fault.reason
+
+        reason = sim.run_process(access())
+        return reason, tracer, span, replies, sent[0], target
+
+    @pytest.mark.parametrize("op", ["put", "get"])
+    def test_injected_reject_is_reported_once(self, rig, op):
+        reason, tracer, span, replies, request, target = self._access(
+            rig, op, reject=True)
+        assert reason is FaultReason.INJECTED
+        events = tracer.filter(kind="ordma-fault")
+        assert len(events) == 1
+        extra = {"op": "put"} if op == "put" else {}
+        assert events[0].detail == {"initiator": "hostA",
+                                    "reason": "injected fault",
+                                    "msg": request.msg_id, **extra}
+        assert list(events[0].detail) == ["initiator", "reason", "msg",
+                                          *extra]
+        assert replies == [MsgKind.RDMA_FAULT]
+        assert [m[1:] for m in span.marks if m[2] == "ordma.reject"] == [
+            ("hostB", "ordma.reject", {"reason": "injected fault"})]
+        assert rig[3].nic.stats.get("ordma_fault") == 1
+        assert target.data == "original"
+
+    def test_put_that_passes_the_check_is_not_marked_faulted(self, rig):
+        reason, tracer, _, replies, request, target = self._access(
+            rig, "put", reject=False)
+        assert reason is None
+        assert "faulted" not in request.meta
+        assert replies == [MsgKind.RDMA_PUT_ACK]
+        assert tracer.filter(kind="ordma-fault") == []
+        assert target.data == "new"

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults import LinkFaults
 from repro.hw import Host
 from repro.nas.locks import EXCLUSIVE, SHARED, LockTable
 from repro.net import Switch
@@ -22,10 +23,10 @@ class TestTCPDeliveryProperties:
         """Whatever the message sizes and loss rate, every framed message
         arrives exactly once, in order, with intact metadata."""
         params = default_params()
-        params.net.loss_probability = loss
         sim = Simulator()
-        switch = Switch(sim, params.net,
-                        rng=RandomStreams(5).stream("loss"))
+        switch = Switch(sim, params.net)
+        switch.faults = LinkFaults(sim, RandomStreams(5).stream("loss"))
+        switch.faults.drop_p = loss
         a = Host(sim, params, switch, "A")
         b = Host(sim, params, switch, "B")
         stack_a = TCPStack(a, rto_us=1500.0)

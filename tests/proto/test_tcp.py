@@ -1,7 +1,10 @@
 """Tests for the TCP transport: handshake, framing, windowing, loss."""
 
+import random
+
 import pytest
 
+from repro.faults import LinkFaults
 from repro.hw import Host
 from repro.net import Switch
 from repro.params import default_params
@@ -16,6 +19,15 @@ def make_pair(params=None):
     switch = Switch(sim, params.net)
     a = Host(sim, params, switch, "A")
     b = Host(sim, params, switch, "B")
+    return sim, a, b
+
+
+def make_lossy_pair(drop_p):
+    """A pair whose switch drops each frame with probability ``drop_p``."""
+    sim, a, b = make_pair()
+    faults = LinkFaults(sim, random.Random(0xFA57))
+    faults.drop_p = drop_p
+    a.nic.switch.faults = faults
     return sim, a, b
 
 
@@ -192,9 +204,7 @@ class TestCongestionWindow:
 
 class TestLossRecovery:
     def test_messages_survive_loss(self):
-        params = default_params()
-        params.net.loss_probability = 0.02
-        sim, a, b = make_pair(params)
+        sim, a, b = make_lossy_pair(0.02)
         c, s = connect(sim, a, b, rto_us=2000.0)
 
         def client():
@@ -215,9 +225,7 @@ class TestLossRecovery:
         assert c.retransmissions > 0
 
     def test_timeout_shrinks_window(self):
-        params = default_params()
-        params.net.loss_probability = 0.05
-        sim, a, b = make_pair(params)
+        sim, a, b = make_lossy_pair(0.05)
         c, s = connect(sim, a, b, rto_us=2000.0, initial_cwnd=2,
                        max_cwnd=64)
 
