@@ -37,7 +37,7 @@ from ..sim import LatencyStats, SimulationError, Tracer
 from .figures import dafs_cache_kwargs
 from .plot import ascii_chart
 from .runner import add_campaign_args, campaign_json, positive_int, \
-    run_grid, seeded_params
+    probability, run_grid, seeded_params
 from .runner import base_params as runner_base_params
 
 #: One injectable failure domain per campaign axis.
@@ -291,7 +291,7 @@ def main(argv=None) -> int:
                         default=list(FAULT_CLASSES), choices=FAULT_CLASSES,
                         metavar="CLASS",
                         help="fault classes to sweep (default: all)")
-    parser.add_argument("--rates", nargs="+", type=float, default=None,
+    parser.add_argument("--rates", nargs="+", type=probability, default=None,
                         metavar="P",
                         help="per-event fault probabilities "
                              f"(default: {DEFAULT_RATES})")

@@ -239,6 +239,17 @@ def positive_float(text: str) -> float:
     return value
 
 
+def probability(text: str) -> float:
+    """argparse ``type=`` for fault rates: a number in [0, 1], so a
+    negative rate or one above 1 exits 2 instead of being reported as a
+    measured point."""
+    value = float(text)
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError(
+            f"must be in [0, 1], got {value:g}")
+    return value
+
+
 def add_campaign_args(parser: argparse.ArgumentParser,
                       seed_help: str = "master seed for every RNG "
                                        "stream") -> None:

@@ -50,7 +50,7 @@ from ..params import KB, Params, default_params
 from ..proto.rpc import RPCError
 from .chaos import WarmScan, add_fault_campaign_args
 from .figures import dafs_cache_kwargs
-from .runner import campaign_json, run_grid, seeded_params
+from .runner import campaign_json, probability, run_grid, seeded_params
 from .runner import base_params as runner_base_params
 
 #: Systems swept by default: the RPC pole (server-side verification)
@@ -346,7 +346,7 @@ def main(argv=None) -> int:
                         choices=SYSTEMS, metavar="SYSTEM",
                         help=f"systems to sweep (default: "
                              f"{', '.join(DEFAULT_SYSTEMS)})")
-    parser.add_argument("--rates", nargs="+", type=float, default=None,
+    parser.add_argument("--rates", nargs="+", type=probability, default=None,
                         metavar="P",
                         help="per-event silent-corruption probabilities "
                              f"(default: {DEFAULT_RATES})")

@@ -8,9 +8,26 @@ without shuffling real bytes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 BlockContent = Tuple[str, int, int]
+
+
+def block_range(offset: int, nbytes: int, block_size: int) -> range:
+    """Indices of the blocks that bytes ``[offset, offset + nbytes)`` touch;
+    an empty range touches the block holding ``offset``."""
+    return range(offset // block_size,
+                 (offset + max(nbytes, 1) - 1) // block_size + 1)
+
+
+def block_payload(contents: Sequence[BlockContent]) -> Any:
+    """A read's payload: one block's content bare, several as a tuple."""
+    return contents[0] if len(contents) == 1 else tuple(contents)
+
+
+def payload_blocks(payload: Any, n_blocks: int) -> List[BlockContent]:
+    """The per-block contents of an ``n_blocks`` :func:`block_payload`."""
+    return list(payload) if n_blocks > 1 else [payload]
 
 
 class FileSystemError(RuntimeError):
@@ -102,6 +119,4 @@ class FileSystem:
                 f"of size {inode.size}")
         if nbytes == 0:
             return []
-        first = offset // self.block_size
-        last = (offset + nbytes - 1) // self.block_size
-        return list(range(first, last + 1))
+        return list(block_range(offset, nbytes, self.block_size))

@@ -73,6 +73,16 @@ class NASClient:
             return None
         return tracer.start_span(self.host.name, op, **detail)
 
+    def _count_io(self, ops: str, bytes_key: str, nbytes: int,
+                  span: Optional[Span]) -> None:
+        """The one accounting point of every read and write: count the
+        operation under ``ops`` and its bytes under ``bytes_key``, then
+        close its span."""
+        self.stats.incr(ops)
+        self.stats.incr(bytes_key, nbytes)
+        if span is not None:
+            span.finish(self.host.name)
+
     def _call(self, proc: str, args: Optional[Dict[str, Any]] = None,
               req_bytes: int = RPC_HEADER_BYTES,
               rddp_buffer: Optional[Buffer] = None,
@@ -189,10 +199,7 @@ class NASClient:
         response = yield from self._call(
             "write", {"name": name, "offset": offset, "nbytes": nbytes},
             req_bytes=RPC_HEADER_BYTES + nbytes, span=span)
-        self.stats.incr("writes")
-        self.stats.incr("write_bytes", nbytes)
-        if span is not None:
-            span.finish(self.host.name)
+        self._count_io("writes", "write_bytes", nbytes, span)
         return response.meta
 
     def read_async(self, name: str, offset: int, nbytes: int,

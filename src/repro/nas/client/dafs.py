@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Any, Generator, List, Optional, Tuple
 
 from ...cache.block_cache import CacheBlock, ClientFileCache
+from ...fs.files import block_payload, block_range
 from ...hw.host import Host
 from ...hw.memory import Buffer
 from ...hw.nic import NotifyMode
@@ -54,13 +55,10 @@ class DAFSClient(NASClient):
     # -- direct path ---------------------------------------------------------
 
     def read_direct(self, name: str, offset: int, nbytes: int,
-                    app_buffer: Optional[Buffer] = None,
-                    span=None) -> Generator:
+                    app_buffer: Optional[Buffer] = None) -> Generator:
         """Read straight into a registered application buffer."""
-        own_span = span is None
-        if own_span:
-            span = self._start_span("read", name=name, offset=offset,
-                                    nbytes=nbytes)
+        span = self._start_span("read", name=name, offset=offset,
+                                nbytes=nbytes)
         if span is not None and self.rpc_read_mode == "direct":
             span.path = "rdma"
         if app_buffer is None:
@@ -82,19 +80,10 @@ class DAFSClient(NASClient):
             if span is not None:
                 span.mark(self.host.name, "client.copy", bytes=nbytes)
             app_buffer.data = response.data
-        self.stats.incr("reads")
-        self.stats.incr("read_bytes", nbytes)
-        if own_span and span is not None:
-            span.finish(self.host.name)
+        self._count_io("reads", "read_bytes", nbytes, span)
         return app_buffer.data
 
     # -- cached path ----------------------------------------------------------
-
-    def _block_span(self, offset: int, nbytes: int) -> List[int]:
-        bs = self.cache_block_size
-        first = offset // bs
-        last = (offset + max(nbytes, 1) - 1) // bs
-        return list(range(first, last + 1))
 
     def _fill_block(self, name: str, index: int, block: CacheBlock,
                     span=None) -> Generator:
@@ -139,7 +128,7 @@ class DAFSClient(NASClient):
                                 nbytes=nbytes)
         datas: List[Any] = []
         fills: List[Tuple[int, CacheBlock]] = []
-        for index in self._block_span(offset, nbytes):
+        for index in block_range(offset, nbytes, self.cache_block_size):
             yield from self.cpu.execute(self.proto.client_cache_op_us,
                                         category="cache")
             key = (name, index)
@@ -164,15 +153,12 @@ class DAFSClient(NASClient):
                                       name=f"{self.host.name}.fill")
                      for i, b in fills]
             yield self.sim.all_of(procs)
-        resolved = [d.data if isinstance(d, CacheBlock) else d for d in datas]
+        payload = block_payload(
+            [d.data if isinstance(d, CacheBlock) else d for d in datas])
         if app_buffer is not None:
-            app_buffer.data = resolved[0] if len(resolved) == 1 \
-                else tuple(resolved)
-        self.stats.incr("reads")
-        self.stats.incr("read_bytes", nbytes)
-        if span is not None:
-            span.finish(self.host.name)
-        return resolved[0] if len(resolved) == 1 else tuple(resolved)
+            app_buffer.data = payload
+        self._count_io("reads", "read_bytes", nbytes, span)
+        return payload
 
     def _lock_barrier(self, name: str) -> None:
         if self.cache is not None:
@@ -190,14 +176,11 @@ class DAFSClient(NASClient):
             "write", {"name": name, "offset": offset, "nbytes": nbytes},
             req_bytes=RPC_HEADER_BYTES + nbytes, span=span)
         if self.cache is not None:
-            for index in self._block_span(offset, nbytes):
+            for index in block_range(offset, nbytes, self.cache_block_size):
                 self.cache.invalidate((name, index))
         response.meta["refs_name"] = name
         self._absorb_refs(response)
-        self.stats.incr("writes")
-        self.stats.incr("write_bytes", nbytes)
-        if span is not None:
-            span.finish(self.host.name)
+        self._count_io("writes", "write_bytes", nbytes, span)
         return response.meta
 
     # -- batch I/O (Section 2.2) ----------------------------------------------
@@ -222,8 +205,6 @@ class DAFSClient(NASClient):
                           "client_cap": seg.capability})
         yield from self._call("read_batch", {"name": name,
                                              "extents": batch}, span=span)
-        self.stats.incr("batch_reads")
-        self.stats.incr("read_bytes", sum(e[1] for e in extents))
-        if span is not None:
-            span.finish(self.host.name)
+        self._count_io("batch_reads", "read_bytes",
+                       sum(e[1] for e in extents), span)
         return [e[2].data for e in extents]

@@ -101,10 +101,7 @@ class NFSClient(NASClient):
         yield from self.cpu.copy(nbytes, cached=False)
         if app_buffer is not None:
             app_buffer.data = cached
-        self.stats.incr("reads")
-        self.stats.incr("read_bytes", nbytes)
-        if span is not None:
-            span.finish(self.host.name)
+        self._count_io("reads", "read_bytes", nbytes, span)
         return cached
 
     def write(self, name: str, offset: int, nbytes: int) -> Generator:
@@ -124,8 +121,5 @@ class NFSClient(NASClient):
             "write", {"name": name, "offset": offset, "nbytes": nbytes},
             req_bytes=RPC_HEADER_BYTES + nbytes, span=span)
         self.bcache.invalidate_file(name)
-        self.stats.incr("writes")
-        self.stats.incr("write_bytes", nbytes)
-        if span is not None:
-            span.finish(self.host.name)
+        self._count_io("writes", "write_bytes", nbytes, span)
         return response.meta

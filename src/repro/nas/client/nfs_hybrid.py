@@ -15,9 +15,9 @@ from typing import Dict, Generator, Optional
 from ...hw.host import Host
 from ...hw.memory import Buffer
 from ...hw.tpt import Segment
-from ...proto.udp import UDPStack
+from ...sim import Span
 from ..server.server import NFS_PORT
-from .base import NASClient
+from .nfs_direct import NFSDirectClient
 
 
 class RegistrationCache:
@@ -52,33 +52,20 @@ class RegistrationCache:
         self._segments.clear()
 
 
-class NFSHybridClient(NASClient):
+class NFSHybridClient(NFSDirectClient):
     """Kernel NFS client whose reads arrive by server-initiated RDMA."""
-
-    kernel = True
 
     def __init__(self, host: Host, server: str, port: int = NFS_PORT,
                  cache_registrations: bool = True):
         """``cache_registrations=False`` registers and deregisters the
         user buffer on every I/O — the on-the-fly penalty of Section 3,
         measured by the registration-cache ablation."""
-        stack = UDPStack(host)
-        super().__init__(host, stack.socket(port), server)
+        super().__init__(host, server, port)
         self.cache_registrations = cache_registrations
         self.registrations = RegistrationCache(host)
 
-    def read(self, name: str, offset: int, nbytes: int,
-             app_buffer: Optional[Buffer] = None) -> Generator:
-        if app_buffer is None:
-            app_buffer = self.host.mem.alloc(nbytes, name="hybrid-anon")
-        if app_buffer.size < nbytes:
-            raise ValueError(
-                f"user buffer too small: {app_buffer.size} < {nbytes}")
-        span = self._start_span("read", name=name, offset=offset,
-                                nbytes=nbytes)
-        if span is not None:
-            span.path = "rdma"
-        yield from self._syscall()
+    def _transfer(self, name: str, offset: int, nbytes: int,
+                  app_buffer: Buffer, span: Optional[Span]) -> Generator:
         host_p = self.host.params.host
         if self.cache_registrations:
             seg = yield from self.registrations.lookup(app_buffer)
@@ -98,8 +85,3 @@ class NFSHybridClient(NASClient):
             yield from self.cpu.execute(
                 app_buffer.page_count * host_p.deregister_page_us,
                 category="register")
-        self.stats.incr("reads")
-        self.stats.incr("read_bytes", nbytes)
-        if span is not None:
-            span.finish(self.host.name)
-        return app_buffer.data

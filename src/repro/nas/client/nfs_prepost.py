@@ -14,36 +14,17 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
-from ...hw.host import Host
 from ...hw.memory import Buffer
 from ...proto.rpc import RPC_HEADER_BYTES
-from ...proto.udp import UDPStack
-from ..server.server import NFS_PORT
-from .base import NASClient
+from ...sim import Span
+from .nfs_direct import NFSDirectClient
 
 
-class NFSPrepostClient(NASClient):
+class NFSPrepostClient(NFSDirectClient):
     """Zero-copy kernel NFS client using pre-posted tagged buffers."""
 
-    kernel = True
-
-    def __init__(self, host: Host, server: str, port: int = NFS_PORT):
-        stack = UDPStack(host)
-        super().__init__(host, stack.socket(port), server)
-
-    def read(self, name: str, offset: int, nbytes: int,
-             app_buffer: Optional[Buffer] = None) -> Generator:
-        if app_buffer is None:
-            # Direct transfer needs a target user buffer to pre-post.
-            app_buffer = self.host.mem.alloc(nbytes, name="prepost-anon")
-        if app_buffer.size < nbytes:
-            raise ValueError(
-                f"user buffer too small: {app_buffer.size} < {nbytes}")
-        span = self._start_span("read", name=name, offset=offset,
-                                nbytes=nbytes)
-        if span is not None:
-            span.path = "rdma"
-        yield from self._syscall()
+    def _transfer(self, name: str, offset: int, nbytes: int,
+                  app_buffer: Buffer, span: Optional[Span]) -> Generator:
         # rddp_buffer drives pin + tag pre-post + unpin inside the RPC
         # layer; sg=True asks the server for a scatter/gather (copy-free)
         # reply straight from its file cache pages.
@@ -54,11 +35,6 @@ class NFSPrepostClient(NASClient):
         if nbytes > 0 and not response.meta.get("rddp_split_done"):
             raise RuntimeError(
                 "pre-posted read response was not header-split by the NIC")
-        self.stats.incr("reads")
-        self.stats.incr("read_bytes", nbytes)
-        if span is not None:
-            span.finish(self.host.name)
-        return app_buffer.data
 
     def write(self, name: str, offset: int, nbytes: int) -> Generator:
         # Outgoing path: scatter/gather DMA straight from the (pinned)
@@ -75,8 +51,5 @@ class NFSPrepostClient(NASClient):
             req_bytes=RPC_HEADER_BYTES + nbytes, span=span)
         yield from self.cpu.execute(pages * host_p.deregister_page_us,
                                     category="register")
-        self.stats.incr("writes")
-        self.stats.incr("write_bytes", nbytes)
-        if span is not None:
-            span.finish(self.host.name)
+        self._count_io("writes", "write_bytes", nbytes, span)
         return response.meta

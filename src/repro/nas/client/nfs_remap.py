@@ -17,34 +17,16 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
-from ...hw.host import Host
 from ...hw.memory import PAGE_SIZE, Buffer
-from ...proto.udp import UDPStack
-from ..server.server import NFS_PORT
-from .base import NASClient
+from ...sim import Span
+from .nfs_direct import NFSDirectClient
 
 
-class NFSRemapClient(NASClient):
+class NFSRemapClient(NFSDirectClient):
     """Zero-copy NFS via header splitting + page flipping."""
 
-    kernel = True
-
-    def __init__(self, host: Host, server: str, port: int = NFS_PORT):
-        stack = UDPStack(host)
-        super().__init__(host, stack.socket(port), server)
-
-    def read(self, name: str, offset: int, nbytes: int,
-             app_buffer: Optional[Buffer] = None) -> Generator:
-        if app_buffer is None:
-            app_buffer = self.host.mem.alloc(nbytes, name="remap-anon")
-        if app_buffer.size < nbytes:
-            raise ValueError(
-                f"user buffer too small: {app_buffer.size} < {nbytes}")
-        span = self._start_span("read", name=name, offset=offset,
-                                nbytes=nbytes)
-        if span is not None:
-            span.path = "rdma"
-        yield from self._syscall()
+    def _transfer(self, name: str, offset: int, nbytes: int,
+                  app_buffer: Buffer, span: Optional[Span]) -> Generator:
         response = yield from self._call(
             "read", {"name": name, "offset": offset, "nbytes": nbytes,
                      "mode": "inline", "sg": True},
@@ -67,8 +49,3 @@ class NFSRemapClient(NASClient):
             span.mark(self.host.name, "client.remap", pages=full_pages,
                       tail=tail)
         app_buffer.data = response.meta.get("rddp_payload")
-        self.stats.incr("reads")
-        self.stats.incr("read_bytes", nbytes)
-        if span is not None:
-            span.finish(self.host.name)
-        return app_buffer.data

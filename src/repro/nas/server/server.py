@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ...fs.disk import Disk
-from ...fs.files import FileSystem
+from ...fs.files import FileSystem, block_payload
 from ...hw.host import Host
 from ...hw.nic import NotifyMode
 from ...hw.tpt import RemoteAccessFault
@@ -30,6 +30,11 @@ from .filecache import BlockKey, ServerBlock, ServerFileCache
 #: Well-known service ports.
 NFS_PORT = 2049
 DAFS_PORT = 10
+
+
+class RequestRefused(Exception):
+    """A request the server answers with an ``rpc_error`` reply (a missing
+    file, a bad mode, an unlock without the lock)."""
 
 
 class BaseFileServer:
@@ -77,21 +82,27 @@ class BaseFileServer:
             ("lock", self._h_lock), ("unlock", self._h_unlock),
             ("get_refs", self._h_get_refs),
         ]:
-            self.rpc.register(proc, self._traced(proc, handler))
+            self.rpc.register(proc, self._serving(proc, handler))
 
     def start(self) -> None:
         self.rpc.start()
 
     # -- helpers -----------------------------------------------------------
 
-    def _traced(self, proc: str, handler):
-        """Wrap a handler with dispatch/reply trace events."""
+    def _serving(self, proc: str, handler):
+        """Wrap a handler with dispatch/reply trace events. A refused
+        request, or a read whose block failed verification past repair,
+        becomes the one ``rpc_error`` reply the client raises."""
         def wrapper(srv: RPCServer, request: RPCRequest) -> Generator:
             if self.host.sim.tracer is not None:
                 trace_emit(self.host.sim, self.name, "srv-dispatch",
                            proc=proc, xid=request.xid,
                            client=request.client)
-            reply = yield from handler(srv, request)
+            try:
+                reply = yield from handler(srv, request)
+            except (RequestRefused, IntegrityError) as exc:
+                reply = self._finish(
+                    request, RPCReply(meta={"rpc_error": str(exc)}))
             if self.host.sim.tracer is not None:
                 trace_emit(self.host.sim, self.name, "srv-reply",
                            proc=proc, xid=request.xid,
@@ -150,6 +161,28 @@ class BaseFileServer:
         block = yield from self._repair_block(key, span=span)
         return block
 
+    def _start_read(self, span) -> Generator:
+        """The file-system operation every read starts with."""
+        yield from self.host.cpu.execute(self.host.params.proto.fs_op_us,
+                                         category="fs")
+        if span is not None:
+            span.mark(self.host.name, "server.fs")
+
+    def _read_blocks(self, name: str, indices, span=None) -> Generator:
+        """The verified blocks ``indices`` of ``name``, in order: the one
+        block fetch of every read. A block past repair fails the read
+        with :class:`IntegrityError`."""
+        blocks: List[ServerBlock] = []
+        try:
+            for index in indices:
+                block = yield from self._get_block_verified((name, index),
+                                                            span=span)
+                blocks.append(block)
+        except IntegrityError:
+            self.stats.incr("reads_failed_integrity")
+            raise
+        return blocks
+
     def _repair_block(self, key: BlockKey, span=None) -> Generator:
         """Bounded repair ladder for a block that failed verification:
         drop the bad copy and re-read from storage up to
@@ -206,9 +239,11 @@ class BaseFileServer:
         """Host-side handling of a local RDMA completion event."""
         yield from self.host.cpu.poll()
 
-    def _rdma_put_resilient(self, dst: str, addr: int, nbytes: int,
-                            data: Any, capability, span=None) -> Generator:
-        """Server-initiated RDMA write with bounded retransmission.
+    def _put_direct(self, request: RPCRequest, target: Dict[str, Any],
+                    nbytes: int, payload: Any, span=None) -> Generator:
+        """Server-initiated RDMA write of a read's payload into the client
+        buffer ``target`` names (``client_addr``, ``client_cap``), with
+        bounded retransmission.
 
         The target is the client's plain registered buffer, so the only
         recoverable failure mode is an injected loss surfacing as an
@@ -217,13 +252,16 @@ class BaseFileServer:
         the client (its retransmissions would hit the in-progress entry
         of the duplicate request cache forever).
         """
+        yield from self.host.cpu.execute(self.host.params.proto.rdma_issue_us,
+                                         category="rdma")
         attempt = 0
         while True:
             try:
                 yield from self.host.nic.rdma_put(
-                    dst, addr, nbytes, data=data, capability=capability,
+                    request.client, target["client_addr"], nbytes,
+                    data=payload, capability=target.get("client_cap"),
                     span=span)
-                return
+                break
             except RemoteAccessFault:
                 attempt += 1
                 if attempt > self.rdma_put_retries:
@@ -232,16 +270,24 @@ class BaseFileServer:
                 if span is not None:
                     span.mark(self.host.name, "server.rdma-retry",
                               attempt=attempt)
+        yield from self._rdma_completion()
+        if span is not None:
+            span.mark(self.host.name, "server.rdma", bytes=nbytes)
 
     # -- handlers -------------------------------------------------------------
+
+    def _existing(self, request: RPCRequest) -> str:
+        """The requested file's name; a missing file refuses the request
+        with ``ENOENT``."""
+        name = request.args["name"]
+        if not self.fs.exists(name):
+            raise RequestRefused(f"ENOENT {name}")
+        return name
 
     def _h_open(self, srv: RPCServer, request: RPCRequest) -> Generator:
         proto = self.host.params.proto
         yield from self.host.cpu.execute(proto.fs_op_us, category="fs")
-        name = request.args["name"]
-        if not self.fs.exists(name):
-            return self._finish(request,
-                                RPCReply(meta={"rpc_error": f"ENOENT {name}"}))
+        name = self._existing(request)
         inode = self.fs.lookup(name)
         mode = request.args.get("mode", READ)
         delegated = self.delegations.grant(name, request.client, mode)
@@ -261,11 +307,7 @@ class BaseFileServer:
     def _h_getattr(self, srv: RPCServer, request: RPCRequest) -> Generator:
         proto = self.host.params.proto
         yield from self.host.cpu.execute(proto.fs_op_us / 2, category="fs")
-        name = request.args["name"]
-        if not self.fs.exists(name):
-            return self._finish(request,
-                                RPCReply(meta={"rpc_error": f"ENOENT {name}"}))
-        inode = self.fs.lookup(name)
+        inode = self.fs.lookup(self._existing(request))
         self.stats.incr("getattrs")
         return self._finish(request, RPCReply(meta={
             "size": inode.size, "mtime": inode.mtime}))
@@ -275,11 +317,8 @@ class BaseFileServer:
         # ORDMA-able (Section 4.2.2) — always a full-cost RPC.
         proto = self.host.params.proto
         yield from self.host.cpu.execute(proto.fs_op_us, category="fs")
-        name = request.args["name"]
         self.stats.incr("lookups")
-        if not self.fs.exists(name):
-            return self._finish(request,
-                                RPCReply(meta={"rpc_error": f"ENOENT {name}"}))
+        self._existing(request)
         return self._finish(request, RPCReply(meta={"found": True}))
 
     def _h_create(self, srv: RPCServer, request: RPCRequest) -> Generator:
@@ -308,29 +347,16 @@ class BaseFileServer:
         name, offset, nbytes = args["name"], args["offset"], args["nbytes"]
         mode = args.get("mode", "inline")
         cpu = self.host.cpu
-        proto = self.host.params.proto
         span = request.span
-        yield from cpu.execute(proto.fs_op_us, category="fs")
-        if span is not None:
-            span.mark(self.host.name, "server.fs")
+        yield from self._start_read(span)
         indices = self.fs.blocks_in_range(name, offset, nbytes)
-        blocks: List[ServerBlock] = []
-        try:
-            for index in indices:
-                block = yield from self._get_block_verified((name, index),
-                                                            span=span)
-                blocks.append(block)
-        except IntegrityError as exc:
-            self.stats.incr("reads_failed_integrity")
-            return self._finish(request,
-                                RPCReply(meta={"rpc_error": str(exc)}))
+        blocks = yield from self._read_blocks(name, indices, span)
         if len(blocks) > 1:
             # Gathering additional cache blocks into one transfer.
             yield from cpu.execute(0.5 * (len(blocks) - 1), category="fs")
         if span is not None:
             span.mark(self.host.name, "server.cache", blocks=len(blocks))
-        payload: Any = (blocks[0].data if len(blocks) == 1
-                        else tuple(b.data for b in blocks))
+        payload = block_payload([b.data for b in blocks])
         meta: Dict[str, Any] = {"size": nbytes}
         if self.piggyback_refs:
             refs = []
@@ -343,13 +369,7 @@ class BaseFileServer:
         self.stats.incr("reads")
         self.stats.incr("read_bytes", nbytes)
         if mode == "direct":
-            yield from cpu.execute(proto.rdma_issue_us, category="rdma")
-            yield from self._rdma_put_resilient(
-                request.client, args["client_addr"], nbytes, payload,
-                args.get("client_cap"), span=span)
-            yield from self._rdma_completion()
-            if span is not None:
-                span.mark(self.host.name, "server.rdma", bytes=nbytes)
+            yield from self._put_direct(request, args, nbytes, payload, span)
             self.stats.incr("reads_direct")
             return self._finish(request, RPCReply(meta=meta))
         if mode == "inline":
@@ -372,8 +392,7 @@ class BaseFileServer:
             return self._finish(request,
                                 RPCReply(inline_bytes=nbytes, data=payload,
                                          meta=meta))
-        return self._finish(request,
-                            RPCReply(meta={"rpc_error": f"bad mode {mode}"}))
+        raise RequestRefused(f"bad mode {mode}")
 
     def _h_lock(self, srv: RPCServer, request: RPCRequest) -> Generator:
         """Advisory whole-file lock (Section 4.2.2: explicit locks restore
@@ -396,8 +415,7 @@ class BaseFileServer:
         try:
             self.locks.release(name, request.client)
         except KeyError:
-            return self._finish(request, RPCReply(
-                meta={"rpc_error": f"not locked by {request.client}"}))
+            raise RequestRefused(f"not locked by {request.client}") from None
         self.stats.incr("unlocks")
         return self._finish(request, RPCReply(meta={"unlocked": name}))
 
@@ -407,10 +425,7 @@ class BaseFileServer:
         instead of waiting for per-read piggybacks."""
         proto = self.host.params.proto
         yield from self.host.cpu.execute(proto.fs_op_us, category="fs")
-        name = request.args["name"]
-        if not self.fs.exists(name):
-            return self._finish(request,
-                                RPCReply(meta={"rpc_error": f"ENOENT {name}"}))
+        name = self._existing(request)
         refs = []
         if self.piggyback_refs:
             for index in range(self.fs.block_count(name)):
@@ -435,34 +450,17 @@ class BaseFileServer:
         args = request.args
         name = args["name"]
         cpu = self.host.cpu
-        proto = self.host.params.proto
         span = request.span
-        yield from cpu.execute(proto.fs_op_us, category="fs")
-        if span is not None:
-            span.mark(self.host.name, "server.fs")
+        yield from self._start_read(span)
         total = 0
         for extent in args["extents"]:
             offset, nbytes = extent["offset"], extent["nbytes"]
             yield from cpu.execute(2.0, category="fs")  # per-extent setup
-            blocks = []
-            try:
-                for index in self.fs.blocks_in_range(name, offset, nbytes):
-                    block = yield from self._get_block_verified(
-                        (name, index), span=span)
-                    blocks.append(block)
-            except IntegrityError as exc:
-                self.stats.incr("reads_failed_integrity")
-                return self._finish(request,
-                                    RPCReply(meta={"rpc_error": str(exc)}))
-            payload = (blocks[0].data if len(blocks) == 1
-                       else tuple(b.data for b in blocks))
-            yield from cpu.execute(proto.rdma_issue_us, category="rdma")
-            yield from self._rdma_put_resilient(
-                request.client, extent["client_addr"], nbytes, payload,
-                extent.get("client_cap"), span=span)
-            yield from self._rdma_completion()
-            if span is not None:
-                span.mark(self.host.name, "server.rdma", bytes=nbytes)
+            blocks = yield from self._read_blocks(
+                name, self.fs.blocks_in_range(name, offset, nbytes), span)
+            yield from self._put_direct(
+                request, extent, nbytes,
+                block_payload([b.data for b in blocks]), span)
             total += nbytes
         self.stats.incr("batch_reads")
         self.stats.incr("read_bytes", total)

@@ -57,11 +57,6 @@ class Placement:
         """The primary server for one block."""
         raise NotImplementedError
 
-    def home_of(self, name: str) -> int:
-        """The server holding a file's namespace state (opens, locks,
-        delegations): the primary of its first block."""
-        return self.shard_of(name, 0)
-
     def replica_chain(self, name: str, block_index: int) -> Tuple[int, ...]:
         """Primary followed by its replica servers, in failover order."""
         primary = self.shard_of(name, block_index)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
+from ...fs.files import block_payload, block_range, payload_blocks
 from ...hw.host import Host
 from ...integrity.checksum import IntegrityError
 from ...proto.rpc import RPCTimeoutError
@@ -93,12 +94,6 @@ class ShardRouter:
         if span is not None:
             span.mark(self.host.name, "shard.failover", shard=shard)
 
-    def _blocks_of(self, offset: int, nbytes: int) -> List[int]:
-        bs = self.block_size
-        first = offset // bs
-        last = (offset + max(nbytes, 1) - 1) // bs
-        return list(range(first, last + 1))
-
     def _segments(self, name: str, offset: int,
                   nbytes: int) -> List[Tuple[int, int, int, int]]:
         """Split a byte range into (shard, seg_offset, seg_nbytes,
@@ -115,7 +110,7 @@ class ShardRouter:
             segments.append((run_shard, seg_off, seg_end - seg_off,
                              last_block - run_start + 1))
 
-        for block in self._blocks_of(offset, nbytes):
+        for block in block_range(offset, nbytes, bs):
             shard = self.placement.shard_of(name, block)
             if run_start is None:
                 run_start, run_shard = block, shard
@@ -271,10 +266,6 @@ class ShardRouter:
 
     # -- data operations ----------------------------------------------------
 
-    def _as_blocks(self, data: Any, n_blocks: int) -> List[Any]:
-        """Normalize a subclient payload to a per-block list."""
-        return list(data) if n_blocks > 1 else [data]
-
     def _read_segment(self, name: str, shard: int, offset: int,
                       nbytes: int, n_blocks: int, sink: List[Any],
                       slot: int, span: Optional[Span]) -> Generator:
@@ -297,7 +288,7 @@ class ShardRouter:
         data = yield from self._call_chain(
             chain, lambda t: self.subclients[t].read(name, offset, nbytes),
             "read", name, span=span, repair=read_repair)
-        sink[slot] = self._as_blocks(data, n_blocks)
+        sink[slot] = payload_blocks(data, n_blocks)
 
     def read(self, name: str, offset: int, nbytes: int,
              app_buffer=None) -> Generator:
@@ -324,16 +315,15 @@ class ShardRouter:
                 in enumerate(segments)]
             yield self.sim.all_of(procs)
             self.stats.incr("fanout_reads")
-        resolved = [item for seg in results for item in seg]
+        payload = block_payload([item for seg in results for item in seg])
         if app_buffer is not None:
-            app_buffer.data = resolved[0] if len(resolved) == 1 \
-                else tuple(resolved)
+            app_buffer.data = payload
         self.stats.incr("reads")
         self.stats.incr("read_bytes", nbytes)
         self.stats.incr("routed_segments", len(segments))
         if span is not None:
             span.finish(self.host.name)
-        return resolved[0] if len(resolved) == 1 else tuple(resolved)
+        return payload
 
     def read_async(self, name: str, offset: int, nbytes: int,
                    app_buffer=None):

@@ -220,7 +220,7 @@ class TCPConnection:
 
     # -- segment transmission ------------------------------------------------
 
-    def _send_segment(self, nbytes: int, data: Any,
+    def _send_segment(self, nbytes: int,
                       meta: Dict[str, Any]) -> Generator:
         """Reliably deliver one MSS-or-smaller segment."""
         stack = self.stack
@@ -237,10 +237,10 @@ class TCPConnection:
                         "src_port": self.local_port,
                         "dst_port": self.peer_port}
             seg_meta.update(meta)
-            yield from host.nic.eth_send(self.peer, nbytes, data=data,
-                                         meta=seg_meta, port=self.peer_port)
+            yield from host.nic.eth_send(self.peer, nbytes, meta=seg_meta,
+                                         port=self.peer_port)
             timeout = host.sim.timeout(stack.rto_us)
-            result = yield host.sim.any_of([acked, timeout])
+            yield host.sim.any_of([acked, timeout])
             if acked.triggered:
                 return
             # Retransmission timeout: back off and resend this segment.
@@ -278,26 +278,20 @@ class TCPConnection:
                 seg_meta["frame_meta"] = dict(meta or {})
                 seg_meta["frame_data"] = data
             procs.append(sim.process(
-                self._send_segment(chunk, None, seg_meta),
+                self._send_segment(chunk, seg_meta),
                 name=f"tcp-seg:{self.local_port}"))
         yield sim.all_of(procs)
 
     def _on_data(self, msg: Message) -> None:
         """Count segments per framed message; complete on the last one."""
-        frame_id = msg.meta.get("frame_id")
-        if frame_id is None:
-            return
+        frame_id = msg.meta["frame_id"]
         got, carrier = self._rx_frames.get(frame_id, (0, None))
         got += 1
         if "frame_meta" in msg.meta:
             carrier = msg
-        if got == msg.meta.get("frame_count", 1):
+        if got == msg.meta["frame_count"]:
             self._rx_frames.pop(frame_id, None)
-            seq = msg.meta.get("frame_seq")
-            if seq is None:
-                self._frames.put(carrier)  # unsequenced legacy segment
-                return
-            self._rx_ready[seq] = carrier
+            self._rx_ready[msg.meta["frame_seq"]] = carrier
             while self._rx_next_frame in self._rx_ready:
                 self._frames.put(self._rx_ready.pop(self._rx_next_frame))
                 self._rx_next_frame += 1

@@ -235,10 +235,6 @@ class Process(Event):
         # Kick off the process at the current simulation time.
         sim._trampoline(self._resume, None, True)
 
-    @property
-    def is_alive(self) -> bool:
-        return not self.triggered
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at its yield point.
 

@@ -50,12 +50,10 @@ class MetricsRegistry:
             inst = self.register(name, Counter())
         return inst
 
-    def latency(self, name: str,
-                reservoir: Optional[int] = None) -> LatencyStats:
+    def latency(self, name: str) -> LatencyStats:
         inst = self._instruments.get(name)
         if inst is None:
-            inst = self.register(name,
-                                 LatencyStats(name, reservoir=reservoir))
+            inst = self.register(name, LatencyStats(name))
         return inst
 
     def throughput(self, sim: Simulator, name: str) -> ThroughputMeter:

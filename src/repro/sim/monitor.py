@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import random
 from typing import Dict, List, Optional
 
 from .core import Simulator
@@ -69,34 +68,19 @@ class LatencyStats:
     """Streaming response-time statistics (Table 3, PostMark latencies).
 
     Count, mean, min, max and stdev are maintained as running aggregates
-    over *every* recorded sample. Percentiles come from the retained
-    sample list, which is unbounded by default; ``reservoir=k`` switches
-    to Vitter's algorithm R so long-running workloads keep a bounded,
-    uniform k-sample view (deterministic: seeded private RNG). The
-    sorted view used by :meth:`percentile` is cached behind a dirty
-    flag, so repeated percentile queries do not re-sort.
+    over every recorded sample; percentiles come from the samples
+    themselves. The sorted view used by :meth:`percentile` is cached
+    behind a dirty flag, so repeated percentile queries do not re-sort.
     """
 
-    def __init__(self, name: str = "", reservoir: Optional[int] = None,
-                 seed: int = 0x5EED):
-        if reservoir is not None and reservoir < 1:
-            raise ValueError(f"reservoir must be >= 1: {reservoir}")
+    def __init__(self, name: str = ""):
         self.name = name
-        self.reservoir = reservoir
-        self._seed = seed
-        self._rng = random.Random(seed) if reservoir is not None else None
         self._samples: List[float] = []
-        self._sorted: Optional[List[float]] = None
-        self._count = 0
-        self._sum = 0.0
-        self._sumsq = 0.0
-        self._min = math.inf
-        self._max = -math.inf
-        self._hist = [0] * len(HIST_LABELS)
+        self.reset()
 
     @property
     def samples(self) -> List[float]:
-        """The retained samples (a uniform subsample in reservoir mode)."""
+        """The recorded samples, in arrival order."""
         return self._samples
 
     def record(self, latency_us: float) -> None:
@@ -109,31 +93,19 @@ class LatencyStats:
             self._min = latency_us
         if latency_us > self._max:
             self._max = latency_us
-        # The histogram sees every sample, even once the reservoir below
-        # starts subsampling — it is the full-population distribution.
         self._hist[bisect.bisect_left(HIST_EDGES_US, latency_us)] += 1
-        if self.reservoir is not None and \
-                len(self._samples) >= self.reservoir:
-            # Algorithm R: keep each of the n samples with prob k/n.
-            slot = self._rng.randrange(self._count)
-            if slot < self.reservoir:
-                self._samples[slot] = latency_us
-                self._sorted = None
-            return
         self._samples.append(latency_us)
         self._sorted = None
 
     def reset(self) -> None:
         self._samples.clear()
-        self._sorted = None
+        self._sorted: Optional[List[float]] = None
         self._count = 0
         self._sum = 0.0
         self._sumsq = 0.0
         self._min = math.inf
         self._max = -math.inf
         self._hist = [0] * len(HIST_LABELS)
-        if self.reservoir is not None:
-            self._rng = random.Random(self._seed)
 
     @property
     def count(self) -> int:
@@ -173,8 +145,7 @@ class LatencyStats:
 
     def histogram(self) -> Dict[str, int]:
         """Occupied log2 buckets, labelled ``le_<edge-us>`` (plus ``inf``
-        for overflow). Counts cover every recorded sample regardless of
-        reservoir subsampling."""
+        for overflow)."""
         return {label: count
                 for label, count in zip(HIST_LABELS, self._hist) if count}
 

@@ -202,8 +202,7 @@ class _TraceQueries:
 class Tracer(_TraceQueries):
     """Bounded in-memory trace collector: events + spans."""
 
-    def __init__(self, sim: Simulator, capacity: int = 100_000,
-                 span_capacity: Optional[int] = None):
+    def __init__(self, sim: Simulator, capacity: int = 100_000):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1: {capacity}")
         self.sim = sim
@@ -212,15 +211,14 @@ class Tracer(_TraceQueries):
         self.dropped = 0
         self.emitted = 0
         #: Completed and in-flight spans, oldest first (bounded ring).
-        self.spans: Deque[Span] = deque(maxlen=span_capacity or capacity)
+        self.spans: Deque[Span] = deque(maxlen=capacity)
         self.spans_started = 0
         self._rids = itertools.count(1)
 
     @classmethod
-    def attach(cls, sim: Simulator, capacity: int = 100_000,
-               span_capacity: Optional[int] = None) -> "Tracer":
+    def attach(cls, sim: Simulator, capacity: int = 100_000) -> "Tracer":
         """Create a tracer and attach it as ``sim.tracer``."""
-        tracer = cls(sim, capacity, span_capacity=span_capacity)
+        tracer = cls(sim, capacity)
         sim.tracer = tracer
         return tracer
 

@@ -51,6 +51,8 @@ OUT_OF_RANGE = [
       for command in ("chaos", "scrub", "telemetry", "scale", "shard",
                       "table2", "perf") for value in ("0", "-3")],
     _bad("perf", "--repeat", "0"),
+    _bad("chaos", "--rates", "-0.5", bound="in [0, 1]"),
+    _bad("scrub", "--rates", "1.5", bound="in [0, 1]"),
 ]
 
 

@@ -71,6 +71,21 @@ def test_read_of_missing_file_raises(system):
     assert "ENOENT" in result
 
 
+@pytest.mark.parametrize("system", ["nfs-prepost", "nfs-remap", "nfs-hybrid"])
+def test_direct_read_into_a_short_user_buffer_raises(system):
+    cluster = make_cluster(system)
+    cluster.create_file("f", 16 * KB)
+    client = cluster.clients[0]
+    short = cluster.client_hosts[0].mem.alloc(4 * KB)
+
+    def reader():
+        yield from client.read("f", 0, 8 * KB, app_buffer=short)
+
+    with pytest.raises(ValueError, match="user buffer too small: 4096 < 8192"):
+        cluster.sim.run_process(reader())
+    assert client.stats.get("reads") == 0
+
+
 def test_open_delegation_makes_reopens_local():
     cluster = make_cluster("dafs")
     cluster.create_file("f", 4 * KB)

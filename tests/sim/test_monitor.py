@@ -128,54 +128,11 @@ class TestLatencyStats:
         stats.record(float(1 << 21))  # beyond the last edge: overflow
         assert stats.histogram() == {"le_1": 2, "le_4": 1, "inf": 1}
 
-    def test_histogram_counts_full_population_in_reservoir_mode(self):
-        stats = LatencyStats(reservoir=50)
-        for x in range(1000):
-            stats.record(float(x))
-        assert len(stats.samples) == 50
-        # The histogram keeps counting past the reservoir bound.
-        assert sum(stats.histogram().values()) == 1000
-
     def test_histogram_reset(self):
         stats = LatencyStats()
         stats.record(5.0)
         stats.reset()
         assert stats.histogram() == {}
-
-    def test_reservoir_bounds_retained_samples(self):
-        stats = LatencyStats(reservoir=50)
-        for x in range(1000):
-            stats.record(float(x))
-        assert len(stats.samples) == 50
-        # Running aggregates still cover every sample.
-        assert stats.count == 1000
-        assert stats.mean == pytest.approx(499.5)
-        assert stats.maximum == 999.0
-        # Percentiles come from a uniform subsample: roughly central.
-        assert 250.0 < stats.percentile(50) < 750.0
-
-    def test_reservoir_is_deterministic(self):
-        def fill():
-            stats = LatencyStats(reservoir=10)
-            for x in range(500):
-                stats.record(float(x))
-            return list(stats.samples)
-
-        assert fill() == fill()
-
-    def test_reservoir_reset_reseeds(self):
-        stats = LatencyStats(reservoir=10)
-        for x in range(500):
-            stats.record(float(x))
-        first = list(stats.samples)
-        stats.reset()
-        for x in range(500):
-            stats.record(float(x))
-        assert stats.samples == first
-
-    def test_invalid_reservoir_rejected(self):
-        with pytest.raises(ValueError):
-            LatencyStats(reservoir=0)
 
 
 class TestThroughputMeter:
