@@ -9,9 +9,10 @@ the same run collected into per-path waterfalls — where each 4 KB read
 spent its time, stage by stage. A continuous-telemetry sampler rides
 along, so the run also yields time-series gauges (server CPU by
 category, cache occupancy, link utilization). Dumps the full trace
-(events + spans) to JSONL for external tooling and exports everything —
-spans, events, and the gauge series as counter tracks — as a
-Chrome/Perfetto Trace Event Format file to open in ui.perfetto.dev.
+(events, spans and the gauge series) to one JSONL file, which
+``repro-bench trace --input`` replays, and exports everything — spans,
+events, and the gauge series as counter tracks — as a Chrome/Perfetto
+Trace Event Format file to open in ui.perfetto.dev.
 
 Run:  python examples/tracing_analysis.py
 """
@@ -87,17 +88,19 @@ def main():
     with tempfile.NamedTemporaryFile(suffix=".jsonl",
                                      delete=False) as fh:
         path = fh.name
-    written = tracer.dump_jsonl(path)
-    print(f"\nfull trace ({written} events+spans) written to {path}")
+    written = tracer.dump_jsonl(path, series=sampler.series)
+    print(f"\nfull trace ({written} event, span and series lines) "
+          f"written to {path}")
     print(f"ring buffer: emitted={tracer.emitted} dropped={tracer.dropped}")
     print("(re-analyze it any time: repro-bench trace --input "
-          f"{path})")
+          f"{path} --critical-path)")
 
     with tempfile.NamedTemporaryFile(suffix=".json",
                                      delete=False) as fh:
         perfetto = fh.name
     rows = dump_perfetto(perfetto, events=list(tracer),
-                         spans=tracer.finished_spans(), series=sampler)
+                         spans=tracer.finished_spans(),
+                         series=sampler.series)
     print(f"perfetto export ({rows} trace events, counter tracks "
           f"included) written to {perfetto}")
     print("(open it at https://ui.perfetto.dev, or validate: "

@@ -20,7 +20,7 @@ Examples::
     repro-bench telemetry                         # odafs timelines
     repro-bench telemetry --series server.cpu     # filter series
     repro-bench telemetry --systems nfs,odafs     # Fig. 7 comparison
-    repro-bench telemetry --dump /tmp/ts.jsonl    # raw series JSONL
+    repro-bench telemetry --dump /tmp/t.jsonl     # trace + series JSONL
 """
 
 from __future__ import annotations
@@ -133,9 +133,9 @@ def run_telemetry_point(point: Tuple) -> Dict[str, Any]:
 
     A pure function of the point spec — fresh cluster, seeded RNG streams
     — so :func:`repro.bench.runner.run_points` yields byte-identical
-    results at any job count. The returned dict carries the serialized
-    series (``jsonl``), whole-run means per series, and tick accounting;
-    no live simulator objects cross the process boundary.
+    results at any job count. The returned dict carries whole-run means
+    per series and tick accounting; no live simulator objects cross the
+    process boundary.
     """
     system, blocks, block_kb, passes, interval_us, seed = point
     live = tracecli.run_workload(system=system, blocks=blocks,
@@ -149,7 +149,6 @@ def run_telemetry_point(point: Tuple) -> Dict[str, Any]:
         "dropped": sampler.dropped,
         "means": {name: series.mean()
                   for name, series in sampler.series.items()},
-        "jsonl": sampler.to_jsonl(),
     }
 
 
@@ -230,8 +229,8 @@ def main(argv=None) -> int:
     parser.add_argument("--width", type=runner.positive_int, default=60,
                         help="sparkline width in characters")
     parser.add_argument("--dump", metavar="PATH",
-                        help="also write the sampled series as JSONL "
-                             "(single-run mode)")
+                        help="also write the trace (events, spans and "
+                             "sampled series) as JSONL (single-run mode)")
     # The shared campaign surface (--seed/--jobs/--json), registered
     # through the one common helper like every other campaign CLI.
     runner.add_campaign_args(
@@ -269,7 +268,7 @@ def main(argv=None) -> int:
                                  sample_interval_us=args.interval)
     sampler = live["sampler"]
     if args.dump:
-        sampler.dump_jsonl(args.dump)
+        live["tracer"].dump_jsonl(args.dump, series=sampler.series)
     series = {name: list(ts.points)
               for name, ts in sampler.series.items()}
     match = ([m.strip() for m in args.series.split(",") if m.strip()]

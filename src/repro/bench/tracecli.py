@@ -12,7 +12,7 @@ Examples::
 
     repro-bench trace                          # live ODAFS 4 KB reads
     repro-bench trace --system dafs --blocks 32
-    repro-bench trace --dump /tmp/t.jsonl      # save the raw trace
+    repro-bench trace --dump /tmp/t.jsonl      # save trace + series
     repro-bench trace --input /tmp/t.jsonl     # re-analyze a dump
 """
 
@@ -226,11 +226,11 @@ def critical_path_consistency(spans: Sequence[Span]) -> float:
 _UTIL_SUFFIXES = (".util", "_util")
 
 
-def dominant_resources(spans: Sequence[Span],
-                       series: Any) -> Dict[str, Tuple[str, float]]:
+def dominant_resources(spans: Sequence[Span], series: traceexport.Series
+                       ) -> Dict[str, Tuple[str, float]]:
     """{path: (series name, mean util)} — the busiest utilization-type
-    sampler series over each path's span time envelope. Empty without
-    telemetry (e.g. ``--input`` mode)."""
+    sampled series over each path's span time envelope. Empty without
+    sampled series (e.g. an ``--input`` dump written without them)."""
     items = traceexport._series_items(series)
     candidates = [(name, points) for name, points in items
                   if name.endswith(_UTIL_SUFFIXES)]
@@ -476,13 +476,11 @@ def main(argv=None) -> int:
     parser.add_argument("--passes", type=positive_int, default=2,
                         help="number of read passes over the file")
     parser.add_argument("--dump", metavar="PATH",
-                        help="also write the raw trace as JSONL")
+                        help="also write the trace (events, spans and "
+                             "sampled series) as JSONL")
     parser.add_argument("--perfetto", metavar="PATH",
                         help="export spans + events + telemetry as "
                              "Chrome/Perfetto Trace Event Format JSON")
-    parser.add_argument("--timeseries", metavar="PATH",
-                        help="also write the sampled time series as "
-                             "JSONL (live mode)")
     parser.add_argument("--critical-path", action="store_true",
                         help="print the service-vs-queueing attribution "
                              "table per path class")
@@ -505,7 +503,6 @@ def main(argv=None) -> int:
 
     meter = None
     cluster = None
-    sampler = None
     if args.input:
         try:
             dump = load_jsonl(args.input)
@@ -513,13 +510,14 @@ def main(argv=None) -> int:
             parser.error(f"cannot read --input trace: {exc}")
         events = dump.events
         spans = dump.finished_spans()
+        series = dump.series
         source = f"{args.input} ({dump.emitted} emitted, "\
                  f"{dump.dropped} dropped)"
     else:
         blocks = args.blocks or (16 if args.quick else 64)
         # Telemetry rides along only when an output needs it, so the
         # default trace run stays event-for-event identical to the seed.
-        want_sampler = bool(args.perfetto or args.timeseries
+        want_sampler = bool(args.perfetto or args.dump
                             or args.critical_path)
         live = run_workload(system=args.system, blocks=blocks,
                             block_kb=args.block_kb, passes=args.passes,
@@ -530,10 +528,9 @@ def main(argv=None) -> int:
         tracer = live["tracer"]
         meter = live["meter"]
         sampler = live["sampler"]
+        series = sampler.series if sampler is not None else None
         if args.dump:
-            tracer.dump_jsonl(args.dump)
-        if args.timeseries and sampler is not None:
-            sampler.dump_jsonl(args.timeseries)
+            tracer.dump_jsonl(args.dump, series=series)
         events = list(tracer)
         spans = tracer.finished_spans()
         source = (f"live {args.system}, {blocks}x{args.block_kb}KB reads "
@@ -541,7 +538,7 @@ def main(argv=None) -> int:
 
     if args.perfetto:
         traceexport.dump_perfetto(args.perfetto, events=events,
-                                  spans=spans, series=sampler)
+                                  spans=spans, series=series)
 
     read_spans = [s for s in spans if s.op == "read"]
     tables = stage_tables(read_spans)
@@ -552,7 +549,7 @@ def main(argv=None) -> int:
     cp_ok = True
     if args.critical_path:
         cp_tables = critical_path(read_spans)
-        cp_dominant = dominant_resources(read_spans, sampler)
+        cp_dominant = dominant_resources(read_spans, series)
         cp_error = critical_path_consistency(read_spans)
         cp_ok = cp_error <= 1e-6
     # Live runs cross-check the spans against the independent meter; JSON

@@ -28,9 +28,14 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Any, Dict, Iterable, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from ..sim import Span, TraceEvent
+
+#: Sampled series by dotted name: a sampler's ``series`` (each ring
+#: iterates its points) or a loaded dump's ``{name: [(ts, value), ...]}``.
+Series = Optional[Mapping[str, Iterable[Tuple[float, float]]]]
 
 #: Stage-name prefixes mapped to thread rows, in display order. The
 #: ``requests`` row (whole spans) always sorts first and ``events``
@@ -56,17 +61,10 @@ def _layer(stage: str) -> str:
     return head if rest else "app"
 
 
-def _series_items(series: Any) -> List[Tuple[str, List[Tuple[float, float]]]]:
-    """Normalize the ``series`` argument: a ``TimeSeriesSampler``, a
-    ``TimeSeriesDump``, or a plain ``{name: [(ts, value), ...]}`` dict."""
-    if series is None:
-        return []
-    mapping = getattr(series, "series", series)
-    out = []
-    for name, points in mapping.items():
-        values = getattr(points, "points", points)
-        out.append((name, [(ts, value) for ts, value in values]))
-    return out
+def _series_items(series: Series
+                  ) -> List[Tuple[str, List[Tuple[float, float]]]]:
+    """The series as (name, [(ts, value), ...]) pairs, in mapping order."""
+    return [(name, list(points)) for name, points in (series or {}).items()]
 
 
 def _json_safe(detail: Dict[str, Any]) -> Dict[str, Any]:
@@ -77,7 +75,7 @@ def _json_safe(detail: Dict[str, Any]) -> Dict[str, Any]:
 
 def build_trace(events: Iterable[TraceEvent] = (),
                 spans: Iterable[Span] = (),
-                series: Any = None) -> Dict[str, Any]:
+                series: Series = None) -> Dict[str, Any]:
     """Build the Trace Event Format document (pure data, no I/O)."""
     events = list(events)
     spans = [s for s in spans if s.finished]
@@ -177,7 +175,7 @@ def to_json(doc: Dict[str, Any]) -> str:
 
 def dump_perfetto(path: str, events: Iterable[TraceEvent] = (),
                   spans: Iterable[Span] = (),
-                  series: Any = None) -> int:
+                  series: Series = None) -> int:
     """Write the export to ``path``; returns the trace-event count."""
     doc = build_trace(events=events, spans=spans, series=series)
     with open(path, "w") as fh:

@@ -15,9 +15,11 @@ BlockContent = Tuple[str, int, int]
 
 def block_range(offset: int, nbytes: int, block_size: int) -> range:
     """Indices of the blocks that bytes ``[offset, offset + nbytes)`` touch;
-    an empty range touches the block holding ``offset``."""
+    an empty range touches none."""
+    if nbytes <= 0:
+        return range(0)
     return range(offset // block_size,
-                 (offset + max(nbytes, 1) - 1) // block_size + 1)
+                 (offset + nbytes - 1) // block_size + 1)
 
 
 def block_payload(contents: Sequence[BlockContent]) -> Any:
@@ -117,6 +119,4 @@ class FileSystem:
             raise FileSystemError(
                 f"range [{offset}, {offset + nbytes}) outside {name!r} "
                 f"of size {inode.size}")
-        if nbytes == 0:
-            return []
         return list(block_range(offset, nbytes, self.block_size))

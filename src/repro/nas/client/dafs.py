@@ -57,6 +57,9 @@ class DAFSClient(NASClient):
     def read_direct(self, name: str, offset: int, nbytes: int,
                     app_buffer: Optional[Buffer] = None) -> Generator:
         """Read straight into a registered application buffer."""
+        if not nbytes:
+            # An empty range touches no block: nothing to transfer.
+            return block_payload([])
         span = self._start_span("read", name=name, offset=offset,
                                 nbytes=nbytes)
         if span is not None and self.rpc_read_mode == "direct":

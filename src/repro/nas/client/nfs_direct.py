@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
+from ...fs.files import block_payload
 from ...hw.host import Host
 from ...hw.memory import Buffer
 from ...proto.udp import UDPStack
@@ -27,6 +28,9 @@ class NFSDirectClient(NASClient):
 
     def read(self, name: str, offset: int, nbytes: int,
              app_buffer: Optional[Buffer] = None) -> Generator:
+        if not nbytes:
+            # An empty range touches no block: nothing to transfer.
+            return block_payload([])
         if app_buffer is None:
             # Direct transfer needs a target user buffer.
             app_buffer = self.host.mem.alloc(nbytes, name="nfs-direct-anon")

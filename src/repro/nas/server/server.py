@@ -31,6 +31,9 @@ from .filecache import BlockKey, ServerBlock, ServerFileCache
 NFS_PORT = 2049
 DAFS_PORT = 10
 
+#: How a read's payload reaches the client (``args['mode']``).
+READ_MODES = ("direct", "inline", "inline-mem")
+
 
 class RequestRefused(Exception):
     """A request the server answers with an ``rpc_error`` reply (a missing
@@ -346,6 +349,8 @@ class BaseFileServer:
         args = request.args
         name, offset, nbytes = args["name"], args["offset"], args["nbytes"]
         mode = args.get("mode", "inline")
+        if mode not in READ_MODES:
+            raise RequestRefused(f"bad mode {mode}")
         cpu = self.host.cpu
         span = request.span
         yield from self._start_read(span)
@@ -375,7 +380,7 @@ class BaseFileServer:
         if mode == "inline":
             # Serving inline from the file cache copies the payload into
             # the communication buffer (the Table 3 'in cache' case) —
-        # unless the client asked for scatter/gather DMA straight from
+            # unless the client asked for scatter/gather DMA straight from
             # the cache pages (the pre-posting reply path).
             if not args.get("sg"):
                 yield from cpu.copy(nbytes, cached=False)
@@ -385,14 +390,12 @@ class BaseFileServer:
             return self._finish(request,
                                 RPCReply(inline_bytes=nbytes, data=payload,
                                          meta=meta))
-        if mode == "inline-mem":
-            # Payload already resides in registered communication memory
-            # (the Table 3 'in mem.' case): no server-side copy.
-            self.stats.incr("reads_inline_mem")
-            return self._finish(request,
-                                RPCReply(inline_bytes=nbytes, data=payload,
-                                         meta=meta))
-        raise RequestRefused(f"bad mode {mode}")
+        # 'inline-mem': the payload already resides in registered
+        # communication memory (the Table 3 'in mem.' case): no copy.
+        self.stats.incr("reads_inline_mem")
+        return self._finish(request,
+                            RPCReply(inline_bytes=nbytes, data=payload,
+                                     meta=meta))
 
     def _h_lock(self, srv: RPCServer, request: RPCRequest) -> Generator:
         """Advisory whole-file lock (Section 4.2.2: explicit locks restore

@@ -306,7 +306,7 @@ class ShardRouter:
             shard, seg_off, seg_n, blocks = segments[0]
             yield from self._read_segment(name, shard, seg_off, seg_n,
                                           blocks, results, 0, span)
-        else:
+        elif segments:
             procs = [self.sim.process(
                 self._read_segment(name, shard, seg_off, seg_n, blocks,
                                    results, slot, span),
@@ -366,7 +366,7 @@ class ShardRouter:
             _, seg_off, seg_n, _ = segments[0]
             yield from self._write_segment(name, seg_off, seg_n,
                                            results, 0, span)
-        else:
+        elif segments:
             procs = [self.sim.process(
                 self._write_segment(name, seg_off, seg_n, results, slot,
                                     span),
@@ -377,4 +377,5 @@ class ShardRouter:
         self.stats.incr("write_bytes", nbytes)
         if span is not None:
             span.finish(self.host.name)
-        return results[0]
+        # An empty range touches no block, so no server replies to it.
+        return results[0] if results else None

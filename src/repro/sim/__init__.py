@@ -12,14 +12,12 @@ from .core import (
     Timeout,
 )
 from .metrics import MetricsRegistry
-from .monitor import BusyTracker, Counter, LatencyStats, ThroughputMeter
+from .monitor import BusyTracker, Counter, LatencyStats
 from .rand import RandomStreams
 from .resources import BandwidthPipe, Request, Resource, Store
 from .timeseries import (
     TimeSeries,
-    TimeSeriesDump,
     TimeSeriesSampler,
-    load_timeseries_jsonl,
     rate_probe,
     ratio_probe,
 )
@@ -52,16 +50,13 @@ __all__ = [
     "Span",
     "StopSimulation",
     "Store",
-    "ThroughputMeter",
     "TimeSeries",
-    "TimeSeriesDump",
     "TimeSeriesSampler",
     "Timeout",
     "TraceDump",
     "TraceEvent",
     "Tracer",
     "load_jsonl",
-    "load_timeseries_jsonl",
     "rate_probe",
     "ratio_probe",
     "span_start",

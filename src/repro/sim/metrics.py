@@ -1,11 +1,11 @@
 """Unified metrics registry over the measurement instruments.
 
-The simulator's instruments (:class:`Counter`, :class:`ThroughputMeter`,
-:class:`LatencyStats`, :class:`BusyTracker`) historically floated freely
-inside components; the registry binds them under hierarchical dotted
-names (``server.cache``, ``client0.nic``, …) so one ``snapshot()`` call
-reads out the whole system — ``server.cache.hits``,
-``client0.nic.dma_bytes`` — and one ``to_json()`` exports it.
+The simulator's instruments (:class:`Counter`, :class:`LatencyStats`,
+:class:`BusyTracker`) historically floated freely inside components; the
+registry binds them under hierarchical dotted names (``server.cache``,
+``client0.nic``, …) so one ``snapshot()`` call reads out the whole
+system — ``server.cache.hits``, ``client0.nic.dma_bytes`` — and one
+``to_json()`` exports it.
 
 Components keep owning their instruments; the registry only references
 them, so registration costs nothing on the hot path. ``Cluster`` builds
@@ -18,8 +18,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterator, Optional
 
-from .core import Simulator
-from .monitor import BusyTracker, Counter, LatencyStats, ThroughputMeter
+from .monitor import BusyTracker, Counter, LatencyStats
 
 
 class MetricsRegistry:
@@ -38,35 +37,6 @@ class MetricsRegistry:
             raise ValueError(f"metric {name!r} already registered")
         self._instruments[name] = instrument
         return instrument
-
-    def unregister(self, name: str) -> None:
-        self._instruments.pop(name, None)
-
-    # -- create-or-get helpers --------------------------------------------
-
-    def counter(self, name: str) -> Counter:
-        inst = self._instruments.get(name)
-        if inst is None:
-            inst = self.register(name, Counter())
-        return inst
-
-    def latency(self, name: str) -> LatencyStats:
-        inst = self._instruments.get(name)
-        if inst is None:
-            inst = self.register(name, LatencyStats(name))
-        return inst
-
-    def throughput(self, sim: Simulator, name: str) -> ThroughputMeter:
-        inst = self._instruments.get(name)
-        if inst is None:
-            inst = self.register(name, ThroughputMeter(sim, name))
-        return inst
-
-    def busy(self, sim: Simulator, name: str) -> BusyTracker:
-        inst = self._instruments.get(name)
-        if inst is None:
-            inst = self.register(name, BusyTracker(sim, name))
-        return inst
 
     # -- access ------------------------------------------------------------
 
@@ -91,8 +61,6 @@ class MetricsRegistry:
             return dict(instrument.as_dict())
         if isinstance(instrument, LatencyStats):
             return instrument.summary()
-        if isinstance(instrument, ThroughputMeter):
-            return {"total": instrument.total, "rate": instrument.rate()}
         if isinstance(instrument, BusyTracker):
             out: Dict[str, Any] = {
                 "busy_us": instrument.busy_us,

@@ -1,4 +1,4 @@
-"""Measurement instruments: utilization, latency, and throughput meters.
+"""Measurement instruments: utilization, latency, and event counters.
 
 Every figure in the paper is either a throughput, a CPU utilization, or a
 response time; these classes are the common read-out path for all of them.
@@ -157,48 +157,6 @@ class LatencyStats:
                 "hist": self.histogram()}
 
 
-class ThroughputMeter:
-    """Counts bytes (or operations) over a measurement window.
-
-    ``rate()`` returns units per microsecond; ``mb_per_s()`` converts a
-    byte meter to the MB/s used throughout the paper (1 MB = 1e6 bytes,
-    matching the paper's link-rate arithmetic: 2 Gb/s = 250 MB/s).
-    """
-
-    def __init__(self, sim: Simulator, name: str = ""):
-        self.sim = sim
-        self.name = name
-        self.total = 0.0
-        self._window_start = 0.0
-        self._window_mark = 0.0
-
-    def add(self, amount: float) -> None:
-        if amount < 0:
-            raise ValueError(f"negative meter increment: {amount}")
-        self.total += amount
-
-    def reset_window(self) -> None:
-        self._window_start = self.sim.now
-        self._window_mark = self.total
-
-    def window_total(self) -> float:
-        return self.total - self._window_mark
-
-    def rate(self) -> float:
-        elapsed = self.sim.now - self._window_start
-        if elapsed <= 0:
-            return 0.0
-        return (self.total - self._window_mark) / elapsed
-
-    def mb_per_s(self) -> float:
-        """Bytes/µs happens to equal MB/s (1e6 B / 1e6 µs)."""
-        return self.rate()
-
-    def per_second(self) -> float:
-        """Operations per second for an operation-count meter."""
-        return self.rate() * 1e6
-
-
 class Counter:
     """Named integer counters with a tiny dict interface."""
 
@@ -216,12 +174,6 @@ class Counter:
 
     def as_dict(self) -> Dict[str, int]:
         return dict(self._counts)
-
-    def ratio(self, numerator: str, denominator: str) -> Optional[float]:
-        den = self.get(denominator)
-        if den == 0:
-            return None
-        return self.get(numerator) / den
 
     def hit_ratio(self) -> float:
         """``hits / (hits + misses)``; 0.0 before the first lookup."""

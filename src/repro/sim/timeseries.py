@@ -22,23 +22,18 @@ Probes come in three flavors:
 * :func:`ratio_probe` — the windowed ratio of two cumulative counters
   (hit rate over the last interval, not since boot).
 
-Serialization mirrors the tracer's JSONL: a header line with ring
-accounting, then one line per series; :func:`load_timeseries_jsonl`
-round-trips the file.
+The series are saved in the tracer's JSONL, one line per series:
+``Tracer.dump_jsonl(path, series=sampler.series)``, and
+:func:`repro.sim.trace.load_jsonl` returns them as ``TraceDump.series``.
 """
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from typing import (Any, Callable, Deque, Dict, Generator, Iterator, List,
                     Optional, Sequence, Tuple)
 
 from .core import Event, Simulator
-
-#: Marker values for the JSONL line kinds.
-TIMESERIES_HEADER_KIND = "timeseries-header"
-TIMESERIES_KIND = "timeseries"
 
 GaugeFn = Callable[[], float]
 
@@ -267,74 +262,3 @@ class TimeSeriesSampler:
             if series.points:
                 out[f"last.{name}"] = series.last
         return out
-
-    # -- (de)serialization -------------------------------------------------
-
-    def to_jsonl(self) -> str:
-        """The whole sampler state as JSON lines (header + one line per
-        series). Deterministic: probes serialize in registration order."""
-        lines = [json.dumps({
-            "kind": TIMESERIES_HEADER_KIND, "version": 1,
-            "interval_us": self.interval_us, "ticks": self.ticks,
-            "dropped": self.dropped, "series": list(self._probes),
-        })]
-        for name in self._probes:
-            series = self.series[name]
-            lines.append(json.dumps({
-                "kind": TIMESERIES_KIND, "name": name,
-                "dropped": series.dropped,
-                "points": [[ts, value] for ts, value in series.points],
-            }))
-        return "\n".join(lines) + "\n"
-
-    def dump_jsonl(self, path: str) -> int:
-        """Write :meth:`to_jsonl` to ``path``; returns the series count."""
-        with open(path, "w") as fh:
-            fh.write(self.to_jsonl())
-        return len(self._probes)
-
-
-class TimeSeriesDump:
-    """A sampler's series loaded back from JSONL."""
-
-    def __init__(self, series: Dict[str, List[Tuple[float, float]]],
-                 interval_us: float = 0.0, ticks: int = 0,
-                 dropped: int = 0):
-        self.series = series
-        self.interval_us = interval_us
-        self.ticks = ticks
-        self.dropped = dropped
-
-    def __len__(self) -> int:
-        return len(self.series)
-
-    def names(self) -> List[str]:
-        return list(self.series)
-
-    def window_mean(self, name: str, t0: float = 0.0,
-                    t1: float = float("inf")) -> Optional[float]:
-        return window_mean(self.series[name], t0, t1)
-
-
-def load_timeseries_jsonl(path: str) -> TimeSeriesDump:
-    """Load a :meth:`TimeSeriesSampler.dump_jsonl` file back into memory."""
-    series: Dict[str, List[Tuple[float, float]]] = {}
-    interval_us = 0.0
-    ticks = 0
-    dropped = 0
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            kind = record.get("kind")
-            if kind == TIMESERIES_HEADER_KIND:
-                interval_us = record.get("interval_us", 0.0)
-                ticks = record.get("ticks", 0)
-                dropped = record.get("dropped", 0)
-            elif kind == TIMESERIES_KIND:
-                series[record["name"]] = [
-                    (point[0], point[1]) for point in record["points"]]
-    return TimeSeriesDump(series, interval_us=interval_us, ticks=ticks,
-                          dropped=dropped)

@@ -17,13 +17,18 @@ normal runs.
 Typical use::
 
     tracer = Tracer.attach(cluster.sim)
+    sampler = cluster.attach_sampler()  # optional telemetry
     ... run workload ...
     for ev in tracer.filter(kind="ordma-fault"):
         print(ev)
     for span in tracer.spans:
         print(span.rid, span.path, span.breakdown())
-    tracer.dump_jsonl("trace.jsonl")
-    dump = load_jsonl("trace.jsonl")   # round-trips events AND spans
+    tracer.dump_jsonl("trace.jsonl", series=sampler.series)
+    dump = load_jsonl("trace.jsonl")   # events, spans and sampled series
+    dump.series["server.cpu.util"]     # [(ts, value), ...]
+
+One file carries what ``repro-bench trace --input`` needs to name each
+data path's dominant resource and to export counter tracks.
 """
 
 from __future__ import annotations
@@ -31,13 +36,16 @@ from __future__ import annotations
 import itertools
 import json
 from collections import deque
-from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import (Any, Deque, Dict, Iterator, List, Mapping, Optional,
+                    Tuple)
 
 from .core import Simulator
+from .timeseries import TimeSeries
 
 #: Marker values for the non-event JSONL line kinds.
 HEADER_KIND = "trace-header"
 SPAN_KIND = "trace-span"
+SERIES_KIND = "trace-series"
 
 
 class TraceEvent:
@@ -249,12 +257,16 @@ class Tracer(_TraceQueries):
 
     # -- export ------------------------------------------------------------
 
-    def dump_jsonl(self, path: str) -> int:
+    def dump_jsonl(self, path: str,
+                   series: Optional[Mapping[str, TimeSeries]] = None
+                   ) -> int:
         """Write the trace as JSON lines; returns the data-line count.
 
         The first line is a header carrying the ring buffer's
         ``emitted``/``dropped`` accounting, followed by the buffered
-        events in insertion (= time) order, then the buffered spans.
+        events in insertion (= time) order, then the buffered spans, then
+        one line per sampled series in ``series`` (a sampler's
+        ``series``: name, the ring's ``dropped`` count, points).
         :func:`load_jsonl` round-trips the whole file.
         """
         count = 0
@@ -275,29 +287,37 @@ class Tracer(_TraceQueries):
                 record.update(span.as_dict())
                 fh.write(json.dumps(record, default=str) + "\n")
                 count += 1
+            for name, ring in (series or {}).items():
+                fh.write(json.dumps({
+                    "kind": SERIES_KIND, "name": name,
+                    "dropped": ring.dropped,
+                    "points": [[ts, value] for ts, value in ring],
+                }) + "\n")
+                count += 1
         return count
 
 
 class TraceDump(_TraceQueries):
-    """A trace loaded back from JSONL: events + spans + ring metadata."""
+    """A trace loaded back from JSONL: events, spans, sampled series
+    (``{name: [(ts, value), ...]}``) and ring metadata."""
 
     def __init__(self, events: List[TraceEvent], spans: List[Span],
-                 emitted: int = 0, dropped: int = 0):
+                 series: Dict[str, List[Tuple[float, float]]],
+                 emitted: int, dropped: int):
         self.events = events
         self.spans = spans
+        self.series = series
         self.emitted = emitted
         self.dropped = dropped
 
 
 def load_jsonl(path: str) -> TraceDump:
-    """Load a :meth:`Tracer.dump_jsonl` file back into memory.
-
-    Headerless (pre-header-format) dumps load too; their ``emitted``
-    count falls back to the number of event lines.
-    """
+    """Load a :meth:`Tracer.dump_jsonl` file back into memory; a file
+    without the header line is not a trace dump (``ValueError``)."""
     events: List[TraceEvent] = []
     spans: List[Span] = []
-    emitted = dropped = None
+    series: Dict[str, List[Tuple[float, float]]] = {}
+    header: Optional[Dict[str, Any]] = None
     with open(path) as fh:
         for line in fh:
             line = line.strip()
@@ -306,18 +326,21 @@ def load_jsonl(path: str) -> TraceDump:
             record = json.loads(line)
             kind = record.get("kind")
             if kind == HEADER_KIND:
-                emitted = record.get("emitted", 0)
-                dropped = record.get("dropped", 0)
+                header = record
             elif kind == SPAN_KIND:
                 spans.append(Span.from_dict(record))
+            elif kind == SERIES_KIND:
+                series[record["name"]] = [(ts, value) for ts, value
+                                          in record["points"]]
             else:
                 ts = record.pop("ts")
                 component = record.pop("component")
                 record.pop("kind", None)
                 events.append(TraceEvent(ts, component, kind, record))
-    return TraceDump(events, spans,
-                     emitted=len(events) if emitted is None else emitted,
-                     dropped=dropped or 0)
+    if header is None:
+        raise ValueError(f"{path}: no {HEADER_KIND} line")
+    return TraceDump(events, spans, series, emitted=header["emitted"],
+                     dropped=header["dropped"])
 
 
 def emit(sim: Simulator, component: str, kind: str, **detail: Any) -> None:

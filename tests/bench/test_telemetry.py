@@ -95,10 +95,10 @@ class TestCli:
             telemetry.main(["--systems", "nfs,bogus"])
 
     def test_dump_writes_jsonl(self, tmp_path, capsys):
-        from repro.sim import load_timeseries_jsonl
-        path = tmp_path / "ts.jsonl"
+        from repro.sim import load_jsonl
+        path = tmp_path / "t.jsonl"
         assert telemetry.main(["--quick", "--seed", "7",
                                "--dump", str(path)]) == 0
-        dump = load_timeseries_jsonl(str(path))
-        assert dump.ticks > 0
-        assert "server.cpu.util" in dump.names()
+        dump = load_jsonl(str(path))
+        assert dump.finished_spans(op="read")
+        assert dump.series["server.cpu.util"]

@@ -52,7 +52,8 @@ class TestCriticalPath:
         live = tracecli.run_workload(system="odafs", blocks=16,
                                      sample_interval_us=50.0)
         spans = live["tracer"].finished_spans(op="read")
-        dominant = tracecli.dominant_resources(spans, live["sampler"])
+        dominant = tracecli.dominant_resources(spans,
+                                               live["sampler"].series)
         assert dominant
         for name, mean in dominant.values():
             assert name.endswith(tracecli._UTIL_SUFFIXES)
@@ -116,16 +117,40 @@ class TestCLI:
 
     def test_perfetto_and_timeseries_outputs(self, tmp_path, capsys):
         from repro.bench import traceexport
-        from repro.sim import load_timeseries_jsonl
+        from repro.sim import load_jsonl
         perfetto = tmp_path / "trace.json"
-        ts = tmp_path / "ts.jsonl"
+        dump_path = tmp_path / "t.jsonl"
         assert tracecli.main(["--quick", "--perfetto", str(perfetto),
-                              "--timeseries", str(ts)]) == 0
+                              "--dump", str(dump_path)]) == 0
         capsys.readouterr()
         assert traceexport.main([str(perfetto)]) == 0
         assert "OK" in capsys.readouterr().out
-        dump = load_timeseries_jsonl(str(ts))
-        assert dump.ticks > 0 and "server.cpu.util" in dump.names()
+        dump = load_jsonl(str(dump_path))
+        assert dump.series["server.cpu.util"]
+        with open(perfetto) as fh:
+            tracks = traceexport.counter_tracks(json.load(fh))
+        assert set(tracks) == set(dump.series)
+
+    def test_replayed_dump_reproduces_the_live_critical_path(self, tmp_path,
+                                                             capsys):
+        """A saved run names the same dominant resources and exports the
+        same Perfetto file, counter tracks included, as the live run."""
+        dump = tmp_path / "t.jsonl"
+        live = tmp_path / "live.json"
+        replay = tmp_path / "replay.json"
+        assert tracecli.main(["--quick", "--seed", "7", "--dump",
+                              str(dump)]) == 0
+        capsys.readouterr()
+        assert tracecli.main(["--quick", "--seed", "7", "--critical-path",
+                              "--perfetto", str(live), "--json"]) == 0
+        live_out = json.loads(capsys.readouterr().out)
+        assert tracecli.main(["--input", str(dump), "--critical-path",
+                              "--perfetto", str(replay), "--json"]) == 0
+        replay_out = json.loads(capsys.readouterr().out)
+        assert replay.read_bytes() == live.read_bytes()
+        assert replay_out["critical_path"] == live_out["critical_path"]
+        assert all(table["dominant_resource"]
+                   for table in replay_out["critical_path"].values())
 
     def test_perfetto_from_input_dump(self, tmp_path, capsys):
         dump = tmp_path / "t.jsonl"

@@ -25,7 +25,7 @@ def doc(live):
     tracer = live["tracer"]
     return traceexport.build_trace(events=list(tracer),
                                    spans=tracer.finished_spans(),
-                                   series=live["sampler"])
+                                   series=live["sampler"].series)
 
 
 class TestBuildTrace:
@@ -93,16 +93,18 @@ class TestValidate:
 
 
 class TestDeterminism:
-    def test_same_seed_same_bytes(self):
-        def export():
+    def test_same_seed_same_bytes(self, tmp_path):
+        def export(dump_path):
             live = run_sampled(blocks=4)
             tracer = live["tracer"]
+            series = live["sampler"].series
             doc = traceexport.build_trace(
                 events=list(tracer), spans=tracer.finished_spans(),
-                series=live["sampler"])
-            return traceexport.to_json(doc), live["sampler"].to_jsonl()
+                series=series)
+            tracer.dump_jsonl(str(dump_path), series=series)
+            return traceexport.to_json(doc), dump_path.read_bytes()
 
-        assert export() == export()
+        assert export(tmp_path / "a.jsonl") == export(tmp_path / "b.jsonl")
 
     def test_campaign_jobs_parallel_equivalence(self):
         kwargs = dict(blocks=4, seed=7)
@@ -110,8 +112,6 @@ class TestDeterminism:
         parallel = telemetry.run_campaign(["nfs", "odafs"], jobs=2,
                                           **kwargs)
         assert serial == parallel
-        assert [r["jsonl"] for r in serial] == \
-            [r["jsonl"] for r in parallel]
 
 
 class TestDumpAndCli:
@@ -120,7 +120,7 @@ class TestDumpAndCli:
         path = tmp_path / "trace.json"
         count = traceexport.dump_perfetto(
             str(path), events=list(tracer),
-            spans=tracer.finished_spans(), series=live["sampler"])
+            spans=tracer.finished_spans(), series=live["sampler"].series)
         assert count > 0
         assert traceexport.main([str(path)]) == 0
         assert "OK" in capsys.readouterr().out
@@ -136,13 +136,15 @@ class TestDumpAndCli:
         assert traceexport.main([]) == 2
 
     def test_export_from_trace_dump_without_series(self, tmp_path, live):
-        # --input mode: spans reloaded from JSONL, no sampler attached.
+        # --input mode on a dump written without the sampled series.
         from repro.sim import load_jsonl
         dump_path = tmp_path / "trace.jsonl"
         live["tracer"].dump_jsonl(str(dump_path))
         dump = load_jsonl(str(dump_path))
+        assert dump.series == {}
         doc = traceexport.build_trace(events=dump.events,
-                                      spans=dump.finished_spans())
+                                      spans=dump.finished_spans(),
+                                      series=dump.series)
         assert traceexport.validate(doc) == []
         assert traceexport.counter_tracks(doc) == {}
 
@@ -156,7 +158,7 @@ class TestFig7Story:
             # 16 blocks: long enough that the steady ORDMA phase (not
             # the RPC warm-up pass) dominates the ODAFS run.
             live = run_sampled(system=system, blocks=16)
-            doc = traceexport.build_trace(series=live["sampler"])
+            doc = traceexport.build_trace(series=live["sampler"].series)
             values = [row["args"]["value"]
                       for row in doc["traceEvents"]
                       if row["ph"] == "C"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.fs.files import FileSystem, FileSystemError
+from repro.fs.files import FileSystem, FileSystemError, block_range
 
 
 @pytest.fixture
@@ -75,6 +75,13 @@ def test_blocks_in_range(fs):
         fs.blocks_in_range("a", 8192, 16384)
     with pytest.raises(FileSystemError):
         fs.blocks_in_range("a", -1, 4096)
+
+
+def test_block_range_of_an_empty_range_is_empty():
+    assert list(block_range(4095, 2, 4096)) == [0, 1]
+    assert list(block_range(8192, 4096, 4096)) == [2]
+    for offset in (0, 4097, 8192):
+        assert list(block_range(offset, 0, 4096)) == []
 
 
 def test_names(fs):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster import SYSTEMS, Cluster
-from repro.params import KB
+from repro.params import KB, default_params
 
 
 def make_cluster(system, **kw):
@@ -84,6 +84,71 @@ def test_direct_read_into_a_short_user_buffer_raises(system):
     with pytest.raises(ValueError, match="user buffer too small: 4096 < 8192"):
         cluster.sim.run_process(reader())
     assert client.stats.get("reads") == 0
+
+
+def test_read_with_an_unknown_mode_is_refused_before_any_block_is_read():
+    from repro.proto.rpc import RPCError
+    cluster = make_cluster("nfs")
+    cluster.create_file("f", 16 * KB)
+    cache_stats = cluster.cache.stats.as_dict()
+
+    def reader(client):
+        try:
+            yield from client._call("read", {"name": "f", "offset": 0,
+                                             "nbytes": 8 * KB,
+                                             "mode": "bogus"})
+        except RPCError as exc:
+            return str(exc)
+
+    assert "bad mode bogus" in cluster.sim.run_process(
+        reader(cluster.clients[0]))
+    assert cluster.server.stats.get("reads") == 0
+    assert cluster.server.stats.get("read_bytes") == 0
+    assert cluster.cache.stats.as_dict() == cache_stats
+
+
+def _zero_byte_cluster(case):
+    if case == "router":
+        params = default_params()
+        params.shard.n_servers = 2
+        return Cluster(params, system="odafs", block_size=4 * KB,
+                       client_kwargs={"cache_blocks": 8})
+    if case == "dafs-uncached":
+        return make_cluster("dafs", client_kwargs={})
+    return make_cluster(case)
+
+
+@pytest.mark.parametrize("case", [*SYSTEMS, "dafs-uncached", "router"])
+def test_zero_byte_read_returns_no_block_and_fetches_nothing(case):
+    cluster = _zero_byte_cluster(case)
+    cluster.create_file("f", 16 * KB)
+    mem = cluster.client_hosts[0].mem
+    buffers = mem.buffer_count()
+    cache_stats = [cache.stats.as_dict() for cache in cluster.caches]
+
+    def reader(client):
+        data = yield from client.read("f", 4 * KB, 0)
+        return data
+
+    assert cluster.sim.run_process(reader(cluster.clients[0])) == ()
+    assert [cache.stats.as_dict() for cache in cluster.caches] == \
+        cache_stats
+    assert all(server.stats.get("read_bytes") == 0
+               for server in cluster.servers)
+    assert mem.buffer_count() == buffers
+
+
+def test_zero_byte_write_through_the_router_writes_nothing():
+    cluster = _zero_byte_cluster("router")
+    cluster.create_file("f", 16 * KB)
+
+    def writer(client):
+        meta = yield from client.write("f", 4 * KB, 0)
+        return meta
+
+    assert cluster.sim.run_process(writer(cluster.clients[0])) is None
+    assert all(server.stats.get("writes") == 0
+               for server in cluster.servers)
 
 
 def test_open_delegation_makes_reopens_local():

@@ -12,7 +12,6 @@ from repro.sim import (
     LatencyStats,
     MetricsRegistry,
     Simulator,
-    ThroughputMeter,
 )
 
 
@@ -32,25 +31,13 @@ class TestMetricsRegistry:
         with pytest.raises(ValueError):
             reg.register("", Counter())
 
-    def test_create_or_get_helpers(self):
-        sim = Simulator()
-        reg = MetricsRegistry()
-        c = reg.counter("client0.ops")
-        assert reg.counter("client0.ops") is c
-        lat = reg.latency("client0.read_us")
-        assert reg.latency("client0.read_us") is lat
-        assert isinstance(reg.throughput(sim, "net.bytes"),
-                          ThroughputMeter)
-        assert isinstance(reg.busy(sim, "server.cpu"), BusyTracker)
-        assert sorted(reg.names()) == ["client0.ops", "client0.read_us",
-                                       "net.bytes", "server.cpu"]
-
     def test_snapshot_flattens_hierarchical_names(self):
         sim = Simulator()
         reg = MetricsRegistry()
-        reg.counter("server.cache").incr("hits", 3)
-        reg.latency("client0.read_us").record(10.0)
-        reg.busy(sim, "server.cpu").add(5.0, category="copy")
+        reg.register("server.cache", Counter()).incr("hits", 3)
+        reg.register("client0.read_us", LatencyStats()).record(10.0)
+        reg.register("server.cpu", BusyTracker(sim)).add(5.0,
+                                                         category="copy")
         snap = reg.snapshot()
         assert snap["server.cache.hits"] == 3
         assert snap["client0.read_us.mean"] == 10.0
@@ -59,24 +46,17 @@ class TestMetricsRegistry:
 
     def test_json_round_trip(self):
         reg = MetricsRegistry()
-        reg.counter("server.ops").incr("reads", 7)
-        reg.latency("lat").record(4.0)
+        reg.register("server.ops", Counter()).incr("reads", 7)
+        reg.register("lat", LatencyStats()).record(4.0)
         restored = json.loads(reg.to_json())
         assert restored == reg.snapshot()
 
     def test_subtree(self):
         reg = MetricsRegistry()
-        reg.counter("server.cache").incr("hits")
-        reg.counter("client0.cache").incr("hits")
+        reg.register("server.cache", Counter()).incr("hits")
+        reg.register("client0.cache", Counter()).incr("hits")
         sub = reg.subtree("server.cache")
         assert sub == {"server.cache.hits": 1}
-
-    def test_unregister(self):
-        reg = MetricsRegistry()
-        reg.register("a", Counter())
-        reg.unregister("a")
-        assert "a" not in reg
-        reg.unregister("a")  # idempotent
 
     def test_unsupported_instrument_rejected(self):
         with pytest.raises(TypeError):

@@ -8,7 +8,6 @@ from repro.sim import (
     LatencyStats,
     RandomStreams,
     Simulator,
-    ThroughputMeter,
 )
 
 
@@ -135,46 +134,6 @@ class TestLatencyStats:
         assert stats.histogram() == {}
 
 
-class TestThroughputMeter:
-    def test_rate_in_window(self):
-        sim = Simulator()
-        meter = ThroughputMeter(sim)
-
-        def proc():
-            yield sim.timeout(10.0)
-            meter.reset_window()
-            meter.add(500.0)
-            yield sim.timeout(5.0)
-
-        sim.run_process(proc())
-        assert meter.rate() == pytest.approx(100.0)
-        assert meter.mb_per_s() == pytest.approx(100.0)
-        assert meter.per_second() == pytest.approx(100.0 * 1e6)
-        assert meter.window_total() == 500.0
-
-    def test_zero_window(self):
-        meter = ThroughputMeter(Simulator())
-        meter.add(10.0)
-        assert meter.rate() == 0.0
-
-    def test_window_reset_at_nonzero_time_is_zero(self):
-        sim = Simulator()
-        meter = ThroughputMeter(sim)
-
-        def proc():
-            yield sim.timeout(10.0)
-            meter.add(500.0)
-            meter.reset_window()
-
-        sim.run_process(proc())
-        assert meter.rate() == 0.0
-        assert meter.per_second() == 0.0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            ThroughputMeter(Simulator()).add(-1.0)
-
-
 class TestCounter:
     def test_incr_get_ratio(self):
         counter = Counter()
@@ -182,8 +141,7 @@ class TestCounter:
         counter.incr("misses")
         assert counter.get("hits") == 3
         assert counter.get("unknown") == 0
-        assert counter.ratio("hits", "misses") == 3.0
-        assert counter.ratio("hits", "nothing") is None
+        assert counter.hit_ratio() == 0.75
         assert counter.as_dict() == {"hits": 3, "misses": 1}
 
     def test_reset(self):

@@ -1,4 +1,7 @@
-"""Continuous telemetry: sampler scheduling, probes, and serialization."""
+"""Continuous telemetry: sampler scheduling, probes, and serialization
+through the tracer's JSONL."""
+
+import json
 
 import pytest
 
@@ -6,7 +9,8 @@ from repro.cluster import Cluster
 from repro.sim import (
     Simulator,
     TimeSeriesSampler,
-    load_timeseries_jsonl,
+    Tracer,
+    load_jsonl,
     rate_probe,
     ratio_probe,
 )
@@ -191,9 +195,10 @@ class TestSampler:
 
 
 class TestSerialization:
-    def _sampled(self):
+    def _sampled(self, capacity=8192):
         sim = Simulator()
-        sampler = TimeSeriesSampler(sim, interval_us=10.0)
+        sampler = TimeSeriesSampler(sim, interval_us=10.0,
+                                    capacity=capacity)
         sampler.probe("a.x", lambda: sim.now)
         sampler.probe("a.y", lambda: 2.0 * sim.now)
         proc = run_for(sim, 100.0)
@@ -201,20 +206,39 @@ class TestSerialization:
         sim.run()
         return sampler
 
-    def test_jsonl_round_trip(self, tmp_path):
+    def _dump(self, path):
         sampler = self._sampled()
+        tracer = Tracer(sampler.sim)
+        assert tracer.dump_jsonl(str(path), series=sampler.series) == 2
+        return sampler
+
+    def test_jsonl_round_trip(self, tmp_path):
         path = tmp_path / "ts.jsonl"
-        assert sampler.dump_jsonl(str(path)) == 2
-        dump = load_timeseries_jsonl(str(path))
-        assert dump.names() == ["a.x", "a.y"]
-        assert dump.ticks == sampler.ticks
-        assert dump.interval_us == 10.0
+        sampler = self._dump(path)
+        dump = load_jsonl(str(path))
+        assert list(dump.series) == ["a.x", "a.y"]
+        assert len(dump.series["a.x"]) == sampler.ticks
         assert dump.series["a.x"] == list(sampler.series["a.x"].points)
-        assert dump.window_mean("a.y", 0.0, 100.0) == \
+        assert window_mean(dump.series["a.y"], 0.0, 100.0) == \
             sampler.window_mean("a.y", 0.0, 100.0)
 
-    def test_to_jsonl_is_deterministic(self):
-        assert self._sampled().to_jsonl() == self._sampled().to_jsonl()
+    def test_series_line_carries_the_rings_dropped_count(self, tmp_path):
+        sampler = self._sampled(capacity=4)
+        path = tmp_path / "ts.jsonl"
+        Tracer(sampler.sim).dump_jsonl(str(path), series=sampler.series)
+        record = json.loads(path.read_text().splitlines()[1])
+        assert record == {
+            "kind": "trace-series", "name": "a.x",
+            "dropped": sampler.ticks - 4,
+            "points": [[ts, value] for ts, value in sampler.series["a.x"]]}
+        assert load_jsonl(str(path)).series["a.x"] == \
+            list(sampler.series["a.x"].points)
+
+    def test_to_jsonl_is_deterministic(self, tmp_path):
+        self._dump(tmp_path / "a.jsonl")
+        self._dump(tmp_path / "b.jsonl")
+        assert (tmp_path / "a.jsonl").read_bytes() == \
+            (tmp_path / "b.jsonl").read_bytes()
 
 
 class TestClusterIntegration:

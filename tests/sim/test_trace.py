@@ -192,11 +192,11 @@ class TestSpans:
         assert len(dump.finished_spans()) == 1
         assert dump.finished_spans()[0].duration == pytest.approx(12.0)
 
-    def test_load_headerless_legacy_dump(self, tmp_path):
-        path = tmp_path / "legacy.jsonl"
+    def test_load_refuses_a_file_without_the_header(self, tmp_path):
+        path = tmp_path / "no-header.jsonl"
         path.write_text('{"ts": 1.0, "component": "c", "kind": "k"}\n')
-        dump = load_jsonl(str(path))
-        assert dump.emitted == 1 and len(dump.events) == 1
+        with pytest.raises(ValueError, match="no trace-header line"):
+            load_jsonl(str(path))
 
     def test_clear_drops_spans(self):
         sim = Simulator()
