@@ -223,8 +223,8 @@ def ablation_batch_io(params: Optional[Params] = None,
                 extents = [((group * batch + j) * block, block, buffers[j])
                            for j in range(batch)]
                 if batch == 1:
-                    yield from client.read_direct("f", extents[0][0], block,
-                                                  buffers[0])
+                    yield from client.read("f", extents[0][0], block,
+                                           buffers[0])
                 else:
                     yield from client.read_batch("f", extents)
             elapsed = cluster.sim.now - start

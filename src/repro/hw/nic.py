@@ -184,7 +184,7 @@ class NIC:
         if self.sim.tracer is not None:
             self.sim.tracer.emit(self.name, "gm-send", dst=dst, port=port,
                                  bytes=nbytes, msg=msg.msg_id)
-        self.sim.spawn(self._tx(msg, from_host=True, fetch_descriptor=True))
+        self._post(msg)
 
     # ------------------------------------------------------------------
     # Ethernet emulation (UDP/IP path)
@@ -201,7 +201,7 @@ class NIC:
         msg = Message(MsgKind.ETH, self.name, dst, nbytes, port=port,
                       data=data, meta=meta or {})
         self.stats.incr("eth_send")
-        self.sim.spawn(self._tx(msg, from_host=True, fetch_descriptor=True))
+        self._post(msg)
 
     # ------------------------------------------------------------------
     # RDDP-RPC support (Section 3.2): tagged pre-posted user buffers
@@ -247,7 +247,7 @@ class NIC:
         if span is not None:
             span.mark(self.name, "nic.doorbell", op="rdma-put",
                       bytes=nbytes)
-        self.sim.spawn(self._tx(msg, from_host=True, fetch_descriptor=True))
+        self._post(msg)
         if self.rdma_timeout_us is None:
             result = yield done
         else:
@@ -281,7 +281,7 @@ class NIC:
         if span is not None:
             span.mark(self.name, "nic.doorbell", op="rdma-get",
                       bytes=nbytes)
-        self.sim.spawn(self._tx(msg, from_host=True, fetch_descriptor=True))
+        self._post(msg)
         if self.rdma_timeout_us is None:
             data = yield done
         else:
@@ -312,11 +312,14 @@ class NIC:
     # Transmit engine (NIC context)
     # ------------------------------------------------------------------
 
-    def _tx(self, msg: Message, from_host: bool,
-            fetch_descriptor: bool) -> Generator:
+    def _post(self, msg: Message) -> None:
+        """Send a message the host posted: the NIC fetches its descriptor,
+        and the send task starts when the fetch completes."""
+        self.sim.spawn_after(self.pci.descriptor_fetch(),
+                             self._tx(msg, from_host=True))
+
+    def _tx(self, msg: Message, from_host: bool) -> Generator:
         mtu, header = self._wire_format(msg)
-        if fetch_descriptor:
-            yield self.pci.descriptor_fetch()
         for frame in fragment(msg, mtu, header):
             frame_cost = self.params.nic.tx_frame_us
             if (self.params.net.emulate_gm_get_bug
@@ -551,8 +554,7 @@ class NIC:
             data = corrupt_payload(data, "ordma")
         resp = Message(MsgKind.RDMA_GET_RESP, self.name, msg.src, nbytes,
                        data=data, meta={"for": msg.msg_id})
-        self.sim.spawn(self._tx(resp, from_host=True,
-                                fetch_descriptor=False))
+        self.sim.spawn(self._tx(resp, from_host=True))
 
     def _rx_get_response(self, frame: Frame) -> Generator:
         msg = frame.message
@@ -577,5 +579,4 @@ class NIC:
 
     def _nic_send(self, msg: Message) -> None:
         """Transmit a NIC-originated control message (ack/fault)."""
-        self.sim.spawn(self._tx(msg, from_host=False,
-                                fetch_descriptor=False))
+        self.sim.spawn(self._tx(msg, from_host=False))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, Optional
 
+from ...fs.files import block_payload
 from ...hw.host import Host
 from ...hw.memory import Buffer
 from ...net.packet import Message
@@ -183,7 +184,20 @@ class NASClient:
 
     def read(self, name: str, offset: int, nbytes: int,
              app_buffer: Optional[Buffer] = None) -> Generator:
-        """Read ``nbytes`` at ``offset``; returns the payload object."""
+        """Read ``nbytes`` at ``offset``; returns the payload object.
+
+        An empty range touches no block, so in every system it costs
+        nothing: no RPC, no CPU time, no count and no buffer, and the
+        payload is the empty block list. Any other range takes the
+        system's :meth:`_read`.
+        """
+        if not nbytes:
+            return block_payload([])
+        return (yield from self._read(name, offset, nbytes, app_buffer))
+
+    def _read(self, name: str, offset: int, nbytes: int,
+              app_buffer: Optional[Buffer]) -> Generator:
+        """The system's read of a non-empty range."""
         raise NotImplementedError
 
     def write(self, name: str, offset: int, nbytes: int) -> Generator:

@@ -54,12 +54,9 @@ class DAFSClient(NASClient):
 
     # -- direct path ---------------------------------------------------------
 
-    def read_direct(self, name: str, offset: int, nbytes: int,
-                    app_buffer: Optional[Buffer] = None) -> Generator:
+    def _read_direct(self, name: str, offset: int, nbytes: int,
+                     app_buffer: Optional[Buffer]) -> Generator:
         """Read straight into a registered application buffer."""
-        if not nbytes:
-            # An empty range touches no block: nothing to transfer.
-            return block_payload([])
         span = self._start_span("read", name=name, offset=offset,
                                 nbytes=nbytes)
         if span is not None and self.rpc_read_mode == "direct":
@@ -120,12 +117,12 @@ class DAFSClient(NASClient):
     def _absorb_refs(self, response) -> None:
         """ODAFS hook: harvest piggybacked references (no-op for DAFS)."""
 
-    def read(self, name: str, offset: int, nbytes: int,
-             app_buffer: Optional[Buffer] = None) -> Generator:
+    def _read(self, name: str, offset: int, nbytes: int,
+              app_buffer: Optional[Buffer]) -> Generator:
         """Read via the client cache if configured, else directly."""
         if self.cache is None:
-            data = yield from self.read_direct(name, offset, nbytes,
-                                               app_buffer)
+            data = yield from self._read_direct(name, offset, nbytes,
+                                                app_buffer)
             return data
         span = self._start_span("read", name=name, offset=offset,
                                 nbytes=nbytes)

@@ -68,8 +68,8 @@ class NFSClient(NASClient):
         payload = self.host.params.net.ip_fragment_payload
         return max(1, math.ceil(nbytes / payload))
 
-    def read(self, name: str, offset: int, nbytes: int,
-             app_buffer: Optional[Buffer] = None) -> Generator:
+    def _read(self, name: str, offset: int, nbytes: int,
+              app_buffer: Optional[Buffer]) -> Generator:
         span = self._start_span("read", name=name, offset=offset,
                                 nbytes=nbytes)
         yield from self._syscall()

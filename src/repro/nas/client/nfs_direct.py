@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
-from ...fs.files import block_payload
 from ...hw.host import Host
 from ...hw.memory import Buffer
 from ...proto.udp import UDPStack
@@ -26,11 +25,8 @@ class NFSDirectClient(NASClient):
     def __init__(self, host: Host, server: str, port: int = NFS_PORT):
         super().__init__(host, UDPStack(host).socket(port), server)
 
-    def read(self, name: str, offset: int, nbytes: int,
-             app_buffer: Optional[Buffer] = None) -> Generator:
-        if not nbytes:
-            # An empty range touches no block: nothing to transfer.
-            return block_payload([])
+    def _read(self, name: str, offset: int, nbytes: int,
+              app_buffer: Optional[Buffer]) -> Generator:
         if app_buffer is None:
             # Direct transfer needs a target user buffer.
             app_buffer = self.host.mem.alloc(nbytes, name="nfs-direct-anon")

@@ -5,6 +5,16 @@ host owns a transmit pipe and a receive pipe at link rate; the switch is
 cut-through with a fixed forwarding latency. Contention appears exactly
 where it did on the testbed: a server streaming to two clients serializes
 on the server's transmit link (Fig. 7's saturation point).
+
+A frame costs the kernel one event from :meth:`Switch.transmit` to the
+receiving NIC over an idle receive link, and two when that link is busy
+(an injected delay adds one): the send reserves the transmit link and
+schedules the switch exit at exactly the time a timeout per leg would
+reach, and the exit accounts the receive link's cut-through transfer.
+The times are the per-leg ones, but the exit draws its seq when the frame
+is sent, where those timeouts drew theirs later, so the order among
+events at one instant is kept by check (seeded outputs compared byte for
+byte against the per-leg path), not by construction.
 """
 
 from __future__ import annotations
@@ -93,43 +103,58 @@ class Switch:
         }
 
     def transmit(self, src: str, frame: Frame) -> None:
-        """Serialize ``frame`` on the source link, then forward it.
+        """Send ``frame`` from host ``src`` across the fabric.
 
-        Called from NIC context. The frame occupies the sender's transmit
-        pipe, crosses the switch after the forwarding latency, queues on the
-        destination's receive pipe, and is finally handed to the receiving
-        NIC.
+        Called from NIC context. The frame takes the sender's transmit
+        link at once, queueing behind the frames already on it, and leaves
+        the switch once it has serialized and crossed the forwarding
+        latency and both propagation delays: one kernel event, at the time
+        a timeout for each leg would reach.
         """
         if frame.dst not in self._ports:
             raise KeyError(f"unknown destination host {frame.dst!r}")
-        self.sim.spawn(self._transmit(src, frame))
-
-    def _transmit(self, src: str, frame: Frame):
-        src_port = self._ports[src]
-        dst_port = self._ports[frame.dst]
-        if self.sim.tracer is not None:
-            self.sim.tracer.emit(self.name, "link-tx-start", src=src,
-                                 dst=frame.dst, bytes=frame.wire_bytes,
-                                 msg=frame.message.msg_id, frame=frame.index)
-        yield src_port.tx.transfer(frame.wire_bytes)
+        sim = self.sim
+        if sim.tracer is not None:
+            sim.tracer.emit(self.name, "link-tx-start", src=src,
+                            dst=frame.dst, bytes=frame.wire_bytes,
+                            msg=frame.message.msg_id, frame=frame.index)
+        sent = sim.now + self._ports[src].tx.reserve(frame.wire_bytes)
         hop = self.params.switch_us + 2 * self.params.propagation_us
-        yield self.sim.timeout(hop)
-        # Cut-through: with an idle receive link the bits streamed in while
-        # the sender serialized, so arrival is immediate; under convergence
-        # the frame queues for the receive link's full serialization time.
+        sim.call_at(sent + hop, self._exit, src, frame)
+
+    def _exit(self, src: str, frame: Frame) -> None:
+        """The frame leaves the switch: injected fabric faults drop it (or
+        CRC-corrupt it, equivalent at the receiver) or stretch its
+        forwarding latency, else it enters the receive link."""
         if self.faults is not None:
-            # Injected fabric faults: drop (or CRC-corrupt, equivalent at
-            # the receiver) the frame, or stretch its forwarding latency.
             fate, extra_us = self.faults.frame_fate(src, frame.dst)
             if fate != "ok":
                 self.frames_dropped += 1
                 return
             if extra_us > 0.0:
-                yield self.sim.timeout(extra_us)
-        yield dst_port.rx.transfer_cut_through(frame.wire_bytes)
+                self.sim.call_at(self.sim.now + extra_us, self._receive,
+                                 src, frame)
+                return
+        self._receive(src, frame)
+
+    def _receive(self, src: str, frame: Frame) -> None:
+        """Cut-through onto the receive link: with the link idle the bits
+        streamed in while the sender serialized, so the frame reaches the
+        NIC now; under convergence it waits out the link's full
+        serialization time."""
+        sim = self.sim
+        delay = self._ports[frame.dst].rx.reserve_cut_through(
+            frame.wire_bytes)
+        if delay > 0.0:
+            sim.call_at(sim.now + delay, self._deliver, src, frame)
+        else:
+            self._deliver(src, frame)
+
+    def _deliver(self, src: str, frame: Frame) -> None:
+        """Hand the frame, fully drained, to the receiving NIC."""
         self.frames_forwarded += 1
         if self.sim.tracer is not None:
             self.sim.tracer.emit(self.name, "link-tx-end", src=src,
                                  dst=frame.dst, bytes=frame.wire_bytes,
                                  msg=frame.message.msg_id, frame=frame.index)
-        dst_port.deliver(frame)
+        self._ports[frame.dst].deliver(frame)

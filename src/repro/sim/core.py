@@ -40,21 +40,29 @@ this loop, so per-hop constant factors dominate campaign wall-clock):
   ``Timeout`` inline their state flips around it.
 * ``run()`` is the only dispatch loop: pop, dispatch and recycle are
   inlined in it, with no per-event method call.
-* **Detached tasks**: work nothing waits on — a frame crossing the
-  switch, a NIC receiving a frame or sending a message, an RPC being
-  served — starts with :meth:`Simulator.spawn` instead of
-  :meth:`Simulator.process`. Its bootstrap is the same trampoline,
-  drawn at the same moment, but there is no :class:`Process` object and
-  no completion event. Only that event, which nothing could observe,
-  goes; every other event keeps its ``(time, seq)`` order by
-  construction, and ``sim._seq`` falls by one per finished task.
+* **Detached tasks**: work nothing waits on — a NIC receiving a frame or
+  sending a message, an RPC being served — starts with
+  :meth:`Simulator.spawn` instead of :meth:`Simulator.process`. Its
+  bootstrap is the same trampoline, drawn at the same moment, but there
+  is no :class:`Process` object and no completion event. Only that
+  event, which nothing could observe, goes; every other event keeps its
+  ``(time, seq)`` order by construction, and ``sim._seq`` falls by one
+  per finished task.
+* **One event where there were several**: a CPU or firmware service is
+  one ``Resource.hold``; a frame crossing the switch is one
+  :meth:`Simulator.call_at` for its exit, scheduled when it is sent; a
+  NIC send task starts from its descriptor fetch with
+  :meth:`Simulator.spawn_after`, with no bootstrap. Each event lands at
+  the time the steps it replaces reached, but draws its seq earlier than
+  the last of them did, so the order among events due at one instant is
+  kept by check, not by construction: seeded campaign outputs and
+  digests are compared byte for byte against the commit before.
 
-None of this changes event ordering: the (time, seq) dispatch discipline
-and the points at which seq is drawn are exactly the old ones (run-queue
-entries draw seqs too), so seeded runs are bit-identical to the
-pre-optimization kernel. ``sim._seq`` itself differs only by the
-completion events detached tasks no longer draw — the seeded digest
-tests in ``tests/sim/test_core_runqueue.py`` pin both.
+Apart from that last item, none of this changes event ordering: the
+(time, seq) dispatch discipline and the points at which seq is drawn are
+the old ones (run-queue entries draw seqs too). ``sim._seq`` falls by the
+events that went — the seeded digest tests in
+``tests/sim/test_core_runqueue.py`` pin it next to the simulated time.
 """
 
 from __future__ import annotations
@@ -162,13 +170,20 @@ class Event:
 class _Trampoline(Event):
     """Kernel-internal single-callback event, pooled by the simulator.
 
-    Used for process bootstrap, relays off already-processed targets, and
-    interrupt wakeups. Never handed to model code, so the simulator can
+    Used for process bootstrap, relays off already-processed targets,
+    interrupt wakeups and :meth:`Simulator.call_at` calls. Never handed
+    to model code, so the simulator can
     reset and reuse the object (and its callback list) immediately after
     dispatch.
     """
 
     __slots__ = ()
+
+
+def _call(event: _Trampoline) -> None:
+    """Callback of a :meth:`Simulator.call_at` event: run ``fn(*args)``."""
+    fn, args = event._value
+    fn(*args)
 
 
 class Timeout(Event):
@@ -434,9 +449,9 @@ class Simulator:
         else:
             _heappush(self._heap, (when, self._seq, event))
 
-    def _trampoline(self, callback: Callable[[Event], None], value: Any,
-                    ok: bool) -> None:
-        """Schedule ``callback`` for the current time on a pooled event."""
+    def _pooled(self, callback: Callable[[Event], None], value: Any,
+                ok: bool) -> "_Trampoline":
+        """A trampoline from the free list, loaded but not scheduled."""
         pool = self._trampolines
         if pool:
             tramp = pool.pop()
@@ -445,6 +460,12 @@ class Simulator:
         tramp.callbacks.append(callback)
         tramp._value = value
         tramp._ok = ok
+        return tramp
+
+    def _trampoline(self, callback: Callable[[Event], None], value: Any,
+                    ok: bool) -> None:
+        """Schedule ``callback`` for the current time on a pooled event."""
+        tramp = self._pooled(callback, value, ok)
         tramp._scheduled = True
         self._seq += 1
         self._runq.append(tramp)
@@ -510,6 +531,18 @@ class Simulator:
         """
         self._trampoline(_Task(self, gen)._resume, None, True)
 
+    def spawn_after(self, event: Event, gen: Generator) -> None:
+        """Start ``gen`` as a detached task when ``event`` fires.
+
+        The first step runs in ``event``'s own dispatch, so the task costs
+        no bootstrap: ``spawn_after(sim.timeout(d), gen)`` is one kernel
+        event where ``spawn`` of a generator whose first statement yields
+        that timeout is two. ``event`` must not have fired yet, and must
+        succeed with ``None`` (a fresh generator takes no other value).
+        Otherwise the task behaves as one started by :meth:`spawn`.
+        """
+        event.add_callback(_Task(self, gen)._resume)
+
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """An event that fires when every child event has succeeded."""
         return AllOf(self, events)
@@ -518,16 +551,18 @@ class Simulator:
         """An event that fires when the first child event succeeds."""
         return AnyOf(self, events)
 
-    def call_at(self, when: float, fn: Callable[[], None]) -> Event:
-        """Run ``fn()`` at absolute time ``when`` (>= now)."""
+    def call_at(self, when: float, fn: Callable[..., None],
+                *args: Any) -> None:
+        """Run ``fn(*args)`` at absolute time ``when`` (>= now).
+
+        The call lands on exactly ``when``; ``timeout(when - now)`` lands
+        on ``now + (when - now)``, which rounding can move off ``when``.
+        One pooled kernel event, recycled after dispatch, so there is no
+        handle to wait on.
+        """
         if when < self.now:
             raise SimulationError(f"call_at in the past: {when} < {self.now}")
-        ev = Event(self)
-        ev.add_callback(lambda _e: fn())
-        ev._value = None
-        ev._ok = True
-        self.schedule_at(ev, when)
-        return ev
+        self.schedule_at(self._pooled(_call, (fn, args), True), when)
 
     # -- execution -------------------------------------------------------
 

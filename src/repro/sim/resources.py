@@ -173,6 +173,12 @@ class BandwidthPipe:
     plus an optional fixed per-transfer overhead. This models link
     serialization, DMA engines, and bus occupancy. Bandwidth is in bytes
     per microsecond (i.e. MB/s ≈ B/µs).
+
+    :meth:`transfer` returns an event for a process to wait on (the PCI
+    bus). :meth:`reserve` and :meth:`reserve_cut_through` take the same
+    occupancy and return the delay instead, for a caller that schedules
+    its own next step: the switch, which carries a frame across the
+    fabric in one kernel event.
     """
 
     def __init__(
@@ -196,37 +202,40 @@ class BandwidthPipe:
     def occupancy(self, nbytes: int) -> float:
         return self.per_transfer_us + nbytes / self.bandwidth
 
-    def transfer(self, nbytes: int) -> Event:
-        """Return an event that fires when ``nbytes`` have moved."""
+    def _charge(self, nbytes: int) -> float:
+        """Count one transfer of ``nbytes``; returns its occupancy."""
         if nbytes < 0:
             raise SimulationError(f"negative transfer size: {nbytes}")
-        start = max(self.sim.now, self._free_at)
         duration = self.occupancy(nbytes)
-        self._free_at = start + duration
         self.stats_bytes += nbytes
         self.stats_transfers += 1
         self.stats_busy_us += duration
-        return self.sim.timeout(self._free_at - self.sim.now)
+        return duration
 
-    def transfer_cut_through(self, nbytes: int) -> Event:
-        """Drain-side transfer whose bits streamed in while upstream sent.
+    def reserve(self, nbytes: int) -> float:
+        """Queue ``nbytes`` behind what the pipe has taken on; returns the
+        µs from now until they have moved."""
+        now = self.sim.now
+        self._free_at = max(now, self._free_at) + self._charge(nbytes)
+        return self._free_at - now
+
+    def transfer(self, nbytes: int) -> Event:
+        """Return an event that fires when ``nbytes`` have moved."""
+        return self.sim.timeout(self.reserve(nbytes))
+
+    def reserve_cut_through(self, nbytes: int) -> float:
+        """Drain-side transfer whose bits streamed in while upstream sent;
+        returns the µs from now until it has drained.
 
         Models the receive leg of a cut-through fabric: if this pipe was
         idle while the sender serialized (a window of one occupancy ending
-        now), the transfer completes immediately; otherwise it queues behind
-        the in-progress transfer and pays full serialization. Occupancy is
+        now), the delay is 0.0; otherwise the transfer queues behind the
+        one in progress and pays full serialization. Occupancy is
         accounted either way, so converging senders contend correctly.
         """
-        if nbytes < 0:
-            raise SimulationError(f"negative transfer size: {nbytes}")
         now = self.sim.now
-        duration = self.occupancy(nbytes)
-        arrival = max(now, self._free_at + duration)
-        self._free_at = arrival
-        self.stats_bytes += nbytes
-        self.stats_transfers += 1
-        self.stats_busy_us += duration
-        return self.sim.timeout(arrival - now)
+        self._free_at = max(now, self._free_at + self._charge(nbytes))
+        return self._free_at - now
 
     def utilization(self, elapsed_us: Optional[float] = None) -> float:
         elapsed = elapsed_us if elapsed_us is not None else self.sim.now

@@ -54,6 +54,9 @@ class TestRunSuite:
             self, suite_doc):
         # The sampler-overhead guard: with telemetry off, the rpc_reads
         # bench must simulate exactly what the committed baseline did.
+        # The baseline's events were re-pinned (26933 -> 21165) when a
+        # frame crossed the switch in one kernel event and a NIC send
+        # started from its descriptor fetch; ops and sim_us did not move.
         import json
         import os
         path = os.path.join(os.path.dirname(__file__), os.pardir,

@@ -73,13 +73,16 @@ class TestSeedKernelRegression:
         single-client path: the admission layer must leave it untouched
         down to the event count. ops and sim_us are the pre-scheduler
         kernel's; events were re-pinned (14287 -> 10813) when CPU and
-        NIC-firmware services became one kernel event each, and again
+        NIC-firmware services became one kernel event each, again
         (10813 -> 9013) when work nothing waits on became detached tasks
-        with no completion event. ops and sim_us did not move."""
+        with no completion event, and a third time (9013 -> 7085) when a
+        frame crossed the switch in one kernel event and a NIC send
+        started from its descriptor fetch. ops and sim_us did not
+        move."""
         result = perf.bench_rpc_reads(quick=True)
         assert result["ops"] == 128
         assert result["sim_us"] == 18638.490222222088
-        assert result["events"] == 9013
+        assert result["events"] == 7085
 
 
 class TestRender:

@@ -125,6 +125,9 @@ def test_zero_byte_read_returns_no_block_and_fetches_nothing(case):
     mem = cluster.client_hosts[0].mem
     buffers = mem.buffer_count()
     cache_stats = [cache.stats.as_dict() for cache in cluster.caches]
+    cluster.sim.run()  # let start-up work (posted receives) settle first
+    start = cluster.sim.now
+    before = cluster.metrics.snapshot()
 
     def reader(client):
         data = yield from client.read("f", 4 * KB, 0)
@@ -136,6 +139,12 @@ def test_zero_byte_read_returns_no_block_and_fetches_nothing(case):
     assert all(server.stats.get("read_bytes") == 0
                for server in cluster.servers)
     assert mem.buffer_count() == buffers
+    # One rule in every system: no RPC and no count, so no metric moves.
+    after = cluster.metrics.snapshot()
+    assert {name: (before.get(name), value)
+            for name, value in after.items()
+            if before.get(name) != value} == {}
+    assert cluster.sim.now == start
 
 
 def test_zero_byte_write_through_the_router_writes_nothing():

@@ -178,6 +178,40 @@ def test_spawn_starts_like_process_in_call_order():
                      (1.0, "a"), (1.0, "b"), (1.0, "c")]
 
 
+def test_spawn_after_steps_first_in_the_events_own_dispatch():
+    """A task started from an event has no bootstrap: its first step
+    runs when the event fires, in that event's (time, seq) place, and it
+    goes on as a spawned task. One timeout, one kernel event."""
+    sim = Simulator()
+    order = []
+
+    def worker():
+        order.append((sim.now, "task"))
+        yield sim.timeout(1.0)
+        order.append((sim.now, "task"))
+
+    assert sim.spawn_after(sim.timeout(2.0), worker()) is None
+    sim.timeout(2.0).add_callback(lambda _e: order.append((sim.now, "later")))
+    assert sim._seq == 2
+    assert order == []
+    sim.run()
+    assert order == [(2.0, "task"), (2.0, "later"), (3.0, "task")]
+    assert sim._seq == 3
+
+
+def test_spawn_after_a_processed_event_is_rejected():
+    sim = Simulator()
+    done = sim.event()
+    done.succeed()
+    sim.run()
+
+    def worker():
+        yield sim.timeout(1.0)
+
+    with pytest.raises(SimulationError):
+        sim.spawn_after(done, worker())
+
+
 def test_simultaneous_events_fire_in_schedule_order():
     sim = Simulator()
     order = []
@@ -281,6 +315,16 @@ def test_call_at_runs_function_at_absolute_time():
     sim.call_at(12.0, lambda: seen.append(sim.now))
     sim.run()
     assert seen == [12.0]
+
+
+def test_call_at_passes_its_arguments_at_the_exact_time():
+    sim = Simulator()
+    seen = []
+    sim.call_at(0.1 + 0.2, lambda *args: seen.append((sim.now, args)),
+                "frame", 3)
+    sim.run()
+    assert seen == [(0.1 + 0.2, ("frame", 3))]
+    assert sim._seq == 1
 
 
 def test_call_at_in_the_past_rejected():

@@ -9,8 +9,9 @@ a randomized property test that interleaves heap and run-queue events
 at equal timestamps, and end-to-end (ops, sim_us, events) digest
 triples whose ops and sim_us were captured on the pre-fast-lane kernel
 (commit 11f4674). They also pin the rule that a CPU or NIC-firmware
-service (``Resource.hold``) is exactly one kernel event, and that model
-code starts work nothing waits on as a detached task
+service (``Resource.hold``) is exactly one kernel event, that a frame
+crosses the switch in one kernel event (two onto a busy receive link),
+and that model code starts work nothing waits on as a detached task
 (``Simulator.spawn``), which draws no completion event.
 """
 
@@ -23,7 +24,9 @@ import pytest
 import repro
 from repro.cluster import Cluster
 from repro.hw.cpu import CPU
-from repro.params import KB, HostParams, default_params
+from repro.net import Switch
+from repro.net.packet import Message, MsgKind, fragment
+from repro.params import KB, HostParams, NetworkParams, default_params
 from repro.sim import Simulator
 
 
@@ -118,13 +121,15 @@ def test_zero_delay_timeout_after_heap_entry_at_same_time():
 # sim_us are still the pre-fast-lane kernel's (commit 11f4674), byte for
 # byte. events were re-pinned (nfs 18232 -> 12322, odafs 15134 -> 11643)
 # when CPU and NIC-firmware services became one kernel event each
-# (Resource.hold) instead of a grant plus a timeout, and again (nfs
+# (Resource.hold) instead of a grant plus a timeout, again (nfs
 # 12322 -> 10576, odafs 11643 -> 9707) when work nothing waits on became
-# detached tasks (Simulator.spawn) with no completion event; ops and
-# sim_us did not move either time.
+# detached tasks (Simulator.spawn) with no completion event, and a third
+# time (nfs 10576 -> 9025, odafs 9707 -> 7580) when a frame crossed the
+# switch in one kernel event and a NIC send started from its descriptor
+# fetch; ops and sim_us did not move any time.
 KERNEL_PINS = {
-    "nfs": (192, 30188.019111110654, 10576),
-    "odafs": (192, 13409.801777777688, 9707),
+    "nfs": (192, 30188.019111110654, 9025),
+    "odafs": (192, 13409.801777777688, 7580),
 }
 PIN_BLOCKS = 48
 
@@ -161,8 +166,8 @@ def _smallio_cluster(system, n_servers=1):
 def test_kernel_digest_identical_to_pre_fastlane_kernel(system):
     """An nfs and an odafs smallio run must reproduce the pinned
     (ops, sim_us, events) triple: ops and sim_us from the pre-fast-lane
-    kernel, events from the kernel with one event per service and
-    detached tasks."""
+    kernel, events from the kernel with one event per service, detached
+    tasks, and one event per frame across the switch."""
     cluster = _smallio_cluster(system)
     ops = 2 * 2 * PIN_BLOCKS  # two clients, two passes each
     assert (ops, cluster.sim.now, cluster.sim._seq) == KERNEL_PINS[system]
@@ -184,6 +189,56 @@ def test_cpu_service_is_one_kernel_event(n):
     sim.run()
     assert sim.now == 10.0 * n
     assert sim._seq == 2 * n + n
+
+
+T0 = 10.0
+
+
+def _full_frames_to_c(srcs):
+    """At ``T0``, send one full GM frame to host c from each host in
+    ``srcs``. Returns c's arrival times, the kernel events drawn from the
+    first ``transmit`` on, and the fabric's parameters."""
+    net = NetworkParams()
+    sim = Simulator()
+    switch = Switch(sim, net)
+    switch.attach("a")
+    switch.attach("b")
+    arrivals = []
+    switch.attach("c").set_handler(lambda frame: arrivals.append(sim.now))
+    first_seq = []
+
+    def send():
+        first_seq.append(sim._seq)
+        for src in srcs:
+            msg = Message(MsgKind.GM_SEND, src, "c", net.gm_mtu)
+            switch.transmit(src, fragment(msg, net.gm_mtu,
+                                          net.gm_header_bytes)[0])
+
+    sim.call_at(T0, send)
+    sim.run()
+    return arrivals, sim._seq - first_seq[0], net
+
+
+def test_frame_over_idle_links_is_one_kernel_event():
+    """From ``Switch.transmit`` to the receiving port, a frame over idle
+    links costs one kernel event, its switch exit, and arrives at exactly
+    the time a timeout per leg reached: serialization, then the switch
+    and two propagation delays."""
+    arrivals, events, net = _full_frames_to_c(["a"])
+    wire = net.gm_mtu + net.gm_header_bytes
+    assert events == 1
+    assert arrivals == [(T0 + wire / net.link_bw)
+                        + (net.switch_us + 2 * net.propagation_us)]
+
+
+def test_frame_onto_a_busy_receive_link_is_two_kernel_events():
+    """A second frame converging on c's receive link exits at the same
+    instant, finds the link taken and is handed over one serialization
+    later: two kernel events, its exit and the hand-over."""
+    arrivals, events, net = _full_frames_to_c(["a", "b"])
+    wire = net.gm_mtu + net.gm_header_bytes
+    assert events == 1 + 2
+    assert arrivals == [arrivals[0], arrivals[0] + wire / net.link_bw]
 
 
 @pytest.mark.parametrize("n_servers", [1, 2])

@@ -245,27 +245,20 @@ class TestBandwidthPipe:
 
         def proc():
             yield sim.timeout(50.0)
-            yield pipe.transfer_cut_through(1000)
-            return sim.now
+            return pipe.reserve_cut_through(1000)
 
-        assert sim.run_process(proc()) == pytest.approx(50.0)
+        assert sim.run_process(proc()) == 0.0
+        assert pipe.stats_busy_us == pytest.approx(10.0)
 
     def test_cut_through_busy_pipe_queues(self):
         sim = Simulator()
         pipe = BandwidthPipe(sim, bandwidth_bpus=100.0)
-        times = []
-
-        def proc():
-            yield pipe.transfer_cut_through(500)
-            times.append(sim.now)
-
-        sim.process(proc())
-        sim.process(proc())
-        sim.run()
         # First arrives immediately (bits streamed in); second queues for a
         # full serialization behind it.
-        assert times[0] == pytest.approx(0.0)
-        assert times[1] == pytest.approx(5.0)
+        delays = [pipe.reserve_cut_through(500), pipe.reserve_cut_through(500)]
+        assert delays[0] == 0.0
+        assert delays[1] == pytest.approx(5.0)
+        assert pipe.stats_transfers == 2
 
     def test_utilization_accounting(self):
         sim = Simulator()
