@@ -33,7 +33,7 @@ from ..hw.tpt import RemoteAccessFault
 from ..integrity import IntegrityError, is_corrupt
 from ..params import KB, Params, default_params
 from ..proto.rpc import RPCError
-from ..sim import LatencyStats, SimulationError, Tracer
+from ..sim import LatencyStats, Tracer
 from .figures import dafs_cache_kwargs
 from .plot import ascii_chart
 from .runner import add_campaign_args, campaign_json, positive_int, \
@@ -134,6 +134,8 @@ def run_point(system: str, fault_class: str, rate: float,
     below the file so the scan thrashes it and the disk path is actually
     exercised. Per-op failures (EIO after the server's retries) are
     counted, not fatal; only a hang/deadlock marks the point incomplete.
+    Any other error escapes the scan, and nothing waits on the scan, so
+    it propagates out of ``sim.run()`` with its own type.
     """
     block = 4 * KB
     p = params.copy() if params is not None else default_params()
@@ -151,13 +153,11 @@ def run_point(system: str, fault_class: str, rate: float,
     _configure(inj, fault_class, rate)
     inj.arm()
     scan = WarmScan(cluster, "chaos", blocks, passes)
-    completed = True
-    try:
-        cluster.sim.run_process(scan.reads())
-    except SimulationError:
-        # Deadlock: the workload hung on a lost event. This is exactly
-        # what the resilience layer exists to prevent — report it.
-        completed = False
+    proc = cluster.sim.process(scan.reads())
+    cluster.sim.run()
+    # An unfinished scan hung on a lost event: exactly what the
+    # resilience layer exists to prevent, so it is reported, not raised.
+    completed = proc.triggered
 
     elapsed = cluster.sim.now
     client = cluster.clients[0]

@@ -8,8 +8,6 @@ real (wall-clock) time:
   reported as events/second through the kernel heap.
 * ``allof_fanin`` — composite-condition fan-in (:class:`repro.sim.AllOf`
   over wide process barriers, the Fig. 7 / SFS workload shape).
-* ``interrupt_storm`` — many waiters parked on one event, then
-  interrupted: the retry/timeout churn of retry-heavy chaos runs.
 * ``link_frames`` — frames/second through the switch + bandwidth-pipe
   fabric path.
 * ``rpc_reads`` — end-to-end 4 KB cached reads/second through a full
@@ -52,22 +50,21 @@ from ..cluster import Cluster
 from ..net.link import Switch
 from ..net.packet import Message, MsgKind, fragment
 from ..params import KB, default_params
-from ..sim import Interrupt, Simulator
+from ..sim import Simulator
 from . import figures, runner
 
 #: Bump when bench shapes change incompatibly (invalidates --check).
 SCHEMA_VERSION = 2
 
 #: Normalized rates (rate / calibration) measured on the pre-optimization
-#: kernel with full shapes, before the trampoline pool / AllOf counter /
-#: O(1)-interrupt fast paths landed. Embedded in every suite document so
-#: BENCH_perf.json always carries the before/after trajectory. The
+#: kernel with full shapes, before the trampoline pool and AllOf counter
+#: fast paths landed. Embedded in every suite document so BENCH_perf.json
+#: always carries the before/after trajectory. The
 #: figure-sweep speedup below is from a single-CPU container, where
 #: ``--jobs`` cannot beat serial; it scales with available cores.
 SEED_KERNEL_REFERENCE = {
     "kernel_events": 0.023419,
     "allof_fanin": 0.005942,
-    "interrupt_storm": 0.005265,
     "link_frames": 0.002447,
     "rpc_reads": 0.000103,
     "figure_sweep": 0.993163,
@@ -78,8 +75,6 @@ KERNEL_PROCS = (64, 32)
 KERNEL_HOPS = (600, 200)
 ALLOF_FANIN = (64, 32)
 ALLOF_ROUNDS = (60, 20)
-INTERRUPT_WAITERS = (400, 150)
-INTERRUPT_ROUNDS = (12, 5)
 LINK_MESSAGES = (400, 150)
 LINK_MSG_BYTES = 16 * KB
 RPC_BLOCKS = (192, 64)
@@ -155,41 +150,6 @@ def bench_allof_fanin(quick: bool = False) -> Dict[str, Any]:
     return {"wall_s": wall, "events": sim._seq, "sim_us": sim.now,
             "child_triggers": triggers,
             "triggers_per_s": triggers / wall}
-
-
-def bench_interrupt_storm(quick: bool = False) -> Dict[str, Any]:
-    """Park many waiters on one event, interrupt them all, repeat.
-
-    Every waiter's resume callback sits in the shared event's callback
-    list, so each interrupt historically paid an O(waiters) list scan —
-    the shape of retry-heavy chaos runs with big timeout fan-ins.
-    """
-    waiters = INTERRUPT_WAITERS[quick]
-    rounds = INTERRUPT_ROUNDS[quick]
-    sim = Simulator()
-
-    def sleeper(gate):
-        try:
-            yield gate
-        except Interrupt:
-            pass
-
-    def main():
-        for _ in range(rounds):
-            gate = sim.event()
-            procs = [sim.process(sleeper(gate)) for _ in range(waiters)]
-            yield sim.timeout(1.0)
-            for proc in procs:
-                proc.interrupt("cancel")
-            yield sim.all_of(procs)
-
-    t0 = time.perf_counter()
-    sim.run_process(main())
-    wall = time.perf_counter() - t0
-    interrupts = waiters * rounds
-    return {"wall_s": wall, "events": sim._seq, "sim_us": sim.now,
-            "interrupts": interrupts,
-            "interrupts_per_s": interrupts / wall}
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +319,6 @@ def bench_figure_sweep(quick: bool = False,
 BENCHES = {
     "kernel_events": (bench_kernel_events, "events_per_s"),
     "allof_fanin": (bench_allof_fanin, "triggers_per_s"),
-    "interrupt_storm": (bench_interrupt_storm, "interrupts_per_s"),
     "link_frames": (bench_link_frames, "frames_per_s"),
     "rpc_reads": (bench_rpc_reads, "ops_per_s"),
 }
@@ -372,9 +331,9 @@ LATER_BENCHES = {
 }
 
 #: Deterministic (machine-independent) fields per bench, for --digest.
-DIGEST_FIELDS = ("events", "sim_us", "child_triggers", "interrupts",
-                 "frames", "ops", "samples", "identical", "checksum",
-                 "jobs", "clients", "rejected")
+DIGEST_FIELDS = ("events", "sim_us", "child_triggers", "frames", "ops",
+                 "samples", "identical", "checksum", "jobs", "clients",
+                 "rejected")
 
 
 def run_suite(quick: bool = False, jobs: int = 4, repeat: int = 3,

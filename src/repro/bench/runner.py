@@ -229,6 +229,16 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    """argparse ``type=`` for counts where zero means none: an integer
+    >= 0, so a negative count exits 2 with a usage message instead of
+    printing an empty section."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def positive_float(text: str) -> float:
     """argparse ``type=`` for intervals: a number > 0, so a zero or
     negative interval exits 2 with a usage message instead of a

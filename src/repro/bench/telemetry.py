@@ -198,6 +198,21 @@ def render_campaign(results: Sequence[Dict[str, Any]]) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _systems(text: str) -> List[str]:
+    """argparse ``type=`` for ``--systems``: comma-separated names from
+    :data:`SYSTEMS`, at least one, so an empty or unknown list exits 2
+    with a usage message instead of running an empty campaign."""
+    systems = [s.strip() for s in text.split(",") if s.strip()]
+    unknown = [s for s in systems if s not in SYSTEMS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown systems {unknown}; choose from {SYSTEMS}")
+    if not systems:
+        raise argparse.ArgumentTypeError(
+            f"must name at least one system, got {text!r}")
+    return systems
+
+
 def main(argv=None) -> int:
     """Entry point for ``repro-bench telemetry``."""
     parser = argparse.ArgumentParser(
@@ -207,7 +222,7 @@ def main(argv=None) -> int:
                     "utilizations across systems (--systems).")
     parser.add_argument("--system", default="odafs", choices=SYSTEMS,
                         help="NAS system for the single-run timelines")
-    parser.add_argument("--systems", metavar="A,B,...",
+    parser.add_argument("--systems", type=_systems, metavar="A,B,...",
                         help="comparison campaign over these systems "
                              "instead of single-run timelines")
     parser.add_argument("--blocks", type=runner.positive_int, default=None,
@@ -238,13 +253,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     blocks = args.blocks or (16 if args.quick else 64)
 
-    if args.systems:
-        systems = [s.strip() for s in args.systems.split(",") if s.strip()]
-        unknown = [s for s in systems if s not in SYSTEMS]
-        if unknown:
-            parser.error(f"unknown systems {unknown}; choose from "
-                         f"{SYSTEMS}")
-        results = run_campaign(systems, blocks=blocks,
+    if args.systems is not None:
+        results = run_campaign(args.systems, blocks=blocks,
                                block_kb=args.block_kb,
                                passes=args.passes,
                                interval_us=args.interval, seed=args.seed,

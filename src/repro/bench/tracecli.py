@@ -29,7 +29,8 @@ from ..sim import (LatencyStats, SimulationError, Span, Tracer, load_jsonl)
 from ..sim.timeseries import window_mean
 from . import traceexport
 from .figures import dafs_cache_kwargs
-from .runner import positive_float, positive_int, seeded_params
+from .runner import (non_negative_int, positive_float, positive_int,
+                     seeded_params)
 
 #: Order in which data paths are reported.
 PATH_ORDER = ("rpc", "rdma", "ordma", "ordma-fallback", "local")
@@ -454,7 +455,7 @@ def _select_waterfalls(spans: Sequence[Span], limit: int) -> List[Span]:
     extras = sorted((s for s in spans if s not in chosen),
                     key=lambda s: -s.duration)
     chosen.extend(extras)
-    return chosen[:max(0, limit)]
+    return chosen[:limit]
 
 
 def main(argv=None) -> int:
@@ -489,7 +490,7 @@ def main(argv=None) -> int:
                         metavar="US",
                         help="telemetry sampling interval in sim-us "
                              "(default 50)")
-    parser.add_argument("--waterfalls", type=int, default=3,
+    parser.add_argument("--waterfalls", type=non_negative_int, default=3,
                         help="how many span waterfalls to print")
     parser.add_argument("--quick", action="store_true",
                         help="smaller defaults (16 blocks); explicit "

@@ -377,7 +377,3 @@ class Cluster:
     def client_cpu_utilization(self, index: int = 0) -> float:
         """One client's CPU utilization over the measurement window."""
         return self.client_hosts[index].cpu.utilization()
-
-    def run(self, until: Optional[float] = None) -> None:
-        """Advance the simulation (thin wrapper over ``sim.run``)."""
-        self.sim.run(until=until)

@@ -8,7 +8,7 @@ Usage::
     inj.link_loss(0.01)                # 1% frame drop, steady state
     inj.schedule_server_crash(FaultSchedule.at([50_000.0]))
     inj.arm()
-    cluster.run()
+    cluster.sim.run()
 
 All randomness flows through named :class:`repro.sim.RandomStreams`
 streams derived from the cluster's master seed (``faults.link``,

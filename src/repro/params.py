@@ -133,10 +133,9 @@ class NetworkParams:
     #: GM per-frame header+trailer on the wire. 4096/(4196/250) = 244 MB/s,
     #: matching Table 2's GM/VI streaming bandwidth.
     gm_header_bytes: int = 100
-    #: Ethernet emulation MTU is 9 KB; UDP/IP fragments carry 8 KB payload
-    #: (Section 5.1: "performing data transfer in 8KB IP fragments").
-    eth_mtu: int = 9 * KB
-    #: UDP/IP payload carried per fragment on the Ethernet emulation.
+    #: UDP/IP payload carried per fragment on the Ethernet emulation, whose
+    #: MTU is 9 KB (Section 5.1: "performing data transfer in 8KB IP
+    #: fragments").
     ip_fragment_payload: int = 8 * KB
     #: Ethernet + IP + UDP headers per fragment.
     eth_header_bytes: int = 58

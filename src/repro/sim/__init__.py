@@ -4,11 +4,9 @@ from .core import (
     AllOf,
     AnyOf,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Simulator,
-    StopSimulation,
     Timeout,
 )
 from .metrics import MetricsRegistry
@@ -38,7 +36,6 @@ __all__ = [
     "BusyTracker",
     "Counter",
     "Event",
-    "Interrupt",
     "LatencyStats",
     "MetricsRegistry",
     "Process",
@@ -48,7 +45,6 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "Span",
-    "StopSimulation",
     "Store",
     "TimeSeries",
     "TimeSeriesSampler",

@@ -22,19 +22,19 @@ this loop, so per-hop constant factors dominate campaign wall-clock):
   FIFO order *is* seq order. Dispatch order is therefore exactly the old
   all-heap ``(time, seq)`` order, with no heap sift or entry tuple for
   the at-now majority of events.
-* Process bootstrap, already-processed-target relays, and interrupt
-  wakeups all use :class:`_Trampoline` events drawn from a per-simulator
-  free list and recycled right after dispatch — the per-hop allocation
-  churn of the old one-``Event``-per-resume scheme is gone. Trampolines
-  are invisible outside the kernel, so recycling cannot be observed.
+* Process bootstrap, already-processed-target relays and
+  :meth:`Simulator.call_at` calls use :class:`_Trampoline` events drawn
+  from a per-simulator free list and recycled right after dispatch — the
+  per-hop allocation churn of the old one-``Event``-per-resume scheme is
+  gone. Trampolines are invisible outside the kernel, so recycling
+  cannot be observed.
 * :class:`Timeout` objects — the kernel's most-allocated type, one per
   modeled latency — are drawn from a second free list. Unlike
   trampolines they *are* handed to model code, so a dispatched timeout
   is only recycled when ``sys.getrefcount`` proves the dispatch loop
   holds the last reference; a timeout the model still points at (held in
-  a variable, parked in a condition, or marked stale by an interrupt) is
-  simply left to the garbage collector. Recycling is therefore
-  unobservable by construction.
+  a variable or parked in a condition) is simply left to the garbage
+  collector. Recycling is therefore unobservable by construction.
 * :meth:`Simulator.schedule_at` is the slim scheduling path: one seq
   bump and one push, no guard re-checks. ``succeed``/``fail``/
   ``Timeout`` inline their state flips around it.
@@ -80,10 +80,6 @@ class SimulationError(RuntimeError):
     """Raised for misuse of the simulation kernel itself."""
 
 
-class StopSimulation(Exception):
-    """Raised internally to halt :meth:`Simulator.run` early."""
-
-
 PENDING = object()
 
 
@@ -112,10 +108,6 @@ class Event:
     @property
     def triggered(self) -> bool:
         return self._value is not PENDING and not self._deferred
-
-    @property
-    def processed(self) -> bool:
-        return self.callbacks is None
 
     @property
     def ok(self) -> Optional[bool]:
@@ -170,11 +162,10 @@ class Event:
 class _Trampoline(Event):
     """Kernel-internal single-callback event, pooled by the simulator.
 
-    Used for process bootstrap, relays off already-processed targets,
-    interrupt wakeups and :meth:`Simulator.call_at` calls. Never handed
-    to model code, so the simulator can
-    reset and reuse the object (and its callback list) immediately after
-    dispatch.
+    Used for process bootstrap, relays off already-processed targets and
+    :meth:`Simulator.call_at` calls. Never handed to model code, so the
+    simulator can reset and reuse the object (and its callback list)
+    immediately after dispatch.
     """
 
     __slots__ = ()
@@ -193,7 +184,7 @@ class Timeout(Event):
     objects from a free list; direct construction always allocates.
     """
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if delay < 0:
@@ -202,7 +193,6 @@ class Timeout(Event):
         # most-allocated object, one per modeled latency.
         self.sim = sim
         self.callbacks = []
-        self.delay = delay
         self._value = value
         self._ok = True
         self._scheduled = True
@@ -221,14 +211,6 @@ class Timeout(Event):
         raise SimulationError("Timeout triggers itself; do not call fail()")
 
 
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`."""
-
-    @property
-    def cause(self) -> Any:
-        return self.args[0] if self.args else None
-
-
 class Process(Event):
     """A running generator; also an event that fires when it finishes.
 
@@ -237,92 +219,49 @@ class Process(Event):
     process re-raises that exception in the waiter.
     """
 
-    __slots__ = ("_gen", "_waiting_on", "name", "_stale")
+    __slots__ = ("_gen", "name")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
         super().__init__(sim)
         self._gen = gen
-        self._waiting_on: Optional[Event] = None
-        #: Events this process was interrupted away from; their eventual
-        #: trigger is consumed silently (see :meth:`interrupt`).
-        self._stale: Optional[List[Event]] = None
         self.name = name or getattr(gen, "__name__", "process")
         # Kick off the process at the current simulation time.
         sim._trampoline(self._resume, None, True)
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its yield point.
-
-        The abandoned wait target is *marked stale* rather than scanned
-        out of the target's callback list — interrupting one of N waiters
-        is O(1), not O(N), which is what keeps retry-heavy chaos runs
-        (many timeouts parked on one event) linear. When the stale event
-        eventually fires, the process consumes and ignores it; a failure
-        carried by such an event is dropped with it, since this process
-        explicitly abandoned the wait.
-        """
-        if self._value is not PENDING and not self._deferred:
-            raise SimulationError("cannot interrupt a finished process")
-        target = self._waiting_on
-        if target is None:
-            raise SimulationError("cannot interrupt a process that has not started")
-        if target.callbacks is not None:
-            if self._stale is None:
-                self._stale = [target]
-            else:
-                self._stale.append(target)
-        self.sim._trampoline(self._resume, Interrupt(cause), False)
-
     def _resume(self, event: Event) -> None:
-        stale = self._stale
-        if stale is not None and event in stale:
-            # An abandoned wait fired after the interrupt; drop it.
-            stale.remove(event)
-            if not stale:
-                self._stale = None
-            return
-        self._waiting_on = None
         try:
             if event._ok:
                 target = self._gen.send(event._value)
             else:
                 target = self._gen.throw(event._value)
         except StopIteration as stop:
-            if self._value is PENDING:
-                self.succeed(stop.value)
+            self.succeed(stop.value)
             return
         except BaseException as exc:
-            if self._value is PENDING:
-                self.fail(exc)
-            else:  # pragma: no cover - double fault
-                raise
+            self.fail(exc)
             return
         if not isinstance(target, Event):
-            err = SimulationError(
-                f"process {self.name!r} yielded non-event {target!r}"
-            )
             self._gen.close()
-            if self._value is PENDING:
-                self.fail(err)
+            self.fail(SimulationError(
+                f"process {self.name!r} yielded non-event {target!r}"))
             return
         if target.callbacks is None:
             # Already processed: resume immediately on a fresh trampoline.
             self.sim._trampoline(self._resume, target._value, target._ok)
         else:
             target.callbacks.append(self._resume)
-        self._waiting_on = target
 
 
 class _Task:
     """A generator started by :meth:`Simulator.spawn`, which nothing can
-    wait on, interrupt or name.
+    wait on or name.
 
     Not an event: when the generator returns there is no completion to
     schedule, and an exception escaping it propagates out of the
     dispatch loop at once. Its loop is :meth:`Process._resume` without
-    the stale-wait check and the completion event. The two stay separate
-    short loops: a shared stepping routine costs every resume of both
-    kinds one more Python call, and measured slower for both.
+    the completion event. The two stay separate short loops: a shared
+    stepping routine costs every resume of both kinds one more Python
+    call, and measured slower for both.
     """
 
     __slots__ = ("sim", "_gen")
@@ -492,7 +431,6 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
         t = pool.pop()
-        t.delay = delay
         t._value = value
         t._ok = True
         t._scheduled = True
@@ -513,7 +451,7 @@ class Simulator:
         """Start ``gen`` as a process at the current time.
 
         The returned :class:`Process` is an event that fires when the
-        generator finishes, for callers that wait on it or interrupt it.
+        generator finishes, for callers that wait on it.
         Start work nothing waits on with :meth:`spawn` instead.
         """
         return Process(self, gen, name=name)
@@ -566,8 +504,8 @@ class Simulator:
 
     # -- execution -------------------------------------------------------
 
-    def run(self, until: Optional[float] = None) -> None:
-        """Run until the queues drain or simulated time reaches ``until``."""
+    def run(self) -> None:
+        """Dispatch events in ``(time, seq)`` order until none is left."""
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
@@ -584,48 +522,38 @@ class Simulator:
                     else:
                         event = runq.popleft()
                 elif heap:
-                    when = heap[0][0]
-                    if until is not None and when > until:
-                        self.now = until
-                        return
-                    event = _heappop(heap)[2]
-                    self.now = when
+                    self.now, _seq, event = _heappop(heap)
                 else:
-                    break
-                try:
-                    event._deferred = False
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    for fn in callbacks:
-                        fn(event)
-                    if event._ok is False and not callbacks:
-                        # A failed event nobody waited for is a lost
-                        # error; surface it.
-                        raise event._value
-                    cls = type(event)
-                    if cls is _Trampoline:
-                        self._recycle(event, callbacks)
-                    elif cls is Timeout and _getrefcount(event) == 2:
-                        # The dispatch loop holds the last reference —
-                        # the model let go of this timeout, so recycling
-                        # it cannot be observed.
-                        callbacks.clear()
-                        event.callbacks = callbacks
-                        event._value = PENDING
-                        event._ok = None
-                        event._scheduled = False
-                        timeouts.append(event)
-                except StopSimulation:
                     return
+                event._deferred = False
+                callbacks = event.callbacks
+                event.callbacks = None
+                for fn in callbacks:
+                    fn(event)
+                if event._ok is False and not callbacks:
+                    # A failed event nobody waited for is a lost error;
+                    # surface it.
+                    raise event._value
+                cls = type(event)
+                if cls is _Trampoline:
+                    self._recycle(event, callbacks)
+                elif cls is Timeout and _getrefcount(event) == 2:
+                    # The dispatch loop holds the last reference — the
+                    # model let go of this timeout, so recycling it
+                    # cannot be observed.
+                    callbacks.clear()
+                    event.callbacks = callbacks
+                    event._value = PENDING
+                    event._ok = None
+                    event._scheduled = False
+                    timeouts.append(event)
         finally:
             self._running = False
-        if until is not None and self.now < until:
-            self.now = until
 
-    def run_process(self, gen: Generator, until: Optional[float] = None) -> Any:
+    def run_process(self, gen: Generator) -> Any:
         """Convenience: run ``gen`` to completion and return its value."""
         proc = self.process(gen)
-        self.run(until=until)
+        self.run()
         if not proc.triggered:
             raise SimulationError(
                 f"process {proc.name!r} did not finish by t={self.now}"
@@ -633,7 +561,3 @@ class Simulator:
         if not proc._ok:
             raise proc._value
         return proc._value
-
-    def stop(self) -> None:
-        """Halt :meth:`run` from inside a callback or process."""
-        raise StopSimulation()

@@ -4,8 +4,8 @@ The simulator's instruments (:class:`Counter`, :class:`LatencyStats`,
 :class:`BusyTracker`) historically floated freely inside components; the
 registry binds them under hierarchical dotted names (``server.cache``,
 ``client0.nic``, …) so one ``snapshot()`` call reads out the whole
-system — ``server.cache.hits``, ``client0.nic.dma_bytes`` — and one
-``to_json()`` exports it.
+system — ``server.cache.hits``, ``client0.nic.dma_bytes`` — as one flat
+dict.
 
 Components keep owning their instruments; the registry only references
 them, so registration costs nothing on the hot path. ``Cluster`` builds
@@ -15,8 +15,7 @@ wiring time (see :mod:`repro.cluster`).
 
 from __future__ import annotations
 
-import json
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict
 
 from .monitor import BusyTracker, Counter, LatencyStats
 
@@ -39,12 +38,6 @@ class MetricsRegistry:
         return instrument
 
     # -- access ------------------------------------------------------------
-
-    def get(self, name: str) -> Any:
-        return self._instruments[name]
-
-    def names(self) -> Iterator[str]:
-        return iter(sorted(self._instruments))
 
     def __contains__(self, name: str) -> bool:
         return name in self._instruments
@@ -82,10 +75,6 @@ class MetricsRegistry:
             for leaf, value in values.items():
                 out[f"{name}.{leaf}"] = value
         return out
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """The snapshot as JSON (round-trips via ``json.loads``)."""
-        return json.dumps(self.snapshot(), indent=indent, default=str)
 
     def subtree(self, prefix: str) -> Dict[str, Any]:
         """Snapshot entries under ``prefix.`` (prefix itself excluded)."""

@@ -67,10 +67,11 @@ class BusyTracker:
 class LatencyStats:
     """Streaming response-time statistics (Table 3, PostMark latencies).
 
-    Count, mean, min, max and stdev are maintained as running aggregates
-    over every recorded sample; percentiles come from the samples
-    themselves. The sorted view used by :meth:`percentile` is cached
-    behind a dirty flag, so repeated percentile queries do not re-sort.
+    Count, mean and max are maintained as running aggregates over every
+    recorded sample; percentiles (``percentile(0)`` is the minimum) come
+    from the samples themselves. The sorted view used by
+    :meth:`percentile` is cached behind a dirty flag, so repeated
+    percentile queries do not re-sort.
     """
 
     def __init__(self, name: str = ""):
@@ -78,19 +79,11 @@ class LatencyStats:
         self._samples: List[float] = []
         self.reset()
 
-    @property
-    def samples(self) -> List[float]:
-        """The recorded samples, in arrival order."""
-        return self._samples
-
     def record(self, latency_us: float) -> None:
         if latency_us < 0:
             raise ValueError(f"negative latency: {latency_us}")
         self._count += 1
         self._sum += latency_us
-        self._sumsq += latency_us * latency_us
-        if latency_us < self._min:
-            self._min = latency_us
         if latency_us > self._max:
             self._max = latency_us
         self._hist[bisect.bisect_left(HIST_EDGES_US, latency_us)] += 1
@@ -102,8 +95,6 @@ class LatencyStats:
         self._sorted: Optional[List[float]] = None
         self._count = 0
         self._sum = 0.0
-        self._sumsq = 0.0
-        self._min = math.inf
         self._max = -math.inf
         self._hist = [0] * len(HIST_LABELS)
 
@@ -116,20 +107,8 @@ class LatencyStats:
         return self._sum / self._count if self._count else 0.0
 
     @property
-    def minimum(self) -> float:
-        return self._min if self._count else 0.0
-
-    @property
     def maximum(self) -> float:
         return self._max if self._count else 0.0
-
-    @property
-    def stdev(self) -> float:
-        n = self._count
-        if n < 2:
-            return 0.0
-        var = (self._sumsq - self._sum * self._sum / n) / (n - 1)
-        return math.sqrt(max(0.0, var))
 
     def percentile(self, p: float) -> float:
         """Nearest-rank percentile, ``p`` in [0, 100]."""

@@ -88,8 +88,7 @@ class Resource:
         completion ``duration`` after the grant. Either way the service
         costs one kernel event and wakes the holder once. The completion
         frees the slot and grants the next claim before the holder
-        resumes. An interrupted holder keeps the slot until the service
-        ends.
+        resumes.
         """
         if duration < 0:
             raise SimulationError(f"negative hold duration: {duration}")
@@ -102,13 +101,6 @@ class Resource:
             heapq.heappush(self._queue, (priority, self._seq, done, duration))
         done.callbacks.append(self._finish)
         return done
-
-    def cancel(self, req: Request) -> None:
-        """Withdraw a request that has not been granted yet."""
-        if req in self._users:
-            raise SimulationError("cannot cancel a granted request; release it")
-        self._queue = [entry for entry in self._queue if entry[2] is not req]
-        heapq.heapify(self._queue)
 
     def release(self, req: Request) -> None:
         try:

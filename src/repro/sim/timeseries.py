@@ -123,10 +123,6 @@ class TimeSeries:
     def dropped(self) -> int:
         return max(0, self.appended - self.points.maxlen)
 
-    def append(self, ts: float, value: float) -> None:
-        self.appended += 1
-        self.points.append((ts, value))
-
     def __len__(self) -> int:
         return len(self.points)
 
@@ -136,9 +132,6 @@ class TimeSeries:
     @property
     def last(self) -> Optional[float]:
         return self.points[-1][1] if self.points else None
-
-    def values(self) -> List[float]:
-        return [value for _ts, value in self.points]
 
     def mean(self, t0: float = 0.0,
              t1: float = float("inf")) -> Optional[float]:
@@ -169,7 +162,6 @@ class TimeSeriesSampler:
         self.series: Dict[str, TimeSeries] = {}
         self.ticks = 0
         self._running = False
-        self._stop_on: Optional[Event] = None
         #: Compiled (series, ring-append, probe) rows — the per-tick loop
         #: skips every dict and method lookup; rebuilt on registration.
         self._plan: Optional[List[Tuple[TimeSeries, Callable, GaugeFn]]] \
@@ -192,9 +184,6 @@ class TimeSeriesSampler:
         for key, fn in gauges.items():
             self.probe(f"{prefix}.{key}", fn)
 
-    def names(self) -> List[str]:
-        return list(self._probes)
-
     def __len__(self) -> int:
         return len(self._probes)
 
@@ -205,18 +194,12 @@ class TimeSeriesSampler:
         if self._running:
             raise RuntimeError("sampler already running")
         self._running = True
-        self._stop_on = stop_on
-        self.sim.spawn(self._daemon())
+        self.sim.spawn(self._daemon(stop_on))
 
-    def stop(self) -> None:
-        self._running = False
-
-    def _daemon(self) -> Generator:
-        while self._running:
+    def _daemon(self, stop_on: Optional[Event]) -> Generator:
+        while True:
             yield self.sim.timeout(self.interval_us)
-            if not self._running:
-                return
-            if self._stop_on is not None and self._stop_on.triggered:
+            if stop_on is not None and stop_on.triggered:
                 return
             self.sample_once()
 
@@ -224,9 +207,8 @@ class TimeSeriesSampler:
         """Take one snapshot of every probe at the current sim time.
 
         Runs off a compiled plan: one bound ``deque.append`` and one probe
-        call per series, no per-sample dict lookups or Python-level
-        ``TimeSeries.append`` frames — this loop runs
-        probes x ticks times, the telemetry hot path.
+        call per series, with no per-sample dict lookup or method frame —
+        this loop runs probes x ticks times, the telemetry hot path.
         """
         plan = self._plan
         if plan is None:
@@ -244,11 +226,6 @@ class TimeSeriesSampler:
     @property
     def dropped(self) -> int:
         return sum(s.dropped for s in self.series.values())
-
-    def window_mean(self, name: str, t0: float = 0.0,
-                    t1: float = float("inf")) -> Optional[float]:
-        """Mean of one series over ``[t0, t1]``; None without samples."""
-        return self.series[name].mean(t0, t1)
 
     def as_dict(self) -> Dict[str, Any]:
         """Flat registry read-out: ring accounting plus last values."""

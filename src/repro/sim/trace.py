@@ -230,10 +230,6 @@ class Tracer(_TraceQueries):
         sim.tracer = tracer
         return tracer
 
-    @staticmethod
-    def detach(sim: Simulator) -> None:
-        sim.tracer = None
-
     # -- recording ---------------------------------------------------------
 
     def emit(self, component: str, kind: str, **detail: Any) -> None:
@@ -250,10 +246,6 @@ class Tracer(_TraceQueries):
         self.spans_started += 1
         self.spans.append(span)
         return span
-
-    def clear(self) -> None:
-        self.events.clear()
-        self.spans.clear()
 
     # -- export ------------------------------------------------------------
 

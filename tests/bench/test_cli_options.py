@@ -53,6 +53,11 @@ OUT_OF_RANGE = [
     _bad("perf", "--repeat", "0"),
     _bad("chaos", "--rates", "-0.5", bound="in [0, 1]"),
     _bad("scrub", "--rates", "1.5", bound="in [0, 1]"),
+    # A count where 0 means none, and a list that names nothing.
+    _bad("trace", "--waterfalls", "-2", bound=">= 0"),
+    pytest.param("telemetry", "--systems", ",",
+                 "must name at least one system, got ','",
+                 id="telemetry---systems=,"),
 ]
 
 

@@ -38,7 +38,7 @@ class TestCriticalPath:
         for splits in tables.values():
             for split in splits.values():
                 # Every span spends at least one floor of service.
-                assert split.service.minimum >= split.floor - 1e-9
+                assert split.service.percentile(0) >= split.floor - 1e-9
                 assert split.occurrences >= split.service.count
 
     def test_floor_is_minimum_observed_interval(self):

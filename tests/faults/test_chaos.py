@@ -2,9 +2,12 @@
 
 import json
 
-from repro.bench.chaos import (campaign_failures, chaos_campaign, main,
-                               run_point)
+import pytest
+
+from repro.bench.chaos import (WarmScan, campaign_failures, chaos_campaign,
+                               main, run_point)
 from repro.params import default_params
+from repro.sim import SimulationError
 
 
 FAULTY = "0.1000"
@@ -59,6 +62,28 @@ def test_run_point_survives_every_class_at_5_percent():
                              passes=2)
         assert point["completed"], fault_class
         assert point["ops_ok"] > 0, fault_class
+
+
+def test_a_kernel_error_in_the_scan_is_raised_not_reported_as_a_hang(
+        monkeypatch):
+    def reads(self):
+        yield from self.cluster.clients[0].open(self.name)
+        yield 42
+
+    monkeypatch.setattr(WarmScan, "reads", reads)
+    with pytest.raises(SimulationError, match="yielded non-event 42"):
+        run_point("odafs", "link", 0.0, blocks=8, passes=1)
+
+
+def test_a_scan_hung_on_a_lost_event_is_reported_incomplete(monkeypatch):
+    def reads(self):
+        yield from self.cluster.clients[0].open(self.name)
+        yield self.cluster.sim.event()  # nothing ever triggers it
+
+    monkeypatch.setattr(WarmScan, "reads", reads)
+    point, _ = run_point("odafs", "link", 0.0, blocks=8, passes=1)
+    assert point["completed"] is False
+    assert point["ops_ok"] == 0
 
 
 def test_cli_json_output_round_trips(capsys):

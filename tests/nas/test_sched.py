@@ -219,6 +219,6 @@ class TestRPCIntegration:
                                queue=4, bcache_entries=2)
         cluster.create_file("f", 16 * KB)
         sampler = cluster.attach_sampler(interval_us=10.0)
-        names = set(sampler.names())
+        names = set(sampler.series)
         assert {"server.sched.qdepth", "server.sched.active",
                 "server.sched.rejected_s"} <= names

@@ -6,7 +6,6 @@ from repro.sim import (
     AllOf,
     AnyOf,
     Event,
-    Interrupt,
     SimulationError,
     Simulator,
 )
@@ -226,17 +225,6 @@ def test_simultaneous_events_fire_in_schedule_order():
     assert order == ["a", "b", "c"]
 
 
-def test_run_until_stops_clock():
-    sim = Simulator()
-
-    def proc():
-        yield sim.timeout(100.0)
-
-    sim.process(proc())
-    sim.run(until=30.0)
-    assert sim.now == 30.0
-
-
 def test_all_of_waits_for_every_event():
     sim = Simulator()
 
@@ -276,37 +264,6 @@ def test_all_of_empty_succeeds_immediately():
         return results
 
     assert sim.run_process(main()) == {}
-
-
-def test_interrupt_raises_in_process():
-    sim = Simulator()
-
-    def sleeper():
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt as intr:
-            return ("interrupted", intr.cause, sim.now)
-
-    def interrupter(victim):
-        yield sim.timeout(5.0)
-        victim.interrupt("deadline")
-
-    victim = sim.process(sleeper())
-    sim.process(interrupter(victim))
-    sim.run()
-    assert victim.value == ("interrupted", "deadline", 5.0)
-
-
-def test_interrupt_finished_process_rejected():
-    sim = Simulator()
-
-    def quick():
-        yield sim.timeout(1.0)
-
-    proc = sim.process(quick())
-    sim.run()
-    with pytest.raises(SimulationError):
-        proc.interrupt()
 
 
 def test_call_at_runs_function_at_absolute_time():
@@ -354,22 +311,6 @@ def test_waiting_on_already_processed_event(start):
     getattr(sim, start)(late_waiter())
     sim.run()
     assert got == ["early"]
-
-
-def test_stop_halts_run():
-    sim = Simulator()
-    ticks = []
-
-    def ticker():
-        while True:
-            yield sim.timeout(1.0)
-            ticks.append(sim.now)
-            if sim.now >= 3.0:
-                sim.stop()
-
-    sim.process(ticker())
-    sim.run()
-    assert ticks == [1.0, 2.0, 3.0]
 
 
 def test_any_of_with_pending_timeout_waits():

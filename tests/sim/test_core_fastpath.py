@@ -1,15 +1,13 @@
-"""Kernel fast paths: trampoline pooling, the AllOf pending counter,
-O(1) interrupts, and the slim scheduling path.
+"""Kernel fast paths: trampoline pooling, the AllOf pending counter, and
+the slim scheduling path.
 
 These guard the hot-path rewrite's two promises: the optimizations are
 invisible to model code (same values, same event ordering), and the
 specific O(n) shapes they remove stay removed.
 """
 
-import pytest
-
-from repro.sim import AllOf, Event, Interrupt, Simulator
-from repro.sim.core import PENDING, SimulationError, _Trampoline
+from repro.sim import AllOf, Event, Simulator
+from repro.sim.core import PENDING, _Trampoline
 
 
 def _completion_order(n_procs, hops):
@@ -137,128 +135,6 @@ class TestAllOfPendingCounter:
         sim = Simulator()
         barrier = sim.all_of([])
         assert barrier.triggered and barrier.value == {}
-
-
-class TestInterruptStaleMarking:
-    def test_interrupt_detaches_in_constant_state(self):
-        # The waiter's callback stays in the event's list but is marked
-        # stale; when the event later fires it is consumed silently.
-        sim = Simulator()
-        gate = sim.event()
-        log = []
-
-        def sleeper():
-            try:
-                yield gate
-                log.append("woke")
-            except Interrupt as intr:
-                log.append(f"interrupted:{intr.cause}")
-
-        proc = sim.process(sleeper())
-
-        def controller():
-            yield sim.timeout(1.0)
-            proc.interrupt("deadline")
-            yield sim.timeout(1.0)
-            gate.succeed("late")
-
-        sim.process(controller())
-        sim.run()
-        assert log == ["interrupted:deadline"]
-        assert gate.triggered  # the late trigger itself still happened
-
-    def test_rewait_same_event_after_interrupt(self):
-        # After an interrupt the process may wait on the *same* event
-        # again; the stale first wait must not eat the second one.
-        sim = Simulator()
-        gate = sim.event()
-        log = []
-
-        def stubborn():
-            try:
-                yield gate
-            except Interrupt:
-                log.append("interrupted")
-            value = yield gate
-            log.append(value)
-
-        proc = sim.process(stubborn())
-
-        def controller():
-            yield sim.timeout(1.0)
-            proc.interrupt()
-            yield sim.timeout(1.0)
-            gate.succeed("finally")
-
-        sim.process(controller())
-        sim.run()
-        assert log == ["interrupted", "finally"]
-
-    def test_abandoned_failure_is_dropped_with_the_wait(self):
-        # A failed event whose only waiter was interrupted away is
-        # consumed with the stale wait instead of surfacing as a lost
-        # error: the waiter explicitly declared disinterest.
-        sim = Simulator()
-        gate = sim.event()
-        log = []
-
-        def sleeper():
-            try:
-                yield gate
-            except Interrupt:
-                log.append("interrupted")
-                yield sim.timeout(5.0)
-                log.append("done")
-
-        proc = sim.process(sleeper())
-
-        def controller():
-            yield sim.timeout(1.0)
-            proc.interrupt()
-            yield sim.timeout(1.0)
-            gate.fail(RuntimeError("nobody cares"))
-
-        sim.process(controller())
-        sim.run()
-        assert log == ["interrupted", "done"]
-
-    def test_interrupt_storm_leaves_shared_event_clean(self):
-        sim = Simulator()
-        gate = sim.event()
-        survived = []
-
-        def sleeper(i):
-            try:
-                yield gate
-                survived.append(i)
-            except Interrupt:
-                pass
-
-        procs = [sim.process(sleeper(i)) for i in range(100)]
-
-        def controller():
-            yield sim.timeout(1.0)
-            for proc in procs[:99]:  # interrupt all but the last
-                proc.interrupt()
-            yield sim.timeout(1.0)
-            gate.succeed()
-
-        sim.process(controller())
-        sim.run()
-        assert survived == [99]
-        for proc in procs:
-            assert proc.triggered
-
-    def test_finished_process_rejects_interrupt(self):
-        sim = Simulator()
-
-        def quick():
-            yield sim.timeout(1.0)
-
-        proc = sim.process(quick())
-        sim.run()
-        with pytest.raises(SimulationError):
-            proc.interrupt()
 
 
 class TestScheduleAt:

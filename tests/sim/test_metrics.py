@@ -20,7 +20,8 @@ class TestMetricsRegistry:
         reg = MetricsRegistry()
         counter = Counter()
         assert reg.register("server.ops", counter) is counter
-        assert reg.get("server.ops") is counter
+        counter.incr("reads")
+        assert reg.snapshot() == {"server.ops.reads": 1}
         assert "server.ops" in reg and len(reg) == 1
 
     def test_duplicate_and_empty_names_rejected(self):
@@ -48,7 +49,7 @@ class TestMetricsRegistry:
         reg = MetricsRegistry()
         reg.register("server.ops", Counter()).incr("reads", 7)
         reg.register("lat", LatencyStats()).record(4.0)
-        restored = json.loads(reg.to_json())
+        restored = json.loads(json.dumps(reg.snapshot()))
         assert restored == reg.snapshot()
 
     def test_subtree(self):
@@ -67,12 +68,11 @@ class TestClusterRegistry:
     def test_cluster_builds_registry_over_all_hosts(self):
         cluster = Cluster(system="odafs", n_clients=2, block_size=4 * KB,
                           client_kwargs={"cache_blocks": 4})
-        names = list(cluster.metrics.names())
         for expected in ("server.cpu", "server.nic", "server.disk",
                          "server.cache", "server.ops", "server.rpc",
                          "client0.cpu", "client0.nic", "client0.ops",
                          "client0.rpc", "client0.cache", "client1.cpu"):
-            assert expected in names
+            assert expected in cluster.metrics
 
     def test_registry_reads_through_to_live_instruments(self):
         cluster = Cluster(system="odafs", block_size=4 * KB,
@@ -92,7 +92,7 @@ class TestClusterRegistry:
         assert snap["client0.nic.dma_bytes"] > 0
         assert snap["server.cpu.busy_us"] > 0
         # The whole snapshot must be JSON-exportable.
-        json.loads(cluster.metrics.to_json())
+        assert json.loads(json.dumps(snap)) == snap
 
     def test_nfs_client_has_no_cache_entry(self):
         cluster = Cluster(system="nfs", block_size=4 * KB)

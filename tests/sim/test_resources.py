@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.sim import (BandwidthPipe, Interrupt, Resource, SimulationError,
-                       Simulator, Store)
+from repro.sim import (BandwidthPipe, Resource, SimulationError, Simulator,
+                       Store)
 
 
 class TestResource:
@@ -99,16 +99,6 @@ class TestResource:
         with pytest.raises(SimulationError):
             res.release(req)
 
-    def test_cancel_pending_request(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-        first = res.request()
-        second = res.request()
-        res.cancel(second)
-        res.release(first)
-        sim.run()
-        assert not second.triggered
-
     def test_invalid_capacity(self):
         sim = Simulator()
         with pytest.raises(SimulationError):
@@ -120,36 +110,15 @@ class TestResource:
         first = res.hold(10.0)  # idle: completion scheduled at once
         second = res.hold(5.0)  # busy: queued until first ends
         both = sim.all_of([first, second])
-        sim.run(until=12.0)
-        assert first.triggered and not second.triggered
-        assert res.count == 1 and res.queue_len == 0
-        assert not both.triggered
+        at_12 = []
+        sim.call_at(12.0, lambda: at_12.append(
+            (first.triggered, second.triggered, both.triggered,
+             res.count, res.queue_len)))
         sim.run()
+        assert at_12 == [(True, False, False, 1, 0)]
         assert second.triggered and both.triggered
         assert sim.now == 15.0
         assert res.count == 0
-
-    def test_interrupted_holder_keeps_the_slot(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-        ends = []
-
-        def holder():
-            try:
-                yield res.hold(10.0)
-            except Interrupt:
-                ends.append(("interrupted", sim.now))
-
-        def waiter():
-            yield sim.timeout(1.0)
-            yield res.hold(5.0)
-            ends.append(("waiter", sim.now))
-
-        proc = sim.process(holder())
-        sim.process(waiter())
-        sim.call_at(3.0, proc.interrupt)
-        sim.run()
-        assert ends == [("interrupted", 3.0), ("waiter", 15.0)]
 
     def test_hold_rejects_negative_duration(self):
         sim = Simulator()

@@ -220,7 +220,7 @@ class TestSerialization:
         assert len(dump.series["a.x"]) == sampler.ticks
         assert dump.series["a.x"] == list(sampler.series["a.x"].points)
         assert window_mean(dump.series["a.y"], 0.0, 100.0) == \
-            sampler.window_mean("a.y", 0.0, 100.0)
+            sampler.series["a.y"].mean(0.0, 100.0)
 
     def test_series_line_carries_the_rings_dropped_count(self, tmp_path):
         sampler = self._sampled(capacity=4)
@@ -245,13 +245,12 @@ class TestClusterIntegration:
     def test_attach_sampler_registers_gauges(self):
         cluster = Cluster(system="odafs")
         sampler = cluster.attach_sampler(interval_us=25.0)
-        names = sampler.names()
         for expected in ("server.cpu.util", "server.cpu.util.copy",
                          "server.cache.hit_rate", "server.rpc.inflight",
                          "client0.rpc.outstanding", "client0.ordma.reads_s",
                          "client0.dir.size", "net.server.tx_util",
                          "net.switch.queue_bytes"):
-            assert expected in names
+            assert expected in sampler.series
         # Registered on the metrics registry under "timeseries".
         snapshot = cluster.metrics.snapshot()
         assert snapshot["timeseries.ticks"] == 0
@@ -283,5 +282,5 @@ class TestClusterIntegration:
         assert proc.ok
         assert sampler.ticks > 0
         # The ODAFS claim, visible in telemetry: zero server copy time.
-        copy = sampler.series["server.cpu.util.copy"].values()
-        assert copy and all(v == 0.0 for v in copy)
+        copy = sampler.series["server.cpu.util.copy"]
+        assert len(copy) and all(v == 0.0 for _ts, v in copy)

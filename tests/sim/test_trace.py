@@ -6,7 +6,8 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.params import KB
-from repro.sim import LatencyStats, Simulator, Span, Tracer, load_jsonl
+from repro.sim import (LatencyStats, Simulator, Span, Tracer, load_jsonl,
+                       trace_emit)
 from repro.sim.trace import TraceEvent
 
 
@@ -49,15 +50,14 @@ class TestTracerCore:
         assert tracer.emitted == 25
         assert tracer.filter()[0].detail["i"] == 15  # oldest kept
 
-    def test_counts_and_clear(self):
+    def test_counts(self):
         sim = Simulator()
         tracer = Tracer(sim)
         tracer.emit("c", "a")
         tracer.emit("c", "a")
         tracer.emit("c", "b")
         assert tracer.counts() == {"a": 2, "b": 1}
-        tracer.clear()
-        assert len(tracer) == 0
+        assert len(tracer) == 3
 
     def test_dump_jsonl(self, tmp_path):
         sim = Simulator()
@@ -198,14 +198,6 @@ class TestSpans:
         with pytest.raises(ValueError, match="no trace-header line"):
             load_jsonl(str(path))
 
-    def test_clear_drops_spans(self):
-        sim = Simulator()
-        tracer = Tracer.attach(sim)
-        tracer.start_span("c", "read").finish("c")
-        tracer.clear()
-        assert len(tracer.spans) == 0
-        assert tracer.spans_started == 1  # lifetime counter survives
-
 
 class TestInstrumentation:
     def test_odafs_read_produces_nic_and_rpc_events(self):
@@ -265,11 +257,15 @@ class TestInstrumentation:
         cluster.sim.run_process(proc())  # must not raise
 
     def test_detach(self):
+        # A tracer is detached by clearing ``sim.tracer``: emit sites then
+        # record nothing.
         sim = Simulator()
         tracer = Tracer.attach(sim)
         assert sim.tracer is tracer
-        Tracer.detach(sim)
-        assert sim.tracer is None
+        trace_emit(sim, "c", "k")
+        sim.tracer = None
+        trace_emit(sim, "c", "k")
+        assert tracer.emitted == 1
 
     def test_cache_link_disk_and_dispatch_emit_sites(self):
         cluster = Cluster(system="odafs", block_size=4 * KB,
@@ -314,6 +310,6 @@ class TestInstrumentation:
             cluster.sim.run_process(proc())
             return (cluster.sim.now, client.stats.as_dict(),
                     cluster.server.stats.as_dict(),
-                    cluster.metrics.get("server.cpu").busy_us)
+                    cluster.metrics.snapshot()["server.cpu.busy_us"])
 
         assert run(traced=False) == run(traced=True)
