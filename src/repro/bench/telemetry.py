@@ -213,6 +213,17 @@ def _systems(text: str) -> List[str]:
     return systems
 
 
+def _series(text: str) -> List[str]:
+    """argparse ``type=`` for ``--series``: comma-separated substrings,
+    at least one, so an empty list exits 2 instead of selecting every
+    series."""
+    match = [m.strip() for m in text.split(",") if m.strip()]
+    if not match:
+        raise argparse.ArgumentTypeError(
+            f"must name at least one series, got {text!r}")
+    return match
+
+
 def main(argv=None) -> int:
     """Entry point for ``repro-bench telemetry``."""
     parser = argparse.ArgumentParser(
@@ -238,7 +249,8 @@ def main(argv=None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="smaller defaults (16 blocks); explicit "
                              "options still win")
-    parser.add_argument("--series", metavar="SUBSTR[,SUBSTR...]",
+    parser.add_argument("--series", type=_series,
+                        metavar="SUBSTR[,SUBSTR...]",
                         help="only show series whose name contains one "
                              "of these substrings")
     parser.add_argument("--width", type=runner.positive_int, default=60,
@@ -277,12 +289,17 @@ def main(argv=None) -> int:
                                  params=runner.seeded_params(args.seed),
                                  sample_interval_us=args.interval)
     sampler = live["sampler"]
+    match = args.series
+    if match and not any(m in name for name in sampler.series
+                         for m in match):
+        print(f"repro-bench telemetry: --series {','.join(match)} matches "
+              f"none of the {len(sampler.series)} recorded series",
+              file=sys.stderr)
+        return 2
     if args.dump:
         live["tracer"].dump_jsonl(args.dump, series=sampler.series)
     series = {name: list(ts.points)
               for name, ts in sampler.series.items()}
-    match = ([m.strip() for m in args.series.split(",") if m.strip()]
-             if args.series else None)
     if args.json:
         summary = series_summary(series)
         if match:

@@ -26,7 +26,7 @@ class Disk:
         self.sim = sim
         self.params = params
         self.name = name
-        self._spindle = Resource(sim, capacity=1, name=name)
+        self._spindle = Resource(sim, name=name)
         self.stats = Counter()
         #: Fault-injection state (repro.faults.DiskFaults); ``None`` means
         #: a perfect disk and the access path pays no checks.

@@ -28,7 +28,7 @@ class CPU:
         self.sim = sim
         self.params = params
         self.name = name
-        self._core = Resource(sim, capacity=1, name=name)
+        self._core = Resource(sim, name=name)
         self.busy = BusyTracker(sim, name=name)
         self._last_interrupt_at = -1e18
 

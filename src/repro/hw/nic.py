@@ -108,7 +108,7 @@ class NIC:
         self.switch = switch
         self.port = switch.attach(host_name)
         self.port.set_handler(self._deliver)
-        self.firmware = Resource(sim, capacity=1, name=f"{host_name}.fw")
+        self.firmware = Resource(sim, name=f"{host_name}.fw")
         self.tpt = TPT(use_capabilities=use_capabilities)
         self.tlb = NicTLB(params.nic.tlb_entries)
         self.stats = Counter()

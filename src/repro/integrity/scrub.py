@@ -10,10 +10,9 @@ server's checksum store, and runs the server's re-read/repair ladder on
 any mismatch — repairing from disk or quarantining (evicting) copies
 that cannot be repaired.
 
-Like :class:`repro.sim.TimeSeriesSampler`, the daemon takes an optional
-``stop_on`` event (typically the measured workload's process) so the
-event heap can drain once the run is over; without it the scrubber runs
-for as long as the simulation does.
+The daemon runs until a ``stop_on`` event (typically the measured
+workload's process) has triggered, so the event heap can drain once the
+run is over.
 
 Everything lands in the server's ``integrity`` counter under ``scrub.*``
 (passes, blocks, detected, repaired, quarantined), so campaign output
@@ -23,7 +22,7 @@ verification.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
 from ..sim import Event
 from .checksum import IntegrityError
@@ -38,29 +37,23 @@ class Scrubber:
         self.server = server
         self.stats = server.integrity
         self._running = False
-        self._stop_on: Optional[Event] = None
         #: Round-robin resume position over the cache's key order.
         self._cursor = 0
 
-    def start(self, stop_on: Optional[Event] = None) -> None:
-        """Spawn the scrub daemon (idempotent start is an error)."""
+    def start(self, stop_on: Event) -> None:
+        """Spawn the scrub daemon, which runs until ``stop_on`` has
+        triggered (idempotent start is an error)."""
         if self._running:
             raise RuntimeError("scrubber already running")
         self._running = True
-        self._stop_on = stop_on
-        self.server.host.sim.spawn(self._daemon())
+        self.server.host.sim.spawn(self._daemon(stop_on))
 
-    def stop(self) -> None:
-        self._running = False
-
-    def _daemon(self) -> Generator:
+    def _daemon(self, stop_on: Event) -> Generator:
         interval = self.server.host.params.integrity.scrub_interval_us
         sim = self.server.host.sim
-        while self._running:
+        while True:
             yield sim.timeout(interval)
-            if not self._running:
-                return
-            if self._stop_on is not None and self._stop_on.triggered:
+            if stop_on.triggered:
                 return
             yield from self.scrub_pass()
 

@@ -36,20 +36,14 @@ class MemoryPressure:
         self.rng = rng
         self.stats = Counter()
         self._running = False
-        self._stop_on: Optional[Event] = None
 
-    def start(self, stop_on: Optional[Event] = None) -> None:
-        """Run the daemon; it exits on :meth:`stop` or, if ``stop_on`` is
-        given (e.g. the workload's process), when that event triggers —
-        so the simulation's event heap can drain."""
+    def start(self, stop_on: Event) -> None:
+        """Run the daemon until ``stop_on`` (e.g. the workload's process)
+        has triggered, so the simulation's event heap can drain."""
         if self._running:
             raise RuntimeError("pressure daemon already running")
         self._running = True
-        self._stop_on = stop_on
-        self.sim.spawn(self._daemon())
-
-    def stop(self) -> None:
-        self._running = False
+        self.sim.spawn(self._daemon(stop_on))
 
     def _victims(self) -> List[BlockKey]:
         """Coldest resident blocks (LRU order), optionally jittered."""
@@ -62,12 +56,10 @@ class MemoryPressure:
             return cold[:self.blocks_per_round]
         return order[:self.blocks_per_round]
 
-    def _daemon(self) -> Generator:
-        while self._running:
+    def _daemon(self, stop_on: Event) -> Generator:
+        while True:
             yield self.sim.timeout(self.interval_us)
-            if not self._running:
-                return
-            if self._stop_on is not None and self._stop_on.triggered:
+            if stop_on.triggered:
                 return
             for key in self._victims():
                 if self.cache.invalidate(key):

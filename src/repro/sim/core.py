@@ -27,14 +27,17 @@ this loop, so per-hop constant factors dominate campaign wall-clock):
   from a per-simulator free list and recycled right after dispatch — the
   per-hop allocation churn of the old one-``Event``-per-resume scheme is
   gone. Trampolines are invisible outside the kernel, so recycling
-  cannot be observed.
+  cannot be observed. A spawned task needs none: it is its own
+  bootstrap event (see *Detached tasks*).
 * :class:`Timeout` objects — the kernel's most-allocated type, one per
-  modeled latency — are drawn from a second free list. Unlike
-  trampolines they *are* handed to model code, so a dispatched timeout
-  is only recycled when ``sys.getrefcount`` proves the dispatch loop
-  holds the last reference; a timeout the model still points at (held in
-  a variable or parked in a condition) is simply left to the garbage
-  collector. Recycling is therefore unobservable by construction.
+  modeled latency — are drawn from a second free list, and so is the
+  completion of a ``Resource.hold`` that has to queue (pending until
+  its grant schedules it). Unlike trampolines they *are* handed to
+  model code, so a dispatched timeout is only recycled when
+  ``sys.getrefcount`` proves the dispatch loop holds the last
+  reference; a timeout the model still points at (held in a variable or
+  parked in a condition) is simply left to the garbage collector.
+  Recycling is therefore unobservable by construction.
 * :meth:`Simulator.schedule_at` is the slim scheduling path: one seq
   bump and one push, no guard re-checks. ``succeed``/``fail``/
   ``Timeout`` inline their state flips around it.
@@ -43,9 +46,10 @@ this loop, so per-hop constant factors dominate campaign wall-clock):
 * **Detached tasks**: work nothing waits on — a NIC receiving a frame or
   sending a message, an RPC being served — starts with
   :meth:`Simulator.spawn` instead of :meth:`Simulator.process`. Its
-  bootstrap is the same trampoline, drawn at the same moment, but there
-  is no :class:`Process` object and no completion event. Only that
-  event, which nothing could observe, goes; every other event keeps its
+  bootstrap is the task object itself, put on the run queue with the
+  seq a process's trampoline would draw at that moment, and there is no
+  :class:`Process` object and no completion event. Only that event,
+  which nothing could observe, goes; every other event keeps its
   ``(time, seq)`` order by construction, and ``sim._seq`` falls by one
   per finished task.
 * **One event where there were several**: a CPU or firmware service is
@@ -252,23 +256,34 @@ class Process(Event):
             target.callbacks.append(self._resume)
 
 
-class _Task:
+class _Task(Event):
     """A generator started by :meth:`Simulator.spawn`, which nothing can
     wait on or name.
 
-    Not an event: when the generator returns there is no completion to
-    schedule, and an exception escaping it propagates out of the
-    dispatch loop at once. Its loop is :meth:`Process._resume` without
-    the completion event. The two stay separate short loops: a shared
-    stepping routine costs every resume of both kinds one more Python
-    call, and measured slower for both.
+    An event only as its own bootstrap: :meth:`Simulator.spawn` puts the
+    task on the run queue, loaded to resume the generator with ``None``,
+    so a start costs no pooled trampoline. When the generator returns
+    there is no completion to schedule, and an exception escaping it
+    propagates out of the dispatch loop at once. Its loop is
+    :meth:`Process._resume` without the completion event. The two stay
+    separate short loops: a shared stepping routine costs every resume
+    of both kinds one more Python call, and measured slower for both.
     """
 
-    __slots__ = ("sim", "_gen")
+    __slots__ = ("_gen",)
 
     def __init__(self, sim: "Simulator", gen: Generator):
         self.sim = sim
         self._gen = gen
+        # Loaded to resume ``gen`` with None. Only spawn() gives the task
+        # its callback and schedules it: a task started by spawn_after is
+        # resumed by the event it waits on, and a callback list holding
+        # the task's own method would keep it alive in a reference cycle.
+        self.callbacks = None
+        self._value = None
+        self._ok = True
+        self._scheduled = False
+        self._deferred = False
 
     def _resume(self, event: Event) -> None:
         try:
@@ -289,6 +304,10 @@ class _Task:
             target.callbacks.append(self._resume)
 
 
+def _delivered(event: Event) -> None:
+    """Callback of a failed child a condition has already reported."""
+
+
 class Condition(Event):
     """Base for :class:`AllOf` / :class:`AnyOf` composite events."""
 
@@ -307,6 +326,10 @@ class Condition(Event):
             if ev.callbacks is None or ev.triggered:
                 # Already triggered: account for it via an immediate check.
                 self._check(ev)
+                if ev._ok is False and ev.callbacks is not None:
+                    # Failed but not yet dispatched: this condition
+                    # reports the failure, so it is not a lost error.
+                    ev.callbacks.append(_delivered)
             else:
                 ev.add_callback(self._check)
 
@@ -460,14 +483,19 @@ class Simulator:
         """Start ``gen`` at the current time as a detached task.
 
         The first step runs exactly where :meth:`process` would run it:
-        from one bootstrap on the run queue, drawn now. There is no
-        handle, so no :class:`Process` object and no completion event,
-        and ``sim._seq`` ends one lower per task that finishes. An
-        exception escaping ``gen`` is nobody's to catch: it propagates
-        out of :meth:`run` at once, with its own type. Yielding a
-        non-event raises :class:`SimulationError` naming the generator.
+        from one bootstrap on the run queue, drawn now. The bootstrap is
+        the task itself, not a pooled trampoline. There is no handle, so
+        no :class:`Process` object and no completion event, and
+        ``sim._seq`` ends one lower per task that finishes. An exception
+        escaping ``gen`` is nobody's to catch: it propagates out of
+        :meth:`run` at once, with its own type. Yielding a non-event
+        raises :class:`SimulationError` naming the generator.
         """
-        self._trampoline(_Task(self, gen)._resume, None, True)
+        task = _Task(self, gen)
+        task.callbacks = [task._resume]
+        task._scheduled = True
+        self._seq += 1
+        self._runq.append(task)
 
     def spawn_after(self, event: Event, gen: Generator) -> None:
         """Start ``gen`` as a detached task when ``event`` fires.

@@ -11,15 +11,15 @@ paper's overhead model or one NIC firmware step, is one
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
+from heapq import heappop, heappush
 from typing import Any, Deque, List, Optional
 
-from .core import Event, SimulationError, Simulator
+from .core import Event, SimulationError, Simulator, Timeout
 
 
 class Request(Event):
-    """A pending claim on a :class:`Resource` slot."""
+    """A pending claim on a :class:`Resource`."""
 
     __slots__ = ("resource", "priority")
 
@@ -30,14 +30,15 @@ class Request(Event):
 
 
 class Resource:
-    """A server with ``capacity`` slots and a FIFO (or priority) queue.
+    """A server that one claim holds at a time, with a FIFO (or priority)
+    queue.
 
     A service of known length is one call from a process::
 
         yield resource.hold(service_time, priority)
 
     A claim that spans more than one wait (the disk holds its spindle
-    across a fault-injected delay) takes and returns the slot itself::
+    across a fault-injected delay) takes and returns the resource itself::
 
         req = resource.request(priority)
         yield req
@@ -50,14 +51,11 @@ class Resource:
     served in the same order whichever a caller uses.
     """
 
-    def __init__(self, sim: Simulator, capacity: int = 1, name: str = ""):
-        if capacity < 1:
-            raise SimulationError(f"capacity must be >= 1, got {capacity}")
+    def __init__(self, sim: Simulator, name: str = ""):
         self.sim = sim
-        self.capacity = capacity
         self.name = name
-        #: Claims holding a slot: granted requests and running holds.
-        self._users: List[Event] = []
+        #: The claim being served: a granted request or a running hold.
+        self._holder: Optional[Event] = None
         #: Heap of (priority, seq, claim, duration); duration is None for
         #: a request() and the service time for a hold().
         self._queue: List = []
@@ -65,8 +63,8 @@ class Resource:
 
     @property
     def count(self) -> int:
-        """Number of slots currently held."""
-        return len(self._users)
+        """1 while a claim holds the resource, else 0."""
+        return 0 if self._holder is None else 1
 
     @property
     def queue_len(self) -> int:
@@ -74,61 +72,72 @@ class Resource:
 
     def request(self, priority: int = 0) -> Request:
         req = Request(self, priority)
-        self._seq += 1
-        heapq.heappush(self._queue, (priority, self._seq, req, None))
-        self._grant()
+        if self._holder is None:
+            self._holder = req
+            req.succeed(req)
+        else:
+            self._seq += 1
+            heappush(self._queue, (priority, self._seq, req, None))
         return req
 
     def hold(self, duration: float, priority: int = 0) -> Event:
-        """Occupy a slot for ``duration`` µs; the event fires when the
+        """Hold the resource for ``duration`` µs; the event fires when the
         service ends.
 
         On an idle resource the completion is scheduled at once; a busy
         one queues the claim with :meth:`request`'s and schedules the
         completion ``duration`` after the grant. Either way the service
         costs one kernel event and wakes the holder once. The completion
-        frees the slot and grants the next claim before the holder
+        frees the resource and grants the next claim before the holder
         resumes.
+
+        The completion is a :class:`Timeout`. A queued one is taken from
+        the kernel's free list, where it waits pending (not
+        ``triggered``) until its grant schedules it, and goes back there
+        once dispatched like any timeout the model let go of.
         """
         if duration < 0:
             raise SimulationError(f"negative hold duration: {duration}")
-        if len(self._users) < self.capacity:
-            done: Event = self.sim.timeout(duration)
-            self._users.append(done)
+        sim = self.sim
+        if self._holder is None:
+            done: Event = sim.timeout(duration)
+            self._holder = done
         else:
-            done = Event(self.sim)
+            pool = sim._timeouts
+            if pool:
+                done = pool.pop()
+            else:
+                done = Timeout.__new__(Timeout)
+                Event.__init__(done, sim)
             self._seq += 1
-            heapq.heappush(self._queue, (priority, self._seq, done, duration))
+            heappush(self._queue, (priority, self._seq, done, duration))
         done.callbacks.append(self._finish)
         return done
 
     def release(self, req: Request) -> None:
-        try:
-            self._users.remove(req)
-        except ValueError:
-            raise SimulationError("release of a request that does not hold a slot")
-        self._grant()
+        if req is not self._holder:
+            raise SimulationError("release of a request that does not hold "
+                                  "the resource")
+        self._finish(req)
 
     def _finish(self, done: Event) -> None:
-        """Completion callback of a hold: free its slot, grant the next."""
-        self._users.remove(done)
-        if self._queue:
-            self._grant()
-
-    def _grant(self) -> None:
-        while self._queue and len(self._users) < self.capacity:
-            _prio, _seq, claim, duration = heapq.heappop(self._queue)
-            self._users.append(claim)
-            if duration is None:
-                claim.succeed(claim)
-            else:
-                # A granted hold: its value is set but, like a Timeout,
-                # it stays pending (_deferred) until dispatched.
-                claim._value = None
-                claim._ok = True
-                claim._deferred = True
-                sim = self.sim
-                sim.schedule_at(claim, sim.now + duration)
+        """Completion callback of a hold, and the end of a request: hand
+        the resource to the first waiting claim, or free it."""
+        if not self._queue:
+            self._holder = None
+            return
+        _prio, _seq, claim, duration = heappop(self._queue)
+        self._holder = claim
+        if duration is None:
+            claim.succeed(claim)
+        else:
+            # A granted hold: its value is set but, like a Timeout, it
+            # stays pending (_deferred) until dispatched.
+            claim._value = None
+            claim._ok = True
+            claim._deferred = True
+            sim = self.sim
+            sim.schedule_at(claim, sim.now + duration)
 
 
 class Store:

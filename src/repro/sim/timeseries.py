@@ -142,10 +142,10 @@ class TimeSeriesSampler:
     """Snapshots registered gauges on a fixed sim-time interval.
 
     Off by default: construction registers nothing with the simulator.
-    :meth:`start` spawns the sampling daemon; like
-    :class:`repro.nas.server.vm_pressure.MemoryPressure` it takes an
-    optional ``stop_on`` event (typically the workload's process) so the
-    event heap can drain once the measured run is over.
+    :meth:`start` spawns the sampling daemon. It takes an optional
+    ``stop_on`` event (typically the workload's process) so the event
+    heap can drain once the measured run is over; the VM-pressure and
+    scrub daemons require one.
     """
 
     def __init__(self, sim: Simulator, interval_us: float = 50.0,

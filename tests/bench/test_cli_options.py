@@ -58,6 +58,9 @@ OUT_OF_RANGE = [
     pytest.param("telemetry", "--systems", ",",
                  "must name at least one system, got ','",
                  id="telemetry---systems=,"),
+    pytest.param("telemetry", "--series", ",",
+                 "must name at least one series, got ','",
+                 id="telemetry---series=,"),
 ]
 
 
@@ -77,3 +80,20 @@ def test_trace_exits_1_when_spans_disagree_with_the_meter(
         monkeypatch, capsys, mode):
     monkeypatch.setattr(tracecli, "span_sum_mean", lambda spans: 0.0)
     assert tracecli.main(["--quick", *mode]) == 1
+
+
+@pytest.mark.parametrize("mode", [["--json"], []], ids=["json", "text"])
+def test_telemetry_exits_2_when_series_matches_nothing(tmp_path, capsys,
+                                                      mode):
+    """A ``--series`` filter that selects none of the recorded series
+    is an error, not an empty result: exit 2, one line on stderr,
+    nothing on stdout and no dump written."""
+    dump = tmp_path / "t.jsonl"
+    assert cli.main(["telemetry", *SMALL["telemetry"][1], "--quick",
+                     "--series", "nosuchseries", "--dump", str(dump),
+                     *mode]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("repro-bench telemetry: --series nosuchseries matches "
+                   "none of the 36 recorded series\n")
+    assert not dump.exists()

@@ -67,26 +67,13 @@ def test_reclaimed_exports_are_shot_down():
     assert cluster.cache.stats.get("tlb_shootdowns") > shootdowns_before
 
 
-def test_explicit_stop():
-    cluster = make_cluster()
-    daemon = MemoryPressure(cluster.sim, cluster.cache, interval_us=100.0)
-    daemon.start()
-
-    def stopper():
-        yield cluster.sim.timeout(1000.0)
-        daemon.stop()
-
-    cluster.sim.run_process(stopper())
-    cluster.sim.run()  # heap must drain after stop
-    assert daemon.stats.get("reclaimed") <= 10
-
-
 def test_double_start_rejected():
     cluster = make_cluster()
     daemon = MemoryPressure(cluster.sim, cluster.cache, interval_us=100.0)
-    daemon.start()
+    stop_on = cluster.sim.event()
+    daemon.start(stop_on=stop_on)
     with pytest.raises(RuntimeError):
-        daemon.start()
+        daemon.start(stop_on=stop_on)
 
 
 def test_parameter_validation():

@@ -50,14 +50,14 @@ def _serve(sim, res, service, priority=0, kind="request"):
 
 @pytest.mark.parametrize("kind", ["request", "hold"])
 @settings(max_examples=100)
-@given(st.integers(min_value=1, max_value=5),
-       st.lists(st.floats(min_value=0.1, max_value=50.0, allow_nan=False),
+@given(st.lists(st.floats(min_value=0.1, max_value=50.0, allow_nan=False),
                 min_size=1, max_size=20))
-def test_resource_conserves_work(kind, capacity, services):
-    """Total completion time of an M-server queue equals the analytic
-    makespan for identical arrival times (work conservation)."""
+def test_resource_conserves_work(kind, services):
+    """Jobs that all arrive at t=0 keep the resource busy until the last
+    one ends: the makespan is the sum of the service times (work
+    conservation)."""
     sim = Simulator()
-    res = Resource(sim, capacity=capacity)
+    res = Resource(sim)
     finished = []
 
     def user(service):
@@ -68,31 +68,34 @@ def test_resource_conserves_work(kind, capacity, services):
         sim.process(user(service))
     sim.run()
     assert len(finished) == len(services)
-    # FIFO with equal arrivals: jobs start in submission order across
-    # capacity servers; the busy-time integral must be conserved.
-    assert max(finished) >= sum(services) / capacity - 1e-6
-    assert max(finished) <= sum(services) + 1e-6
+    assert max(finished) == pytest.approx(sum(services))
 
 
-class _GrantLog(list):
-    """A resource's slot list that records every claim it grants."""
+class _GrantLog(Resource):
+    """A resource that records every claim it grants, in order."""
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, sim):
         self.granted = []
+        self._held = None
+        super().__init__(sim)
 
-    def append(self, claim):
-        self.granted.append(claim)
-        super().append(claim)
+    @property
+    def _holder(self):
+        return self._held
+
+    @_holder.setter
+    def _holder(self, claim):
+        if claim is not None:
+            self.granted.append(claim)
+        self._held = claim
 
 
-def _serve_jobs(capacity, jobs, kinds):
+def _serve_jobs(jobs, kinds):
     """Run ``jobs`` of (arrival, duration, priority) on one resource,
     job ``i`` served by ``kinds[i]``; every arrival is scheduled at t=0.
-    Returns per-job (start, end) and the order slots were granted."""
+    Returns per-job (start, end) and the order claims were granted."""
     sim = Simulator()
-    res = Resource(sim, capacity=capacity)
-    res._users = log = _GrantLog()
+    res = _GrantLog(sim)
     claims = {}
     times = [None] * len(jobs)
 
@@ -106,25 +109,24 @@ def _serve_jobs(capacity, jobs, kinds):
         sim.process(user(i, *job))
     sim.run()
     assert res.count == 0 and res.queue_len == 0
-    return times, [claims[claim] for claim in log.granted]
+    return times, [claims[claim] for claim in res.granted]
 
 
 @settings(max_examples=200)
-@given(st.integers(min_value=1, max_value=3),
-       st.lists(st.tuples(st.integers(min_value=0, max_value=30),
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=30),
                           st.integers(min_value=1, max_value=20),
                           st.integers(min_value=0, max_value=2),
                           st.sampled_from(["request", "hold"])),
                 min_size=1, max_size=25))
-def test_hold_serves_like_request_timeout_release(capacity, jobs):
+def test_hold_serves_like_request_timeout_release(jobs):
     """``hold`` is one event per service, but it must serve exactly as
     request/timeout/release does: same per-job start and end, same
     grant order — also when both kinds share one resource."""
     work = [job[:3] for job in jobs]
     n = len(jobs)
-    reference = _serve_jobs(capacity, work, ["request"] * n)
-    assert _serve_jobs(capacity, work, ["hold"] * n) == reference
-    assert _serve_jobs(capacity, work, [job[3] for job in jobs]) == reference
+    reference = _serve_jobs(work, ["request"] * n)
+    assert _serve_jobs(work, ["hold"] * n) == reference
+    assert _serve_jobs(work, [job[3] for job in jobs]) == reference
 
 
 #: Steps of a random worker: wait a zero or non-zero timeout, hold the
@@ -144,13 +146,13 @@ _STEPS = st.one_of(
 _MAX_WORKERS = 24
 
 
-def _run_workers(program, roots, capacity, start):
+def _run_workers(program, roots, start):
     """Run ``program`` (one step list per worker), starting its first
     ``roots`` workers at t=0 and every worker with ``sim.<start>``.
     Returns the ``(now, worker, step)`` log, the workers that finished
     in finishing order, and the final seq counter."""
     sim = Simulator()
-    res = Resource(sim, capacity=capacity)
+    res = Resource(sim)
     store = Store(sim)
     log, finished, started = [], [], []
 
@@ -191,16 +193,15 @@ def _run_workers(program, roots, capacity, start):
 
 @settings(max_examples=200)
 @given(st.lists(st.lists(_STEPS, max_size=6), min_size=1, max_size=5),
-       st.integers(min_value=1, max_value=5),
-       st.integers(min_value=1, max_value=2))
-def test_spawn_dispatches_like_process(program, roots, capacity):
+       st.integers(min_value=1, max_value=5))
+def test_spawn_dispatches_like_process(program, roots):
     """Starting every worker with ``spawn`` instead of ``process`` must
     not move a single step: same log, same finishers (a worker blocked
     on an empty store never finishes). The only difference is the seq
     counter, one lower per finished task: the completion event a
     process fires and a task does not."""
-    log, finished, seq = _run_workers(program, roots, capacity, "process")
-    spawned = _run_workers(program, roots, capacity, "spawn")
+    log, finished, seq = _run_workers(program, roots, "process")
+    spawned = _run_workers(program, roots, "spawn")
     assert spawned[:2] == (log, finished)
     assert seq - spawned[2] == len(finished)
 

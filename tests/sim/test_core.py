@@ -177,6 +177,26 @@ def test_spawn_starts_like_process_in_call_order():
                      (1.0, "a"), (1.0, "b"), (1.0, "c")]
 
 
+def test_spawn_is_its_own_bootstrap():
+    """Each ``spawn`` draws exactly one seq, for the task itself on the
+    run queue, and takes no pooled trampoline."""
+    sim = Simulator()
+    ran = []
+
+    def worker(i):
+        ran.append(i)
+        return
+        yield  # a generator that finishes in its first step
+
+    for i in range(5):
+        sim.spawn(worker(i))
+    assert sim._seq == 5 and ran == []
+    sim.run()
+    assert ran == list(range(5))
+    assert sim._seq == 5
+    assert sim._trampolines == []
+
+
 def test_spawn_after_steps_first_in_the_events_own_dispatch():
     """A task started from an event has no bootstrap: its first step
     runs when the event fires, in that event's (time, seq) place, and it
@@ -342,3 +362,26 @@ def test_timeout_not_triggered_until_fired():
     sim.run()
     assert timeout.triggered
     assert timeout.value is None
+
+
+@pytest.mark.parametrize("combine", ["all_of", "any_of"])
+def test_condition_over_a_failed_child_fails_its_waiter(combine):
+    """A child that failed but has not been dispatched yet fails the
+    condition at once, and the waiter on the condition catches the
+    error: the child's own dispatch must not re-raise it from ``run()``
+    as a lost error."""
+    sim = Simulator()
+    caught = []
+
+    def waiter():
+        failed = sim.event()
+        failed.fail(RuntimeError("boom"))
+        try:
+            yield getattr(sim, combine)([failed, sim.timeout(5.0)])
+        except RuntimeError as exc:
+            caught.append((sim.now, str(exc)))
+
+    sim.process(waiter())
+    sim.run()
+    assert caught == [(0.0, "boom")]
+    assert sim.now == 5.0

@@ -26,7 +26,7 @@ def run_queue(lam: float, mu: float, n_jobs: int, deterministic: bool,
     needs the service time when the job arrives).
     """
     sim = Simulator()
-    server = Resource(sim, capacity=1)
+    server = Resource(sim)
     rng = RandomStreams(seed).stream("queueing")
     stats = LatencyStats()
 
@@ -84,7 +84,7 @@ def test_md1_waits_half_of_mm1(kind):
 def test_utilization_equals_rho():
     lam, mu, n = 0.6, 1.0, 10_000
     sim = Simulator()
-    server = Resource(sim, capacity=1)
+    server = Resource(sim)
     rng = RandomStreams(3).stream("util")
     busy = [0.0]
 

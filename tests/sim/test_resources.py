@@ -9,7 +9,7 @@ from repro.sim import (BandwidthPipe, Resource, SimulationError, Simulator,
 class TestResource:
     def test_capacity_one_serializes(self):
         sim = Simulator()
-        res = Resource(sim, capacity=1)
+        res = Resource(sim)
         finish_times = []
 
         def user():
@@ -24,26 +24,9 @@ class TestResource:
         sim.run()
         assert finish_times == [10.0, 20.0, 30.0]
 
-    def test_capacity_two_overlaps(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=2)
-        finish_times = []
-
-        def user():
-            req = res.request()
-            yield req
-            yield sim.timeout(10.0)
-            res.release(req)
-            finish_times.append(sim.now)
-
-        for _ in range(4):
-            sim.process(user())
-        sim.run()
-        assert finish_times == [10.0, 10.0, 20.0, 20.0]
-
     def test_priority_order(self):
         sim = Simulator()
-        res = Resource(sim, capacity=1)
+        res = Resource(sim)
         served = []
 
         def holder():
@@ -68,7 +51,7 @@ class TestResource:
 
     def test_fifo_within_priority(self):
         sim = Simulator()
-        res = Resource(sim, capacity=1)
+        res = Resource(sim)
         served = []
 
         def holder():
@@ -92,21 +75,16 @@ class TestResource:
 
     def test_release_without_hold_rejected(self):
         sim = Simulator()
-        res = Resource(sim, capacity=1)
+        res = Resource(sim)
         req = res.request()
         sim.run()
         res.release(req)
         with pytest.raises(SimulationError):
             res.release(req)
 
-    def test_invalid_capacity(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            Resource(sim, capacity=0)
-
     def test_hold_stays_pending_until_its_service_ends(self):
         sim = Simulator()
-        res = Resource(sim, capacity=1)
+        res = Resource(sim)
         first = res.hold(10.0)  # idle: completion scheduled at once
         second = res.hold(5.0)  # busy: queued until first ends
         both = sim.all_of([first, second])
@@ -120,9 +98,53 @@ class TestResource:
         assert sim.now == 15.0
         assert res.count == 0
 
+    def test_queued_hold_from_the_free_list_stays_pending(self):
+        """A hold that has to queue takes its completion from the
+        kernel's timeout free list. Recycled, it must still read as not
+        ``triggered`` while it waits and while it is served, and as
+        ``triggered`` only once its service ends."""
+        sim = Simulator()
+        res = Resource(sim)
+        sim.timeout(1.0)
+        sim.timeout(1.0)
+        sim.run()  # nothing holds either timeout: both are recycled
+        assert len(sim._timeouts) == 2
+        first = res.hold(10.0)  # idle: completion scheduled at once
+        recycled = sim._timeouts[-1]
+        second = res.hold(5.0)  # busy: queued until first ends
+        assert second is recycled and not sim._timeouts
+        seen = []
+        for at in (5.0, 12.0):
+            sim.call_at(sim.now + at, lambda: seen.append(
+                (first.triggered, second.triggered)))
+        assert not second.triggered
+        sim.run()
+        assert seen == [(False, False), (True, False)]
+        assert second.triggered and second.ok and second.value is None
+        assert sim.now == 1.0 + 15.0
+
+    def test_queued_zero_duration_hold_completes_through_the_run_queue(self):
+        """A zero-duration hold granted at ``now`` fires from the run
+        queue, after every event already due at ``now``: here a success
+        scheduled, before the grant, by an earlier heap entry for the
+        same instant. Dispatch stays in ``(time, seq)`` order."""
+        sim = Simulator()
+        res = Resource(sim)
+        order = []
+        marker = sim.event()
+        marker.add_callback(lambda _e: order.append(("marker", sim.now)))
+        sim.timeout(5.0).add_callback(lambda _e: marker.succeed())
+        res.hold(5.0)  # heap entry at t=5, dispatched after the timeout
+        queued = res.hold(0.0)
+        queued.add_callback(lambda _e: order.append(("queued", sim.now)))
+        sim.run()
+        # At t=5 the marker draws seq 3, then the grant draws seq 4.
+        assert order == [("marker", 5.0), ("queued", 5.0)]
+        assert sim._seq == 4
+
     def test_hold_rejects_negative_duration(self):
         sim = Simulator()
-        res = Resource(sim, capacity=1)
+        res = Resource(sim)
         with pytest.raises(SimulationError):
             res.hold(-1.0)
 
