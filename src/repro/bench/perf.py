@@ -513,17 +513,18 @@ def main(argv=None) -> int:
     parser.add_argument("--check", metavar="PATH",
                         help="compare against a baseline document; "
                              "nonzero exit on regression")
-    parser.add_argument("--tolerance", type=float, default=0.25,
+    parser.add_argument("--tolerance", type=runner.probability,
+                        default=0.25,
                         help="allowed normalized-rate drop vs the "
                              "baseline (default 0.25; kernel_events and "
                              "scale_smallio are capped at 0.20)")
-    parser.add_argument("--min-speedup", type=float, default=None,
-                        metavar="X",
+    parser.add_argument("--min-speedup", type=runner.positive_float,
+                        default=None, metavar="X",
                         help="fail unless the figure-sweep speedup "
                              "reaches X (skipped with a notice on "
                              "single-core hosts)")
-    parser.add_argument("--profile", type=int, nargs="?", const=15,
-                        default=None, metavar="N",
+    parser.add_argument("--profile", type=runner.positive_int, nargs="?",
+                        const=15, default=None, metavar="N",
                         help="cProfile each bench and print the top N "
                              "functions by cumulative time (default 15); "
                              "skips the suite's timing comparison")

@@ -250,9 +250,10 @@ def positive_float(text: str) -> float:
 
 
 def probability(text: str) -> float:
-    """argparse ``type=`` for fault rates: a number in [0, 1], so a
-    negative rate or one above 1 exits 2 instead of being reported as a
-    measured point."""
+    """argparse ``type=`` for fault rates and fractions: a number in
+    [0, 1], so a negative rate or one above 1 exits 2 instead of being
+    reported as a measured point, and a tolerance outside it cannot make
+    a gate always fail or switch it off."""
     value = float(text)
     if not 0 <= value <= 1:
         raise argparse.ArgumentTypeError(

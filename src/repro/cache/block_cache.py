@@ -79,10 +79,6 @@ class ClientFileCache:
                        "cache-hit", key=str(key))
         return block
 
-    def peek(self, key: BlockKey) -> Optional[CacheBlock]:
-        """Look up without touching recency or hit statistics."""
-        return self._blocks.get(key)
-
     def claim(self, key: BlockKey) -> CacheBlock:
         """Reserve a block frame for ``key`` (evicting if needed) so an
         incoming transfer can land directly in its registered buffer."""
@@ -112,12 +108,6 @@ class ClientFileCache:
         if block.buffer.data is None:
             block.buffer.data = data
 
-    def insert(self, key: BlockKey, data: Any) -> CacheBlock:
-        """Claim + fill in one step (for copy-in paths)."""
-        block = self.claim(key)
-        self.fill(block, data)
-        return block
-
     def invalidate(self, key: BlockKey) -> bool:
         block = self._blocks.pop(key, None)
         if block is None:
@@ -127,15 +117,6 @@ class ClientFileCache:
         self._free.append(block.buffer)
         self.stats.incr("invalidations")
         return True
-
-    def invalidate_file(self, name: str) -> int:
-        """Drop every cached block of ``name`` (consistency barrier,
-        e.g. on lock acquisition). Returns the number dropped."""
-        victims = [key for key in self._blocks
-                   if isinstance(key, tuple) and key and key[0] == name]
-        for key in victims:
-            self.invalidate(key)
-        return len(victims)
 
     def hit_ratio(self) -> float:
         return self.stats.hit_ratio()

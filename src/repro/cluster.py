@@ -211,7 +211,11 @@ class Cluster:
         self._register_metrics()
         #: Continuous telemetry; ``None`` until :meth:`attach_sampler`.
         self.sampler: Optional[TimeSeriesSampler] = None
-        self.reset()
+        # Message ids are module-global: restart them per cluster, so
+        # same-seed runs stay byte-identical when one process builds
+        # several clusters in sequence. (Xids are per RPC client, and
+        # every client above is new.)
+        reset_msg_ids()
 
     def _make_subclients(self, host: Host, kwargs: Dict) -> List[NASClient]:
         """One NAS client per server on ``host``, bound to its port."""
@@ -239,22 +243,6 @@ class Cluster:
             return [(f"client{index}", client)]
         return [(f"client{index}.s{k}", sub)
                 for k, sub in enumerate(client.subclients)]
-
-    def reset(self) -> None:
-        """Zero every id space a run consumes: the module-global message
-        ids and each RPC endpoint's xid/session state.
-
-        Called automatically at the end of wiring, so same-seed runs stay
-        byte-identical even when one process builds several clusters in
-        sequence — bench code must never call ``reset_msg_ids`` (or poke
-        RPC internals) directly.
-        """
-        reset_msg_ids()
-        for server in self.servers:
-            server.rpc.reset_session()
-        for i in range(len(self.clients)):
-            for _, sub in self.named_subclients(i):
-                sub.rpc.reset_session()
 
     def _register_metrics(self) -> None:
         reg = self.metrics

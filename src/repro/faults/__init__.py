@@ -6,14 +6,15 @@ falls back to RPC. This package generalizes that discipline to every
 layer of the model so graceful degradation becomes a measurable curve
 rather than an untested claim:
 
-* :class:`FaultSchedule` — declarative fire times (fixed, Poisson-rate,
-  burst), drawn from :class:`repro.sim.RandomStreams` so campaigns are
-  bit-reproducible under a fixed seed.
+* :class:`FaultSchedule` — declarative absolute fire times (the
+  ``shard`` campaign's scripted crash).
 * Layer adapters (:mod:`repro.faults.adapters`) — per-component fault
   state the hardware models consult on their hot paths: link frame
-  drop/corruption/delay and partition, NIC doorbell stalls and forced
-  ORDMA rejections, disk I/O errors and latency spikes, server
-  crash/restart with file-cache loss.
+  drop and delay, NIC doorbell stalls, forced ORDMA rejections and
+  silent ORDMA corruption, disk I/O errors, latency spikes, bit rot and
+  misdirected writes, server crash/restart with file-cache loss. Every
+  probabilistic mode draws from a named :class:`repro.sim.RandomStreams`
+  stream, so campaigns are bit-reproducible under a fixed seed.
 * :class:`Injector` — wires adapters into one :class:`repro.cluster.
   Cluster`, arms schedules, and turns on the client resilience layer
   (RPC timeout/retransmit, initiator-side RDMA timeouts).

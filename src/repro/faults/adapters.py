@@ -24,7 +24,7 @@ RNG is drawn, and only when the probability is non-zero.
 from __future__ import annotations
 
 import random
-from typing import Any, Optional, Set, Tuple
+from typing import Any, Optional, Tuple
 
 from ..integrity.checksum import corrupt_payload
 from ..sim import Counter, Simulator, trace_emit
@@ -69,19 +69,19 @@ class LayerFaults:
 
 
 class LinkFaults(LayerFaults):
-    """Switch-level faults: frame drop, corruption, delay, partition.
+    """Switch-level faults: frame drop and forwarding delay.
 
-    ``corrupt_p`` models **detected** corruption: the mangled frame
-    fails the receiver's CRC and is dropped there, so drop and
-    corruption differ only in accounting (``link.corrupt`` vs
-    ``link.drop``) and recovery is the ordinary retransmission
+    A dropped frame models any loss the receiver detects (a CRC-failed
+    frame is dropped there too); recovery is the ordinary retransmission
     machinery. Corruption that *evades* detection and flows to the
     application as clean data is a different failure class entirely —
-    see :attr:`DiskFaults.bitrot_p`/:attr:`DiskFaults.misdirect_p` and
-    :attr:`NicFaults.ordma_corrupt_p`, which only ``params.integrity``
-    checksums can catch. ``drop_next`` / ``delay_next`` are one-shot
-    traps for targeted tests: they fire on the next frame(s) regardless
-    of the probabilities.
+    see :attr:`DiskFaults.bitrot_p` and :attr:`NicFaults.ordma_corrupt_p`,
+    which only ``params.integrity`` checksums can catch. The delay mode
+    (``delay_p``/``delay_us``, or the ``delay_next`` trap) delivers a
+    frame late, which is how a test makes a retransmission overtake its
+    original. ``drop_next`` / ``delay_next`` are one-shot traps for
+    targeted tests: they fire on the next frame(s) regardless of the
+    probabilities.
     """
 
     layer = "link"
@@ -90,34 +90,15 @@ class LinkFaults(LayerFaults):
                  stats: Optional[Counter] = None, component: str = "switch"):
         super().__init__(sim, rng, stats, component)
         self.drop_p = 0.0
-        self.corrupt_p = 0.0
         self.delay_p = 0.0
         self.delay_us = 0.0
         self.drop_next = 0
         self.delay_next = 0
-        self._partitioned: Set[str] = set()
-
-    def partition(self, *hosts: str) -> None:
-        """Cut the given hosts off the fabric until :meth:`heal`."""
-        self._partitioned.update(hosts)
-        self._note("partition", hosts=tuple(sorted(hosts)))
-
-    def heal(self, *hosts: str) -> None:
-        """Reconnect hosts (all currently partitioned ones if none given)."""
-        victims = tuple(sorted(hosts or self._partitioned))
-        self._partitioned.difference_update(victims)
-        self._note("heal", hosts=victims)
 
     def frame_fate(self, src: str, dst: str) -> Tuple[str, float]:
-        """Decide one frame's fate: ('ok'|'drop'|'corrupt', extra delay us)."""
-        if self._partitioned and (src in self._partitioned
-                                  or dst in self._partitioned):
-            self._note("partition_drop", src=src, dst=dst)
-            return "drop", 0.0
+        """Decide one frame's fate: ('ok'|'drop', extra delay us)."""
         if self._fires("drop", self.drop_p, "drop_next", src=src, dst=dst):
             return "drop", 0.0
-        if self._fires("corrupt", self.corrupt_p, src=src, dst=dst):
-            return "corrupt", 0.0
         if self._fires("delay", self.delay_p, "delay_next", src=src,
                        dst=dst, us=self.delay_us):
             return "ok", self.delay_us
@@ -129,9 +110,9 @@ class NicFaults(LayerFaults):
 
     A doorbell stall models firmware backpressure on the host-facing
     command path; an ORDMA rejection makes the *target* NIC fault an
-    optimistic access it would otherwise have served (an "exception
-    storm" when driven in bursts), exercising the client's RPC fallback
-    at arbitrary rates without disturbing the server cache.
+    optimistic access it would otherwise have served, exercising the
+    client's RPC fallback at arbitrary rates without disturbing the
+    server cache.
     """
 
     layer = "nic"
@@ -183,7 +164,8 @@ class DiskFaults(LayerFaults):
     ``max_retries`` times before surfacing ``DiskError`` to the file
     server, each retry paying the full access time again.
 
-    ``bitrot_p`` and ``misdirect_p`` are different in kind: the access
+    Bit rot (``bitrot_p`` or the ``bitrot_next`` trap) and a misdirected
+    write (the ``misdirect_next`` trap) are different in kind: the access
     *succeeds* and hands back wrong data — decayed media on the read
     path, a write steered to the wrong sector on the write path. No
     error surfaces anywhere; only checksum verification
@@ -202,7 +184,6 @@ class DiskFaults(LayerFaults):
         self.max_retries = 8
         self.bitrot_p = 0.0
         self.bitrot_next = 0
-        self.misdirect_p = 0.0
         self.misdirect_next = 0
 
     def io_plan(self) -> Tuple[bool, float]:
@@ -223,8 +204,8 @@ class DiskFaults(LayerFaults):
     def misdirect_payload(self, data: Any) -> Any:
         """Filter one written payload: a misdirected write lands on the
         wrong sector, so the block's stored copy is silently wrong while
-        the write completes successfully."""
-        if self._fires("misdirect", self.misdirect_p, "misdirect_next"):
+        the write completes successfully. Only the trap fires it."""
+        if self._fires("misdirect", 0.0, "misdirect_next"):
             return corrupt_payload(data, "misdirect")
         return data
 
@@ -245,7 +226,6 @@ class ServerFaults(LayerFaults):
                  stats: Optional[Counter] = None, component: str = "server"):
         super().__init__(sim, rng, stats, component)
         self.crash_p = 0.0
-        self.crash_next = 0
         self.downtime_us = 2000.0
 
     def crash_now(self, rpc_server,
@@ -259,12 +239,6 @@ class ServerFaults(LayerFaults):
 
     def maybe_crash(self, rpc_server) -> bool:
         """Roll the per-request crash dice for an arriving request."""
-        crash = False
-        if self.crash_next > 0:
-            self.crash_next -= 1
-            crash = True
-        elif self.crash_p > 0.0 and self.rng.random() < self.crash_p:
-            crash = True
-        if not crash:
-            return False
-        return self.crash_now(rpc_server)
+        if self.crash_p > 0.0 and self.rng.random() < self.crash_p:
+            return self.crash_now(rpc_server)
+        return False

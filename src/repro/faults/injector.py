@@ -28,9 +28,8 @@ from ..sim import Counter
 from .adapters import DiskFaults, LinkFaults, NicFaults, ServerFaults
 from .schedule import FaultSchedule
 
-#: An armed schedule: (schedule, name, on_start, on_end-or-None).
-_Armed = Tuple[FaultSchedule, str, Callable[[], None],
-               Optional[Callable[[], None]]]
+#: An armed schedule: (schedule, action).
+_Armed = Tuple[FaultSchedule, Callable[[], None]]
 
 
 class Injector:
@@ -86,10 +85,6 @@ class Injector:
                 stats=self.stats, component=disk.name)
         return disk.faults
 
-    @property
-    def disk(self) -> DiskFaults:
-        return self.disk_faults(0)
-
     def server_faults(self, index: int = 0) -> ServerFaults:
         """The fault adapter for server ``index``'s RPC process."""
         rpc = self.cluster.servers[index].rpc
@@ -100,10 +95,6 @@ class Injector:
                 component=self.cluster.server_hosts[index].name)
             rpc.on_crash = self._state_loss_of(index)
         return rpc.faults
-
-    @property
-    def server(self) -> ServerFaults:
-        return self.server_faults(0)
 
     def _all_hosts(self):
         return self.cluster.server_hosts + self.cluster.client_hosts
@@ -128,31 +119,6 @@ class Injector:
     def link_loss(self, p: float) -> None:
         """Drop each forwarded frame with probability ``p``."""
         self.link.drop_p = p
-
-    def link_corruption(self, p: float) -> None:
-        """Corrupt frames with probability ``p`` — **detected** corruption.
-
-        The mangled frame fails the receiving NIC's CRC and is dropped
-        there, so this behaves exactly like :meth:`link_loss` except in
-        the fault accounting (``link.corrupt`` vs ``link.drop``);
-        recovery is the normal retransmission machinery. For corruption
-        that *evades* detection and reaches the application as clean
-        data — which only ``params.integrity`` checksums can catch — use
-        the silent-corruption knobs: :meth:`disk_bitrot`,
-        :meth:`disk_misdirected_writes`, :meth:`ordma_silent_corruption`.
-        """
-        self.link.corrupt_p = p
-
-    def link_delay(self, p: float, spike_us: float) -> None:
-        """Add a ``spike_us`` forwarding delay with probability ``p``."""
-        self.link.delay_p = p
-        self.link.delay_us = spike_us
-
-    def partition(self, *hosts: str) -> None:
-        self.link.partition(*hosts)
-
-    def heal(self, *hosts: str) -> None:
-        self.link.heal(*hosts)
 
     def nic_doorbell_stalls(self, p: float, stall_us: float,
                             hosts=None) -> None:
@@ -192,14 +158,6 @@ class Injector:
         for k in range(self.cluster.n_servers):
             self.disk_faults(k).bitrot_p = p
 
-    def disk_misdirected_writes(self, p: float) -> None:
-        """Silently misdirect writes with probability ``p``: the write
-        completes successfully but lands on the wrong sector, leaving
-        the block's stored copy wrong while the checksum metadata
-        (recorded from the intended data) stays correct."""
-        for k in range(self.cluster.n_servers):
-            self.disk_faults(k).misdirect_p = p
-
     def disk_errors(self, p: float,
                     max_retries: Optional[int] = None) -> None:
         """Fail disk accesses with probability ``p`` (transient)."""
@@ -227,28 +185,13 @@ class Injector:
 
     # -- scheduled faults ---------------------------------------------------
 
-    def schedule(self, sched: FaultSchedule, name: str,
-                 on_start: Callable[[], None],
-                 on_end: Optional[Callable[[], None]] = None) -> None:
-        """Bind a schedule to callbacks; runs once :meth:`arm` is called.
-
-        ``on_end`` (if given) fires ``duration_us`` after each
-        ``on_start`` — use schedules with a positive duration for
-        window-style faults like partitions.
-        """
+    def schedule(self, sched: FaultSchedule,
+                 action: Callable[[], None]) -> None:
+        """Run ``action`` at each of ``sched``'s fire times, once
+        :meth:`arm` is called."""
         if self._armed:
             raise RuntimeError("injector already armed")
-        self._schedules.append((sched, name, on_start, on_end))
-
-    def schedule_partition(self, sched: FaultSchedule,
-                           *hosts: str) -> None:
-        """Partition ``hosts`` for each schedule window (needs duration)."""
-        if sched.duration_us <= 0:
-            raise ValueError("partition schedules need a positive duration")
-        link = self.link
-        self.schedule(sched, "partition",
-                      lambda: link.partition(*hosts),
-                      lambda: link.heal(*hosts))
+        self._schedules.append((sched, action))
 
     def schedule_server_crash(self, sched: FaultSchedule,
                               downtime_us: Optional[float] = None,
@@ -257,36 +200,20 @@ class Injector:
         downtime). ``shard`` is only meaningful on sharded clusters."""
         faults = self.server_faults(shard)
         rpc = self.cluster.servers[shard].rpc
-        self.schedule(sched, f"server-crash{self._label(shard)}",
-                      lambda: faults.crash_now(rpc, downtime_us))
+        self.schedule(sched, lambda: faults.crash_now(rpc, downtime_us))
 
-    def schedule_ordma_storm(self, sched: FaultSchedule,
-                             count: int = 8, shard: int = 0) -> None:
-        """At each fire, fault the next ``count`` optimistic accesses
-        against server ``shard``'s NIC."""
-        nf = self.nic(self.cluster.server_hosts[shard])
-
-        def storm() -> None:
-            nf.ordma_reject_next += count
-        self.schedule(sched, f"ordma-storm{self._label(shard)}", storm)
-
-    def _run_schedule(self, sched: FaultSchedule, name: str,
-                      on_start: Callable[[], None],
-                      on_end: Optional[Callable[[], None]]) -> Generator:
-        rng = self._stream(f"schedule.{name}")
-        for when, duration in sched.fires(rng):
+    def _run_schedule(self, sched: FaultSchedule,
+                      action: Callable[[], None]) -> Generator:
+        for when in sched.times:
             if when > self.sim.now:
                 yield self.sim.timeout(when - self.sim.now)
-            on_start()
-            if on_end is not None and duration > 0:
-                yield self.sim.timeout(duration)
-                on_end()
+            action()
 
     def arm(self) -> None:
         """Spawn one task per bound schedule to run it."""
         self._armed = True
-        for sched, name, on_start, on_end in self._schedules:
-            self.sim.spawn(self._run_schedule(sched, name, on_start, on_end))
+        for sched, action in self._schedules:
+            self.sim.spawn(self._run_schedule(sched, action))
 
     # -- resilience ---------------------------------------------------------
 

@@ -1,97 +1,29 @@
 """Declarative fault-firing schedules.
 
-A :class:`FaultSchedule` describes *when* a fault (or fault window)
-fires, independently of *what* it does; the :class:`repro.faults.
-Injector` binds schedules to actions when it arms. Three modes cover the
-campaigns we run:
-
-* ``at``      — explicit fire times (regression tests, scripted outages);
-* ``poisson`` — memoryless arrivals at a given rate over an interval
-  (background failure processes);
-* ``burst``   — ``count`` fires at fixed spacing (correlated failures:
-  an exception storm, a flapping link).
-
-All randomness comes from the RNG handed to :meth:`fires` — the injector
-passes a named :class:`repro.sim.RandomStreams` stream, so two runs with
-the same master seed see byte-identical schedules.
+A :class:`FaultSchedule` describes *when* a fault fires, independently
+of *what* it does; the :class:`repro.faults.Injector` binds schedules to
+actions when it arms. A schedule is a list of absolute fire times, built
+by :meth:`FaultSchedule.at`: the ``shard`` campaign's scripted server
+crash. Firing draws nothing, so a schedule never moves a random stream.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import List, Tuple
-
-#: One planned firing: (absolute fire time in us, window duration in us).
-#: A zero duration means a point fault; a positive one a start/end window.
-Firing = Tuple[float, float]
+from typing import Tuple
 
 
 @dataclass(frozen=True)
 class FaultSchedule:
-    """When faults fire. Build via :meth:`at`, :meth:`poisson`, :meth:`burst`."""
+    """When a fault fires: absolute times in µs, ascending. Build via
+    :meth:`at`."""
 
-    mode: str
     times: Tuple[float, ...] = ()
-    duration_us: float = 0.0
-    rate_per_ms: float = 0.0
-    start_us: float = 0.0
-    end_us: float = 0.0
-    count: int = 0
-    spacing_us: float = 0.0
-
-    # -- constructors ------------------------------------------------------
 
     @classmethod
-    def at(cls, times, duration_us: float = 0.0) -> "FaultSchedule":
+    def at(cls, times) -> "FaultSchedule":
         """Fire at each absolute time in ``times``."""
         ordered = tuple(sorted(float(t) for t in times))
         if any(t < 0 for t in ordered):
             raise ValueError(f"negative fire time in {ordered}")
-        return cls(mode="at", times=ordered, duration_us=duration_us)
-
-    @classmethod
-    def poisson(cls, rate_per_ms: float, start_us: float, end_us: float,
-                duration_us: float = 0.0) -> "FaultSchedule":
-        """Poisson arrivals at ``rate_per_ms`` over [start_us, end_us)."""
-        if rate_per_ms <= 0:
-            raise ValueError(f"rate must be positive: {rate_per_ms}")
-        if end_us <= start_us:
-            raise ValueError(f"empty interval [{start_us}, {end_us})")
-        return cls(mode="poisson", rate_per_ms=rate_per_ms,
-                   start_us=start_us, end_us=end_us, duration_us=duration_us)
-
-    @classmethod
-    def burst(cls, start_us: float, count: int, spacing_us: float,
-              duration_us: float = 0.0) -> "FaultSchedule":
-        """``count`` fires starting at ``start_us``, ``spacing_us`` apart."""
-        if count < 1:
-            raise ValueError(f"burst needs at least one fire: {count}")
-        if spacing_us < 0:
-            raise ValueError(f"negative spacing: {spacing_us}")
-        return cls(mode="burst", start_us=start_us, count=count,
-                   spacing_us=spacing_us, duration_us=duration_us)
-
-    # -- expansion ---------------------------------------------------------
-
-    def fires(self, rng: random.Random) -> List[Firing]:
-        """Expand to a finite, ascending list of (time, duration) pairs.
-
-        Only the ``poisson`` mode consumes ``rng``; the others are fully
-        determined by their parameters.
-        """
-        if self.mode == "at":
-            return [(t, self.duration_us) for t in self.times]
-        if self.mode == "burst":
-            return [(self.start_us + i * self.spacing_us, self.duration_us)
-                    for i in range(self.count)]
-        if self.mode == "poisson":
-            out: List[Firing] = []
-            t = self.start_us
-            while True:
-                # expovariate is in ms at rate_per_ms; scale to us.
-                t += rng.expovariate(self.rate_per_ms) * 1000.0
-                if t >= self.end_us:
-                    return out
-                out.append((t, self.duration_us))
-        raise ValueError(f"unknown schedule mode {self.mode!r}")
+        return cls(times=ordered)

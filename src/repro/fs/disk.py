@@ -33,18 +33,12 @@ class Disk:
         self.faults = None
 
     def read(self, nbytes: int) -> Generator:
-        """Read ``nbytes`` from a random position."""
-        yield from self._access(nbytes, "reads")
-
-    def write(self, nbytes: int) -> Generator:
-        """Write ``nbytes`` at a random position."""
-        yield from self._access(nbytes, "writes")
-
-    def _access(self, nbytes: int, counter: str) -> Generator:
+        """Read ``nbytes`` from a random position. Only reads reach the
+        disk: a write lands in the server's file cache."""
         if nbytes < 0:
             raise ValueError(f"negative disk I/O size: {nbytes}")
         if self.sim.tracer is not None:
-            self.sim.tracer.emit(self.name, "disk-io-start", op=counter,
+            self.sim.tracer.emit(self.name, "disk-io-start", op="reads",
                                  bytes=nbytes)
         attempts = 0
         while True:
@@ -69,10 +63,10 @@ class Disk:
             self.stats.incr("io_errors")
             if attempts > self.faults.max_retries:
                 raise DiskError(
-                    f"{self.name}: {counter} I/O of {nbytes} bytes failed "
+                    f"{self.name}: reads I/O of {nbytes} bytes failed "
                     f"after {attempts} attempts")
-        self.stats.incr(counter)
+        self.stats.incr("reads")
         self.stats.incr("bytes", nbytes)
         if self.sim.tracer is not None:
-            self.sim.tracer.emit(self.name, "disk-io-complete", op=counter,
+            self.sim.tracer.emit(self.name, "disk-io-complete", op="reads",
                                  bytes=nbytes)

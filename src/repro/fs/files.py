@@ -84,9 +84,6 @@ class FileSystem:
             raise FileSystemError(f"no such file: {name!r}")
         del self._files[name]
 
-    def names(self) -> List[str]:
-        return list(self._files)
-
     # -- block content ------------------------------------------------------
 
     def block_count(self, name: str) -> int:

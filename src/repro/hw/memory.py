@@ -11,23 +11,23 @@ buffer's base and size. Until something asks for one of its pages, every
 page of the buffer is in one shared state — resident, not locked by the
 host, not loaded in a NIC TLB — with one pin count for the whole buffer,
 so pinning, unpinning and freeing it are O(1). The first call of
-:attr:`Buffer.pages`, :meth:`Buffer.pages_in_range`,
-:meth:`Buffer.page_at` or :meth:`AddressSpace.page_at` builds the
-buffer's :class:`Page` objects, each carrying the current pin count. The
-callers that do so are the TPT translation and access check, the NIC TLB
-walk and the ODAFS export's TLB preload: the only paths that can give a
-page a state of its own (Section 4.1: loaded in the NIC TLB, evicted or
-locked by the host). So a page that has not been built has the shared
-state, every call returns and raises the same either way, and simulated
-results cannot depend on when pages get built. GM receive rings (128
-pinned 520 KB slots per endpoint) are never translated, so their pages
-are never built.
+:attr:`Buffer.pages`, :meth:`Buffer.pages_in_range` or
+:meth:`Buffer.page_at` builds the buffer's :class:`Page` objects, each
+carrying the current pin count. The callers that do so are the TPT
+translation and access check, the NIC TLB walk and the ODAFS export's
+TLB preload: the only paths that can give a page a state of its own
+(Section 4.1: loaded in the NIC TLB, evicted or locked by the host). So
+a page that has not been built has the shared state, every call returns
+and raises the same either way, and simulated results cannot depend on
+when pages get built. GM receive rings (128 pinned 520 KB slots per
+endpoint) are never translated, so their pages are never built. The TPT
+indexes the pages of registered segments itself and asks the segment's
+buffer for the page, so an address space keeps no address index.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, bisect_right
 from typing import Any, Dict, List, Optional
 
 PAGE_SIZE = 4096
@@ -101,10 +101,6 @@ class Buffer:
         return f"<Buffer {self.name or hex(self.base)} size={self.size}>"
 
     @property
-    def end(self) -> int:
-        return self.base + self.size
-
-    @property
     def pages(self) -> List[Page]:
         """The buffer's pages, built (with the shared pin count) on the
         first call."""
@@ -135,10 +131,6 @@ class Buffer:
             return
         for page in self._pages:
             page.unpin()
-
-    @property
-    def resident(self) -> bool:
-        return self._pages is None or all(p.resident for p in self._pages)
 
     @property
     def page_count(self) -> int:
@@ -189,8 +181,6 @@ class AddressSpace:
         self._next = base
         #: Live buffers by base, in allocation (= address) order.
         self._buffers: Dict[int, Buffer] = {}
-        #: Their bases, sorted, for :meth:`page_at`.
-        self._bases: List[int] = []
         self.total_bytes = total_bytes
         self.allocated_bytes = 0
 
@@ -208,7 +198,6 @@ class AddressSpace:
         buf = Buffer(self, base, size, name=name)
         self._next += buf.page_count * PAGE_SIZE
         self._buffers[base] = buf
-        self._bases.append(base)  # addresses only grow: stays sorted
         self.allocated_bytes += size
         return buf
 
@@ -223,25 +212,4 @@ class AddressSpace:
                 f"freeing buffer {buf!r} with pinned page {vaddr:#x}"
             )
         del self._buffers[buf.base]
-        del self._bases[bisect_left(self._bases, buf.base)]
         self.allocated_bytes -= buf.size
-
-    def page_at(self, vaddr: int) -> Optional[Page]:
-        index = bisect_right(self._bases, vaddr) - 1
-        if index < 0:
-            return None
-        return self._buffers[self._bases[index]].page_at(vaddr)
-
-    def buffer_count(self) -> int:
-        return len(self._buffers)
-
-    def reclaimable_pages(self) -> List[Page]:
-        """Pages the VM system could evict right now, in address order."""
-        out: List[Page] = []
-        for buf in self._buffers.values():
-            if buf._pages is None and buf._pins:
-                continue  # every page shares the pin
-            out.extend(p for p in buf.pages
-                       if p.resident and not p.pinned
-                       and not p.locked_by_host)
-        return out

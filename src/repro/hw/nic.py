@@ -6,9 +6,10 @@ an interrupt/polling notification path to the host. Three personalities run
 over the same hardware, as on the testbed (Section 5):
 
 * **GM messaging** — send/receive into pre-posted buffers.
-* **RDMA get/put** — remote memory access with optional *optimistic*
-  semantics: capability check, residency/lock check, and NIC-to-NIC
-  recoverable faults (Section 4.1).
+* **RDMA put and optimistic get** — puts into registered memory (the
+  server's direct read replies), and optimistic gets (ORDMA reads) with
+  a capability check, a residency/lock check, and NIC-to-NIC recoverable
+  faults (Section 4.1).
 * **Ethernet emulation** — frames DMA'd to kernel buffers and handed to a
   host interrupt handler (the UDP/IP path).
 """
@@ -223,16 +224,17 @@ class NIC:
 
     def rdma_put(self, dst: str, remote_addr: int, nbytes: int,
                  data: Any = None, capability: Optional[bytes] = None,
-                 optimistic: bool = False, span=None) -> Generator:
-        """Remote write. Yields until the remote NIC acknowledges.
+                 span=None) -> Generator:
+        """Remote write into registered memory. Yields until the remote
+        NIC acknowledges.
 
-        Optimistic puts may raise :class:`RemoteAccessFault` at the yield
-        point; plain puts on registered memory fault only on stack bugs.
+        A put to unregistered memory is a stack bug, not a recoverable
+        fault; with :attr:`rdma_timeout_us` set, a lost frame raises
+        :class:`RemoteAccessFault` (TIMEOUT) at the yield point.
         """
         done = Event(self.sim)
         meta: Dict[str, Any] = {"addr": remote_addr,
-                                "capability": capability,
-                                "optimistic": optimistic}
+                                "capability": capability}
         if span is not None:
             meta["_span"] = span
         msg = Message(MsgKind.RDMA_PUT, self.name, dst, nbytes, data=data,
@@ -240,9 +242,11 @@ class NIC:
         self._pending_rdma[msg.msg_id] = {"event": done, "kind": "put"}
         self.stats.incr("rdma_put")
         if self.sim.tracer is not None:
+            # ``optimistic`` is always false: no system puts by ORDMA. The
+            # field stays so that trace dumps keep their bytes.
             self.sim.tracer.emit(self.name, "rdma-put", dst=dst,
                                  addr=remote_addr, bytes=nbytes,
-                                 msg=msg.msg_id, optimistic=optimistic)
+                                 msg=msg.msg_id, optimistic=False)
         yield from self._doorbell()
         if span is not None:
             span.mark(self.name, "nic.doorbell", op="rdma-put",
@@ -259,13 +263,13 @@ class NIC:
     def rdma_get(self, dst: str, remote_addr: int, nbytes: int,
                  local_buffer: Optional[Buffer] = None,
                  capability: Optional[bytes] = None,
-                 optimistic: bool = False, span=None) -> Generator:
-        """Remote read. Yields until the data lands in ``local_buffer``;
-        returns the payload object. May raise :class:`RemoteAccessFault`."""
+                 span=None) -> Generator:
+        """Optimistic remote read (an ORDMA get, Section 4.1). Yields until
+        the data lands in ``local_buffer``; returns the payload object.
+        Raises :class:`RemoteAccessFault` when the target rejects it."""
         done = Event(self.sim)
         meta: Dict[str, Any] = {"addr": remote_addr, "nbytes": nbytes,
-                                "capability": capability,
-                                "optimistic": optimistic}
+                                "capability": capability}
         if span is not None:
             meta["_span"] = span
         msg = Message(MsgKind.RDMA_GET_REQ, self.name, dst, 0, meta=meta)
@@ -274,9 +278,11 @@ class NIC:
         }
         self.stats.incr("rdma_get")
         if self.sim.tracer is not None:
+            # ``optimistic`` is always true: every get is an ORDMA read.
+            # The field stays so that trace dumps keep their bytes.
             self.sim.tracer.emit(self.name, "rdma-get", dst=dst,
                                  addr=remote_addr, bytes=nbytes,
-                                 msg=msg.msg_id, optimistic=optimistic)
+                                 msg=msg.msg_id, optimistic=True)
         yield from self._doorbell()
         if span is not None:
             span.mark(self.name, "nic.doorbell", op="rdma-get",
@@ -431,15 +437,14 @@ class NIC:
 
     # -- RDMA target side ------------------------------------------------
 
-    def _check_optimistic(self, msg: Message, nbytes: int,
-                          **detail: Any) -> Generator:
-        """The target's check of one optimistic access (Section 4.1).
+    def _check_optimistic(self, msg: Message, nbytes: int) -> Generator:
+        """The target's check of one optimistic get (Section 4.1).
 
         An injected rejection, else the TPT's capability and residency
         check, else the capability-verify time. A fault is counted,
-        traced (``ordma-fault``, with ``detail`` last), marked on the
-        request span and answered with ``RDMA_FAULT``. Returns the
-        :class:`FaultReason`, or ``None`` when the access may proceed.
+        traced (``ordma-fault``), marked on the request span and answered
+        with ``RDMA_FAULT``. Returns the :class:`FaultReason`, or ``None``
+        when the get may proceed.
         """
         meta = msg.meta
         if self.faults is not None and self.faults.ordma_reject():
@@ -453,7 +458,7 @@ class NIC:
             return None
         self.stats.incr("ordma_fault")
         trace_emit(self.sim, self.name, "ordma-fault", initiator=msg.src,
-                   reason=fault.value, msg=msg.msg_id, **detail)
+                   reason=fault.value, msg=msg.msg_id)
         span = meta.get("_span")
         if span is not None:
             span.mark(self.name, "ordma.reject", reason=fault.value)
@@ -487,26 +492,16 @@ class NIC:
     def _rx_put(self, frame: Frame) -> Generator:
         msg = frame.message
         meta = msg.meta
-        first = frame.index == 0
-        if first:
-            if meta.get("optimistic"):
-                fault = yield from self._check_optimistic(msg, msg.size,
-                                                          op="put")
-                if fault is not None:
-                    meta["faulted"] = fault
-            elif self.tpt.translate(meta["addr"]) is None:
-                raise ProtectionError(
-                    f"{self.name}: plain RDMA put to unregistered "
-                    f"{meta['addr']:#x}")
-        if meta.get("faulted"):
-            return  # sink remaining frames of a faulted put
+        if frame.index == 0 and self.tpt.translate(meta["addr"]) is None:
+            raise ProtectionError(
+                f"{self.name}: RDMA put to unregistered "
+                f"{meta['addr']:#x}")
         if frame.payload_bytes > 0:
             yield self.pci.dma(frame.payload_bytes)
             self.stats.incr("dma_bytes", frame.payload_bytes)
         if not self._reassembler.add(frame):
             return
-        seg = yield from self._tlb_walk(meta["addr"], msg.size,
-                                        meta.get("optimistic", False))
+        seg = yield from self._tlb_walk(meta["addr"], msg.size, False)
         if msg.data is not None:
             seg.buffer.data = msg.data
         self.stats.incr("rdma_put_served")
@@ -522,16 +517,10 @@ class NIC:
         msg = frame.message
         meta = msg.meta
         nbytes = meta["nbytes"]
-        optimistic = meta.get("optimistic", False)
-        if optimistic:
-            fault = yield from self._check_optimistic(msg, nbytes)
-            if fault is not None:
-                return
-        elif self.tpt.translate(meta["addr"]) is None:
-            raise ProtectionError(
-                f"{self.name}: plain RDMA get from unregistered "
-                f"{meta['addr']:#x}")
-        seg = yield from self._tlb_walk(meta["addr"], nbytes, optimistic)
+        fault = yield from self._check_optimistic(msg, nbytes)
+        if fault is not None:
+            return
+        seg = yield from self._tlb_walk(meta["addr"], nbytes, True)
         # GM get service has two cost components: a firmware occupancy
         # (serializes concurrent gets; bounds get throughput below the raw
         # link rate) and a rendezvous turnaround that is pure latency.
@@ -545,8 +534,7 @@ class NIC:
         if span is not None:
             span.mark(self.name, "ordma.server", bytes=nbytes)
         data = seg.buffer.data
-        if optimistic and self.faults is not None \
-                and self.faults.ordma_corrupt():
+        if self.faults is not None and self.faults.ordma_corrupt():
             # Silent corruption on the direct path: the get completes
             # normally, the payload is wrong, and no host CPU ever sees
             # it — only a client-side checksum can tell (Section 5's

@@ -31,10 +31,3 @@ class PCIBus:
     def descriptor_fetch(self) -> Event:
         """NIC-initiated fetch of one descriptor."""
         return self.sim.timeout(self.params.descriptor_fetch_us)
-
-    @property
-    def bytes_moved(self) -> int:
-        return self._pipe.stats_bytes
-
-    def utilization(self) -> float:
-        return self._pipe.utilization()

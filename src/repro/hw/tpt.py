@@ -19,7 +19,7 @@ import hashlib
 import hmac
 import itertools
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .memory import PAGE_SIZE, Buffer, Page
 
@@ -180,9 +180,6 @@ class TPT:
                 return FaultReason.PAGE_LOCKED
         return None
 
-    def segment_count(self) -> int:
-        return len(self._segments)
-
 
 class NicTLB:
     """On-board translation cache with LRU replacement.
@@ -196,31 +193,9 @@ class NicTLB:
         if capacity < 1:
             raise ValueError(f"TLB capacity must be >= 1: {capacity}")
         self.capacity = capacity
-        #: OS-imposed cap below the hardware capacity (Section 4.1: "The
-        #: OS must also be able to limit the effective size of the NIC TLB
-        #: to avoid excessive pinning by the NIC").
-        self.effective_limit = capacity
         self._entries: "OrderedDict[int, Page]" = OrderedDict()
         self.hits = 0
         self.misses = 0
-
-    def set_effective_limit(self, limit: int) -> List["Page"]:
-        """Cap the TLB's effective size; evicts (and unpins) LRU entries
-        beyond the new limit. Returns the evicted pages."""
-        if limit < 1:
-            raise ValueError(f"effective limit must be >= 1: {limit}")
-        self.effective_limit = min(limit, self.capacity)
-        evicted = []
-        while len(self._entries) > self.effective_limit:
-            _vaddr, page = self._entries.popitem(last=False)
-            page.nic_loaded = False
-            evicted.append(page)
-        return evicted
-
-    def pinned_bytes(self) -> int:
-        """Physical memory currently pinned by loaded translations — what
-        the OS must add to its minimum free page threshold (Section 4.1)."""
-        return len(self._entries) * PAGE_SIZE
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -240,7 +215,7 @@ class NicTLB:
         if page.vaddr in self._entries:
             self._entries.move_to_end(page.vaddr)
             return None
-        if len(self._entries) >= min(self.capacity, self.effective_limit):
+        if len(self._entries) >= self.capacity:
             _vaddr, evicted = self._entries.popitem(last=False)
             evicted.nic_loaded = False
         self._entries[page.vaddr] = page
@@ -254,11 +229,6 @@ class NicTLB:
             entry.nic_loaded = False
             return True
         return False
-
-    def flush(self) -> None:
-        for page in self._entries.values():
-            page.nic_loaded = False
-        self._entries.clear()
 
     @property
     def hit_rate(self) -> float:

@@ -15,14 +15,14 @@ This package adds the missing failure class and its defence:
   server's cached blocks.
 
 Enable with ``params.integrity.enabled``; inject silent faults with
-:meth:`repro.faults.Injector.disk_bitrot`,
-:meth:`~repro.faults.Injector.disk_misdirected_writes` and
-:meth:`~repro.faults.Injector.ordma_silent_corruption`; sweep both with
-``repro-bench scrub``.
+:meth:`repro.faults.Injector.disk_bitrot` and
+:meth:`~repro.faults.Injector.ordma_silent_corruption`, or misdirect the
+next writes with the disk adapter's ``misdirect_next`` trap; sweep them
+with ``repro-bench scrub``.
 """
 
 from .checksum import (CORRUPT_MARKER, IntegrityError, block_checksum,
-                       corrupt_payload, corruption_mode, is_corrupt)
+                       corrupt_payload, is_corrupt)
 from .scrub import Scrubber
 from .store import ChecksumStore
 
@@ -33,6 +33,5 @@ __all__ = [
     "Scrubber",
     "block_checksum",
     "corrupt_payload",
-    "corruption_mode",
     "is_corrupt",
 ]

@@ -60,14 +60,6 @@ def corrupt_payload(data: Any, mode: str) -> Any:
     return (CORRUPT_MARKER, mode, data)
 
 
-def corruption_mode(data: Any) -> str:
-    """The corruption mode of a wrapped payload ("" if not corrupted)."""
-    if isinstance(data, tuple) and len(data) == 3 \
-            and data[0] == CORRUPT_MARKER:
-        return data[1]
-    return ""
-
-
 def is_corrupt(data: Any) -> bool:
     """Whether ``data`` (or any nested block of it) is corrupted.
 

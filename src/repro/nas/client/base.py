@@ -147,29 +147,6 @@ class NASClient:
         return {"size": response.meta["size"],
                 "mtime": response.meta["mtime"]}
 
-    def lock(self, name: str, mode: str = "exclusive") -> Generator:
-        """Acquire an advisory whole-file lock (blocks until granted).
-
-        Mixing ORDMA- and RPC-based access weakens atomicity to one
-        memory word; explicit locks restore UNIX file I/O semantics
-        (Section 4.2.2)."""
-        yield from self._syscall()
-        yield from self._call("lock", {"name": name, "lock_mode": mode})
-        # A lock is a consistency barrier: locally cached blocks of the
-        # file may predate other clients' writes, so drop them.
-        self._lock_barrier(name)
-        self.stats.incr("locks")
-
-    def _lock_barrier(self, name: str) -> None:
-        """Hook: invalidate client-cached state for ``name`` (overridden
-        by caching clients)."""
-
-    def unlock(self, name: str) -> Generator:
-        """Release an advisory lock taken with :meth:`lock`."""
-        yield from self._syscall()
-        yield from self._call("unlock", {"name": name})
-        self.stats.incr("unlocks")
-
     def create(self, name: str, size: int) -> Generator:
         """Create a file of ``size`` bytes on the server."""
         yield from self._syscall()

@@ -160,10 +160,6 @@ class DAFSClient(NASClient):
         self._count_io("reads", "read_bytes", nbytes, span)
         return payload
 
-    def _lock_barrier(self, name: str) -> None:
-        if self.cache is not None:
-            self.cache.invalidate_file(name)
-
     # -- writes ---------------------------------------------------------------
 
     def write(self, name: str, offset: int, nbytes: int) -> Generator:

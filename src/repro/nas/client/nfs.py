@@ -10,7 +10,7 @@ of what the UDP stack already charged.
 from __future__ import annotations
 
 import math
-from typing import Any, Generator, Optional
+from typing import Generator, Optional
 
 from ...hw.host import Host
 from ...hw.memory import Buffer
@@ -60,9 +60,6 @@ class NFSClient(NASClient):
             transport = UDPStack(host).socket(port)
         super().__init__(host, transport, server)
         self.bcache = _BufferCache(bcache_entries)
-
-    def _lock_barrier(self, name: str) -> None:
-        self.bcache.invalidate_file(name)
 
     def _fragments(self, nbytes: int) -> int:
         payload = self.host.params.net.ip_fragment_payload

@@ -42,15 +42,6 @@ class RegistrationCache:
         self._segments[buffer.base] = seg
         return seg
 
-    def flush(self) -> Generator:
-        host_p = self.host.params.host
-        for seg in self._segments.values():
-            yield from self.host.cpu.execute(
-                seg.buffer.page_count * host_p.deregister_page_us,
-                category="register")
-            self.host.nic.tpt.deregister(seg)
-        self._segments.clear()
-
 
 class NFSHybridClient(NFSDirectClient):
     """Kernel NFS client whose reads arrive by server-initiated RDMA."""

@@ -15,7 +15,7 @@ Cache-block fills therefore try: client cache (handled by the base class)
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
 from ...cache.block_cache import CacheBlock
 from ...hw.host import Host
@@ -133,54 +133,3 @@ class ODAFSClient(DAFSClient):
                     span.path = "ordma"
                 return
         yield from self._remote_fill_rpc(name, index, block, span=span)
-
-    # -- optimistic writes (library extension; see Section 4.2.2) -----------
-
-    def write_optimistic(self, name: str, offset: int,
-                         nbytes: int) -> Generator:
-        """Write data via ORDMA when a reference is cached, then update
-        file metadata with a (smaller) RPC.
-
-        The paper identifies writes as a limitation of ORDMA because the
-        associated file state must still be updated at the server; this
-        implements that split: ORDMA moves the bytes, an explicit
-        'write' RPC with no payload settles mtime/block status.
-        """
-        bs = self.cache_block_size
-        if offset % bs or nbytes != bs:
-            raise ValueError("optimistic writes operate on whole blocks")
-        index = offset // bs
-        key = (name, index)
-        span = self._start_span("write", name=name, offset=offset,
-                                nbytes=nbytes, optimistic=True)
-        yield from self.cpu.execute(self.proto.ordma_dir_op_us,
-                                    category="directory")
-        ref = self.directory.probe(key)
-        if span is not None:
-            span.mark(self.host.name, "ordma.directory",
-                      hit=ref is not None)
-        if ref is not None:
-            try:
-                # Move the bytes; the block's logical content is settled
-                # by the metadata RPC below (version bump).
-                yield from self.ordma.write(ref, None, span=span)
-            except RemoteAccessFault:
-                self._note_ordma_fault(key, span)
-            else:
-                # Metadata still needs the server CPU: a payload-free RPC.
-                if span is not None:
-                    span.path = "ordma"
-                response = yield from self._call(
-                    "write", {"name": name, "offset": offset, "nbytes": 0,
-                              "ordma_blocks": [index]}, span=span)
-                response.meta["refs_name"] = name
-                self._absorb_refs(response)
-                if self.cache is not None:
-                    self.cache.invalidate(key)
-                self.stats.incr("ordma_writes")
-                if span is not None:
-                    span.finish(self.host.name)
-                return
-        yield from self.write(name, offset, nbytes)
-        if span is not None:
-            span.finish(self.host.name)

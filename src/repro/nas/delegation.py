@@ -51,12 +51,6 @@ class DelegationTable:
             if not holders:
                 del self._grants[name]
 
-    def holders(self, name: str) -> List[str]:
-        return list(self._grants.get(name, {}))
-
-    def holds(self, name: str, client: str) -> bool:
-        return client in self._grants.get(name, {})
-
     def take_recalls(self, client: str) -> List[str]:
         """Names whose delegations ``client`` must drop (cleared on read)."""
         names = self._recalls.pop(client, None)

@@ -19,12 +19,11 @@ from ...integrity.checksum import IntegrityError
 from ...integrity.scrub import Scrubber
 from ...integrity.store import ChecksumStore
 from ...proto.messaging import GMEndpoint
-from ...proto.rpc import RPC_HEADER_BYTES, RPCReply, RPCRequest, RPCServer
+from ...proto.rpc import RPCReply, RPCRequest, RPCServer
 from ...proto.udp import UDPStack
 from ...proto.vi import VIEndpoint
 from ...sim import Counter, LatencyStats, rate_probe, trace_emit
 from ..delegation import READ, DelegationTable
-from ..locks import EXCLUSIVE, LockTable
 from .filecache import BlockKey, ServerBlock, ServerFileCache
 
 #: Well-known service ports.
@@ -37,7 +36,7 @@ READ_MODES = ("direct", "inline", "inline-mem")
 
 class RequestRefused(Exception):
     """A request the server answers with an ``rpc_error`` reply (a missing
-    file, a bad mode, an unlock without the lock)."""
+    file, a bad mode)."""
 
 
 class BaseFileServer:
@@ -54,7 +53,6 @@ class BaseFileServer:
         self.cache = cache
         self.name = name
         self.delegations = DelegationTable()
-        self.locks = LockTable(host.sim)
         self.stats = Counter()
         #: End-to-end integrity (``params.integrity``): checksums recorded
         #: at write, verified wherever a consumer reads — the server here
@@ -82,7 +80,6 @@ class BaseFileServer:
             ("getattr", self._h_getattr), ("create", self._h_create),
             ("remove", self._h_remove), ("lookup", self._h_lookup),
             ("read_batch", self._h_read_batch),
-            ("lock", self._h_lock), ("unlock", self._h_unlock),
             ("get_refs", self._h_get_refs),
         ]:
             self.rpc.register(proc, self._serving(proc, handler))
@@ -397,31 +394,6 @@ class BaseFileServer:
                             RPCReply(inline_bytes=nbytes, data=payload,
                                      meta=meta))
 
-    def _h_lock(self, srv: RPCServer, request: RPCRequest) -> Generator:
-        """Advisory whole-file lock (Section 4.2.2: explicit locks restore
-        UNIX I/O semantics under mixed ORDMA/RPC access). Blocks until
-        granted; FIFO-fair."""
-        proto = self.host.params.proto
-        yield from self.host.cpu.execute(proto.fs_op_us / 2, category="fs")
-        name = request.args["name"]
-        mode = request.args.get("lock_mode", EXCLUSIVE)
-        grant = self.locks.acquire(name, request.client, mode)
-        yield grant
-        self.stats.incr("locks")
-        return self._finish(request, RPCReply(meta={"locked": name,
-                                                    "lock_mode": mode}))
-
-    def _h_unlock(self, srv: RPCServer, request: RPCRequest) -> Generator:
-        proto = self.host.params.proto
-        yield from self.host.cpu.execute(proto.fs_op_us / 2, category="fs")
-        name = request.args["name"]
-        try:
-            self.locks.release(name, request.client)
-        except KeyError:
-            raise RequestRefused(f"not locked by {request.client}") from None
-        self.stats.incr("unlocks")
-        return self._finish(request, RPCReply(meta={"unlocked": name}))
-
     def _h_get_refs(self, srv: RPCServer, request: RPCRequest) -> Generator:
         """Eager directory building (Section 4.2 principle (a)): return
         remote references for a file's currently cached blocks in one RPC,
@@ -482,12 +454,7 @@ class BaseFileServer:
             yield from cpu.copy(nbytes, cached=False)
         meta: Dict[str, Any] = {}
         refs: List[Tuple[int, Any]] = []
-        # An ORDMA write already moved the bytes into the exported block;
-        # this RPC settles the metadata (mtime, block status) for those
-        # blocks (Section 4.2.2: writes always need the server CPU).
-        indices = (args["ordma_blocks"] if "ordma_blocks" in args
-                   else self.fs.blocks_in_range(name, offset, nbytes))
-        for index in indices:
+        for index in self.fs.blocks_in_range(name, offset, nbytes):
             data = self.fs.write_block(name, index, now=self.host.sim.now)
             if self.checksums is not None:
                 # The reliable-metadata model: the checksum is recorded

@@ -6,7 +6,7 @@ segments (via the placement policy), fans the segments out concurrently
 over the per-server subclients, and reassembles the payload in block
 order — so a striped read returns byte-identical contents to a
 single-server read of the same range. Namespace operations (open, close,
-locks) route to the file's *home* shard; create/remove broadcast, since
+getattr) route to the file's *home* shard; create/remove broadcast, since
 every server exports the full namespace.
 
 Crash failover: an :class:`~repro.proto.rpc.RPCTimeoutError` from a
@@ -214,19 +214,6 @@ class ShardRouter:
         result = yield from self._call_chain(
             self._chain(name), lambda t: self.subclients[t].getattr(name),
             "getattr", name)
-        return result
-
-    def lock(self, name: str, mode: str = "exclusive") -> Generator:
-        """Advisory lock at the home shard (per-shard after failover)."""
-        result = yield from self._call_chain(
-            self._chain(name), lambda t: self.subclients[t].lock(name, mode),
-            "lock", name)
-        return result
-
-    def unlock(self, name: str) -> Generator:
-        result = yield from self._call_chain(
-            self._chain(name),
-            lambda t: self.subclients[t].unlock(name), "unlock", name)
         return result
 
     def _broadcast(self, op: str, name: str,

@@ -84,9 +84,6 @@ class Switch:
         self._ports[host_name] = port
         return port
 
-    def port(self, host_name: str) -> NetworkPort:
-        return self._ports[host_name]
-
     def gauges(self) -> Dict[str, Callable[[], float]]:
         """Telemetry probes for a :class:`~repro.sim.TimeSeriesSampler`:
         total queue occupancy across every attached port (bytes committed
@@ -123,9 +120,8 @@ class Switch:
         sim.call_at(sent + hop, self._exit, src, frame)
 
     def _exit(self, src: str, frame: Frame) -> None:
-        """The frame leaves the switch: injected fabric faults drop it (or
-        CRC-corrupt it, equivalent at the receiver) or stretch its
-        forwarding latency, else it enters the receive link."""
+        """The frame leaves the switch: injected fabric faults drop it or
+        stretch its forwarding latency, else it enters the receive link."""
         if self.faults is not None:
             fate, extra_us = self.faults.frame_fate(src, frame.dst)
             if fate != "ok":

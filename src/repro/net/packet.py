@@ -78,16 +78,8 @@ class Frame:
     wire_bytes: int
 
     @property
-    def is_last(self) -> bool:
-        return self.index == self.count - 1
-
-    @property
     def dst(self) -> str:
         return self.message.dst
-
-    @property
-    def src(self) -> str:
-        return self.message.src
 
 
 def fragment(message: Message, mtu: int, header_bytes: int) -> List[Frame]:
@@ -122,7 +114,3 @@ class Reassembler:
             return frame.message
         self._seen[mid] = got
         return None
-
-    @property
-    def in_flight(self) -> int:
-        return len(self._seen)

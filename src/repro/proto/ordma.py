@@ -2,16 +2,18 @@
 
 The initiator holds a :class:`RemoteRef` — a remote virtual address plus
 its protecting capability, collected from piggybacked RPC responses — and
-issues gets/puts that the *server CPU never sees* (Section 4). The access
+sends gets that the *server CPU never sees* (Section 4). The access
 succeeds only if the reference is still valid, resident and unlocked at
 the target; otherwise the target NIC reports a recoverable exception and
-the caller falls back to RPC.
+the caller falls back to RPC. Writes go by RPC: ORDMA could move a
+write's bytes, but the file's metadata still needs the server CPU
+(Section 4.2.2), and no experiment measures ORDMA writes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, Optional
+from typing import Generator, Optional
 
 from ..hw.host import Host
 from ..hw.memory import Buffer
@@ -37,7 +39,7 @@ class RemoteRef:
 
 
 class ORDMAInitiator:
-    """Client-side issue path for optimistic gets and puts."""
+    """The client side of optimistic gets."""
 
     def __init__(self, host: Host):
         self.host = host
@@ -45,13 +47,15 @@ class ORDMAInitiator:
 
     def gauges(self):
         """Telemetry probes for a :class:`~repro.sim.TimeSeriesSampler`:
-        windowed issue rates for optimistic reads and writes (ops/s)."""
+        the windowed rate of optimistic reads sent (ops/s)."""
         sim = self.host.sim
         return {
             "reads_s": rate_probe(
                 sim, lambda: float(self.stats.get("reads")), scale=1e6),
-            "writes_s": rate_probe(
-                sim, lambda: float(self.stats.get("writes")), scale=1e6),
+            # Always 0: nothing writes by ORDMA. The series stays so that
+            # telemetry JSON, trace dumps and Perfetto exports keep their
+            # bytes; dropping it is an output change for the run record.
+            "writes_s": lambda: 0.0,
         }
 
     def read(self, ref: RemoteRef, local: Optional[Buffer] = None,
@@ -64,24 +68,8 @@ class ORDMAInitiator:
         self.stats.incr("reads")
         data = yield from self.host.nic.rdma_get(
             ref.host, ref.addr, nbytes or ref.nbytes, local_buffer=local,
-            capability=ref.capability, optimistic=True, span=span)
+            capability=ref.capability, span=span)
         if span is not None:
             span.mark(self.host.name, "ordma.complete",
                       bytes=nbytes or ref.nbytes)
         return data
-
-    def write(self, ref: RemoteRef, data: Any,
-              nbytes: Optional[int] = None, span=None) -> Generator:
-        """Optimistic write of ``data`` to ``ref``.
-
-        ORDMA writes update data only; file metadata (mtime, block status)
-        still needs RPC, which is why small read-write ratios limit ODAFS
-        (Section 4.2.2).
-        """
-        self.stats.incr("writes")
-        yield from self.host.nic.rdma_put(
-            ref.host, ref.addr, nbytes or ref.nbytes, data=data,
-            capability=ref.capability, optimistic=True, span=span)
-        if span is not None:
-            span.mark(self.host.name, "ordma.complete",
-                      bytes=nbytes or ref.nbytes)

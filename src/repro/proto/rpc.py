@@ -166,17 +166,6 @@ class RPCClient:
                 scale=1e6),
         }
 
-    def reset_session(self) -> None:
-        """Restart the xid space and forget per-call session state.
-
-        Part of :meth:`repro.cluster.Cluster.reset`: a freshly wired
-        cluster must issue xids from 1 regardless of what ran before in
-        the same process, or same-seed trace exports diverge.
-        """
-        self._xids = itertools.count(1)
-        self._pending.clear()
-        self._recent.clear()
-
     def call(self, proc: str, args: Optional[Dict[str, Any]] = None,
              req_bytes: int = RPC_HEADER_BYTES,
              rddp_buffer: Optional[Buffer] = None,
@@ -373,14 +362,6 @@ class RPCServer:
         #: keeps the seed behavior: one concurrent task per arrival,
         #: unbounded, never rejecting.
         self.scheduler = None
-
-    def reset_session(self) -> None:
-        """Forget replayable session state (duplicate request cache).
-
-        Part of :meth:`repro.cluster.Cluster.reset`; does not touch the
-        crash/pause machinery or registered handlers.
-        """
-        self._dup_cache.clear()
 
     def crash(self, downtime_us: float) -> bool:
         """Crash the server process: drop requests for ``downtime_us``.

@@ -238,12 +238,6 @@ class BandwidthPipe:
         self._free_at = max(now, self._free_at + self._charge(nbytes))
         return self._free_at - now
 
-    def utilization(self, elapsed_us: Optional[float] = None) -> float:
-        elapsed = elapsed_us if elapsed_us is not None else self.sim.now
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.stats_busy_us / elapsed)
-
     def backlog_bytes(self) -> float:
         """Bytes still waiting to serialize (instantaneous queue gauge).
 

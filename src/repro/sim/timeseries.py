@@ -142,10 +142,10 @@ class TimeSeriesSampler:
     """Snapshots registered gauges on a fixed sim-time interval.
 
     Off by default: construction registers nothing with the simulator.
-    :meth:`start` spawns the sampling daemon. It takes an optional
-    ``stop_on`` event (typically the workload's process) so the event
-    heap can drain once the measured run is over; the VM-pressure and
-    scrub daemons require one.
+    :meth:`start` spawns the sampling daemon. Like the VM-pressure and
+    scrub daemons it requires a ``stop_on`` event (typically the
+    workload's process), so the event heap can drain once the measured
+    run is over.
     """
 
     def __init__(self, sim: Simulator, interval_us: float = 50.0,
@@ -189,17 +189,18 @@ class TimeSeriesSampler:
 
     # -- sampling ----------------------------------------------------------
 
-    def start(self, stop_on: Optional[Event] = None) -> None:
-        """Spawn the sampling daemon (idempotent start is an error)."""
+    def start(self, stop_on: Event) -> None:
+        """Spawn the sampling daemon, which samples every interval until
+        ``stop_on`` has triggered (idempotent start is an error)."""
         if self._running:
             raise RuntimeError("sampler already running")
         self._running = True
         self.sim.spawn(self._daemon(stop_on))
 
-    def _daemon(self, stop_on: Optional[Event]) -> Generator:
+    def _daemon(self, stop_on: Event) -> Generator:
         while True:
             yield self.sim.timeout(self.interval_us)
-            if stop_on is not None and stop_on.triggered:
+            if stop_on.triggered:
                 return
             self.sample_once()
 

@@ -21,10 +21,17 @@ def make_cache(host, blocks=4, register=True):
     return ClientFileCache(host, 4096, blocks, register=register)
 
 
+def insert(cache, key, data):
+    """Claim a frame for ``key`` and fill it at once (a copy-in)."""
+    block = cache.claim(key)
+    cache.fill(block, data)
+    return block
+
+
 def test_probe_miss_then_insert_then_hit(host):
     cache = make_cache(host)
     assert cache.probe(("f", 0)) is None
-    cache.insert(("f", 0), "data0")
+    insert(cache, ("f", 0), "data0")
     block = cache.probe(("f", 0))
     assert block.data == "data0"
     assert cache.stats.get("hits") == 1
@@ -33,9 +40,9 @@ def test_probe_miss_then_insert_then_hit(host):
 
 def test_eviction_at_capacity(host):
     cache = make_cache(host, blocks=2)
-    cache.insert(("f", 0), "d0")
-    cache.insert(("f", 1), "d1")
-    cache.insert(("f", 2), "d2")
+    insert(cache, ("f", 0), "d0")
+    insert(cache, ("f", 1), "d1")
+    insert(cache, ("f", 2), "d2")
     assert len(cache) == 2
     assert cache.probe(("f", 0)) is None  # LRU victim
     assert cache.stats.get("evictions") == 1
@@ -43,59 +50,50 @@ def test_eviction_at_capacity(host):
 
 def test_buffers_are_pooled_and_reused(host):
     cache = make_cache(host, blocks=2)
-    b0 = cache.insert(("f", 0), "d0").buffer
-    cache.insert(("f", 1), "d1")
-    b2 = cache.insert(("f", 2), "d2").buffer  # reuses f0's frame
+    b0 = insert(cache, ("f", 0), "d0").buffer
+    insert(cache, ("f", 1), "d1")
+    b2 = insert(cache, ("f", 2), "d2").buffer  # reuses f0's frame
     assert b2 is b0
 
 
 def test_pool_registered_once(host):
     cache = make_cache(host, blocks=3, register=True)
-    assert host.nic.tpt.segment_count() == 3
+    assert len(host.nic.tpt._segments) == 3
     # Churn does not register anything new (registration caching).
     for i in range(10):
-        cache.insert(("f", i), f"d{i}")
-    assert host.nic.tpt.segment_count() == 3
+        insert(cache, ("f", i), f"d{i}")
+    assert len(host.nic.tpt._segments) == 3
 
 
 def test_claim_reserves_frame_before_fill(host):
     cache = make_cache(host)
     block = cache.claim(("f", 7))
     assert block.data is None
-    assert cache.peek(("f", 7)) is block
+    assert cache._blocks[("f", 7)] is block
     cache.fill(block, "arrived")
     assert cache.probe(("f", 7)).data == "arrived"
 
 
 def test_claim_existing_returns_same_block(host):
     cache = make_cache(host)
-    first = cache.insert(("f", 0), "d")
+    first = insert(cache, ("f", 0), "d")
     again = cache.claim(("f", 0))
     assert again is first
 
 
 def test_invalidate_frees_frame(host):
     cache = make_cache(host, blocks=1)
-    cache.insert(("f", 0), "d")
+    insert(cache, ("f", 0), "d")
     assert cache.invalidate(("f", 0))
     assert not cache.invalidate(("f", 0))
     assert len(cache) == 0
-    cache.insert(("f", 1), "d1")  # frame available again
+    insert(cache, ("f", 1), "d1")  # frame available again
     assert cache.probe(("f", 1)).data == "d1"
-
-
-def test_peek_does_not_touch_stats(host):
-    cache = make_cache(host)
-    cache.insert(("f", 0), "d")
-    cache.peek(("f", 0))
-    cache.peek(("f", 9))
-    assert cache.stats.get("hits") == 0
-    assert cache.stats.get("misses") == 0
 
 
 def test_hit_ratio(host):
     cache = make_cache(host)
-    cache.insert(("f", 0), "d")
+    insert(cache, ("f", 0), "d")
     cache.probe(("f", 0))
     cache.probe(("f", 1))
     assert cache.hit_ratio() == pytest.approx(0.5)

@@ -1,6 +1,7 @@
 """The fault adapters' one decision: a pending one-shot trap fires before
 the probability and is noted ``forced``; otherwise the RNG is drawn, and
-only when the probability is non-zero."""
+only when the probability is non-zero. A misdirected write has no
+probability: only its trap fires it."""
 
 import random
 
@@ -11,14 +12,12 @@ from repro.sim import Simulator, Tracer
 
 DATA = ("f", 0, 0)
 
-#: mode -> (adapter class, probability attribute, trap attribute or None,
-#: fields the ``fault`` event carries between ``mode`` and ``forced``,
-#: one decision, the decision's value when no fault fires).
+#: mode -> (adapter class, probability attribute or None, trap attribute
+#: or None, fields the ``fault`` event carries between ``mode`` and
+#: ``forced``, one decision, the decision's value when no fault fires).
 MODES = {
     "link.drop": (LinkFaults, "drop_p", "drop_next", ["src", "dst"],
                   lambda f: f.frame_fate("A", "B"), ("ok", 0.0)),
-    "link.corrupt": (LinkFaults, "corrupt_p", None, ["src", "dst"],
-                     lambda f: f.frame_fate("A", "B"), ("ok", 0.0)),
     "link.delay": (LinkFaults, "delay_p", "delay_next", ["src", "dst", "us"],
                    lambda f: f.frame_fate("A", "B"), ("ok", 0.0)),
     "nic.doorbell_stall": (NicFaults, "stall_p", "stall_next", ["us"],
@@ -33,10 +32,11 @@ MODES = {
                    lambda f: f.io_plan(), (False, 0.0)),
     "disk.bitrot": (DiskFaults, "bitrot_p", "bitrot_next", [],
                     lambda f: f.bitrot_payload(DATA), DATA),
-    "disk.misdirect": (DiskFaults, "misdirect_p", "misdirect_next", [],
+    "disk.misdirect": (DiskFaults, None, "misdirect_next", [],
                        lambda f: f.misdirect_payload(DATA), DATA),
 }
 TRAPPED = sorted(m for m in MODES if MODES[m][2] is not None)
+DRAWN = sorted(m for m in MODES if MODES[m][1] is not None)
 
 
 def make(mode):
@@ -63,7 +63,8 @@ def decide(adapter, mode):
 def test_trap_fires_before_the_probability_and_is_forced(mode):
     adapter, _ = make(mode)
     _, p, trap, fields, _, _ = MODES[mode]
-    setattr(adapter, p, 1.0)
+    if p is not None:
+        setattr(adapter, p, 1.0)
     setattr(adapter, trap, 1)
     state = adapter.rng.getstate()
     fired, event = decide(adapter, mode)
@@ -72,6 +73,11 @@ def test_trap_fires_before_the_probability_and_is_forced(mode):
     assert getattr(adapter, trap) == 0
     assert list(event.detail) == ["cls", "mode", *fields, "forced"]
     assert event.detail["forced"] is True
+    if p is None:
+        # A spent trap of a trap-only mode leaves nothing to fire.
+        assert decide(adapter, mode) == (False, None)
+        assert adapter.rng.getstate() == state
+        return
     # The trap is spent: the next decision draws, and is not forced.
     fired, event = decide(adapter, mode)
     assert fired
@@ -80,7 +86,7 @@ def test_trap_fires_before_the_probability_and_is_forced(mode):
     assert adapter.stats.get(mode) == 2
 
 
-@pytest.mark.parametrize("mode", sorted(MODES))
+@pytest.mark.parametrize("mode", DRAWN)
 def test_drawn_fault_emits_one_event_without_forced(mode):
     adapter, _ = make(mode)
     _, p, _, fields, _, _ = MODES[mode]

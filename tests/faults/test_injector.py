@@ -51,21 +51,6 @@ def test_link_drop_recovered_by_retransmission():
     assert cluster.clients[0].rpc.stats.get("retransmits") >= 1
 
 
-def test_link_partition_and_heal():
-    cluster = make_cluster("nfs")
-    cluster.create_file("f", 16 * KB)
-    inj = Injector(cluster)
-    inj.enable_resilience()
-    # Partition for a window shorter than the full retry budget: reads
-    # issued inside the window recover once the partition heals.
-    inj.schedule_partition(
-        FaultSchedule.at([100.0], duration_us=6000.0), "client0")
-    inj.arm()
-    state = read_all(cluster, blocks=4)
-    assert state == {"ok": 4, "failed": 0}
-    assert inj.stats.get("link.partition") >= 1
-
-
 def test_link_delay_slows_but_does_not_break():
     fast = make_cluster("nfs")
     fast.create_file("f", 32 * KB)
@@ -74,7 +59,8 @@ def test_link_delay_slows_but_does_not_break():
     slow.create_file("f", 32 * KB)
     inj = Injector(slow)
     inj.enable_resilience()
-    inj.link_delay(1.0, spike_us=100.0)
+    inj.link.delay_p = 1.0
+    inj.link.delay_us = 100.0
     state = read_all(slow, blocks=8)
     assert base == state == {"ok": 8, "failed": 0}
     assert slow.sim.now > fast.sim.now
@@ -104,8 +90,7 @@ def test_ordma_storm_falls_back_to_rpc():
     inj = Injector(cluster)
     inj.enable_resilience()
     # Every optimistic access faults for the first 4 attempts.
-    inj.schedule_ordma_storm(FaultSchedule.at([0.0]), count=4)
-    inj.arm()
+    inj.nic(cluster.server_host).ordma_reject_next = 4
     # Two passes through a tiny client cache: pass 2 goes optimistic.
     state = read_all(cluster, blocks=16, passes=2)
     assert state == {"ok": 32, "failed": 0}
@@ -123,7 +108,7 @@ def test_transient_disk_error_is_retried():
     cluster.create_file("f", 32 * KB, warm=False)   # cold: reads hit disk
     inj = Injector(cluster)
     inj.enable_resilience()
-    inj.disk.error_next = 1
+    inj.disk_faults(0).error_next = 1
     state = read_all(cluster, blocks=8)
     assert state == {"ok": 8, "failed": 0}
     assert inj.stats.get("disk.io_error") == 1
@@ -196,7 +181,7 @@ def test_server_crash_invalidates_odafs_references():
         for i in range(8):
             yield from client.read("f", i * 4 * KB, 4 * KB)
         # Crash: the export map is torn down with the cache.
-        inj.server.crash_now(cluster.server.rpc, 1000.0)
+        inj.server_faults(0).crash_now(cluster.server.rpc, 1000.0)
         yield cluster.sim.timeout(2000.0)
         # Pass 2 (cold client cache) goes optimistic with stale refs.
         for i in range(8):
@@ -216,13 +201,7 @@ def test_schedule_after_arm_is_rejected():
     inj = Injector(cluster)
     inj.arm()
     with pytest.raises(RuntimeError):
-        inj.schedule(FaultSchedule.at([1.0]), "late", lambda: None)
-
-
-def test_partition_schedule_requires_duration():
-    inj = Injector(make_cluster("nfs"))
-    with pytest.raises(ValueError):
-        inj.schedule_partition(FaultSchedule.at([1.0]), "client0")
+        inj.schedule(FaultSchedule.at([1.0]), lambda: None)
 
 
 # -- the zero-impact guarantee ------------------------------------------------
@@ -238,7 +217,9 @@ def test_unconfigured_injector_is_bit_identical(system):
         cluster.create_file("f", 32 * KB)
         if with_injector:
             inj = Injector(cluster)
-            _ = inj.link, inj.disk, inj.server          # install adapters
+            _ = inj.link                                # install adapters
+            inj.disk_faults(0)
+            inj.server_faults(0)
             inj.nic(cluster.server_host)
             inj.nic(cluster.client_hosts[0])
             inj.arm()

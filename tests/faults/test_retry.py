@@ -104,7 +104,7 @@ def test_retry_budget_exhaustion_raises_timeout_error():
     cluster.create_file("f", 16 * KB)
     inj = Injector(cluster)
     inj.enable_resilience(timeout_us=1000.0, max_retries=2, jitter=0.0)
-    inj.partition("server")         # nothing gets through, ever
+    inj.link_loss(1.0)              # nothing gets through, ever
     client = cluster.clients[0]
 
     def proc():

@@ -1,17 +1,14 @@
-"""FaultSchedule: construction, expansion, determinism."""
-
-import random
+"""FaultSchedule: construction, immutability, and no random draws."""
 
 import pytest
 
-from repro.faults import FaultSchedule
-from repro.sim import RandomStreams
+from repro.cluster import Cluster
+from repro.faults import FaultSchedule, Injector
 
 
-def test_at_sorts_and_carries_duration():
-    sched = FaultSchedule.at([300.0, 100.0, 200.0], duration_us=50.0)
-    assert sched.fires(random.Random(0)) == [
-        (100.0, 50.0), (200.0, 50.0), (300.0, 50.0)]
+def test_at_sorts_times():
+    sched = FaultSchedule.at([300.0, 100.0, 200.0])
+    assert sched.times == (100.0, 200.0, 300.0)
 
 
 def test_at_rejects_negative_times():
@@ -20,48 +17,24 @@ def test_at_rejects_negative_times():
 
 
 def test_at_does_not_consume_rng():
-    rng = random.Random(42)
-    before = rng.getstate()
-    FaultSchedule.at([1.0, 2.0]).fires(rng)
-    assert rng.getstate() == before
-
-
-def test_burst_fixed_spacing():
-    sched = FaultSchedule.burst(start_us=1000.0, count=3, spacing_us=10.0)
-    assert sched.fires(random.Random(0)) == [
-        (1000.0, 0.0), (1010.0, 0.0), (1020.0, 0.0)]
-
-
-def test_burst_validation():
-    with pytest.raises(ValueError):
-        FaultSchedule.burst(0.0, count=0, spacing_us=1.0)
-    with pytest.raises(ValueError):
-        FaultSchedule.burst(0.0, count=2, spacing_us=-1.0)
-
-
-def test_poisson_in_window_ascending_and_seeded():
-    sched = FaultSchedule.poisson(rate_per_ms=2.0, start_us=1000.0,
-                                  end_us=50_000.0)
-    fires_a = sched.fires(RandomStreams(7).stream("s"))
-    fires_b = sched.fires(RandomStreams(7).stream("s"))
-    fires_c = sched.fires(RandomStreams(8).stream("s"))
-    assert fires_a == fires_b          # same seed, same arrivals
-    assert fires_a != fires_c          # different seed, different arrivals
-    times = [t for t, _ in fires_a]
-    assert times == sorted(times)
-    assert all(1000.0 < t < 50_000.0 for t in times)
-    # ~2/ms over 49ms: expect on the order of 100 arrivals, not 0 or 1e4.
-    assert 20 < len(times) < 400
-
-
-def test_poisson_validation():
-    with pytest.raises(ValueError):
-        FaultSchedule.poisson(0.0, 0.0, 100.0)
-    with pytest.raises(ValueError):
-        FaultSchedule.poisson(1.0, 100.0, 100.0)
+    """Arming and firing a schedule draws from no random stream, so a
+    scheduled fault never moves another component's draws."""
+    cluster = Cluster(system="nfs")
+    inj = Injector(cluster)
+    fired = []
+    inj.schedule(FaultSchedule.at([2.0, 1.0]),
+                 lambda: fired.append(cluster.sim.now))
+    streams = dict(cluster.rand._streams)
+    states = {name: rng.getstate() for name, rng in streams.items()}
+    inj.arm()
+    cluster.sim.run()
+    assert fired == [1.0, 2.0]
+    assert cluster.rand._streams == streams
+    assert {name: rng.getstate()
+            for name, rng in streams.items()} == states
 
 
 def test_schedules_are_immutable():
     sched = FaultSchedule.at([1.0])
     with pytest.raises(Exception):
-        sched.mode = "burst"
+        sched.times = (2.0,)

@@ -44,11 +44,10 @@ def test_stats(rig):
 
     def proc():
         yield from disk.read(100)
-        yield from disk.write(200)
+        yield from disk.read(200)
 
     sim.run_process(proc())
-    assert disk.stats.get("reads") == 1
-    assert disk.stats.get("writes") == 1
+    assert disk.stats.get("reads") == 2
     assert disk.stats.get("bytes") == 300
 
 

@@ -84,12 +84,6 @@ def test_block_range_of_an_empty_range_is_empty():
         assert list(block_range(offset, 0, 4096)) == []
 
 
-def test_names(fs):
-    fs.create("x", 1)
-    fs.create("y", 1)
-    assert sorted(fs.names()) == ["x", "y"]
-
-
 def test_bad_block_size():
     with pytest.raises(FileSystemError):
         FileSystem(block_size=0)

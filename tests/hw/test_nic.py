@@ -167,12 +167,10 @@ class TestRDMA:
         def getter():
             # Warm the NIC TLB as the paper does.
             yield from a.nic.rdma_get("hostB", seg.base, 4096, local,
-                                      capability=seg.capability,
-                                      optimistic=True)
+                                      capability=seg.capability)
             start = sim.now
             yield from a.nic.rdma_get("hostB", seg.base, 4096, local,
-                                      capability=seg.capability,
-                                      optimistic=True)
+                                      capability=seg.capability)
             return sim.now - start
 
         elapsed = sim.run_process(getter())
@@ -184,8 +182,7 @@ class TestRDMA:
 
         def getter():
             try:
-                yield from a.nic.rdma_get("hostB", 0xDEAD0000, 4096, local,
-                                          optimistic=True)
+                yield from a.nic.rdma_get("hostB", 0xDEAD0000, 4096, local)
             except RemoteAccessFault as fault:
                 return fault.reason
 
@@ -200,8 +197,7 @@ class TestRDMA:
         def getter():
             try:
                 yield from a.nic.rdma_get("hostB", seg.base, 4096, local,
-                                          capability=b"forged-token-123",
-                                          optimistic=True)
+                                          capability=b"forged-token-123")
             except RemoteAccessFault as fault:
                 return fault.reason
 
@@ -217,32 +213,11 @@ class TestRDMA:
         def getter():
             try:
                 yield from a.nic.rdma_get("hostB", seg.base, 4096, local,
-                                          capability=seg.capability,
-                                          optimistic=True)
+                                          capability=seg.capability)
             except RemoteAccessFault as fault:
                 return fault.reason
 
         assert sim.run_process(getter()) is FaultReason.NOT_RESIDENT
-
-    def test_optimistic_put_faults_and_data_untouched(self, rig):
-        sim, params, a, b = rig
-        target = b.mem.alloc(4096)
-        target.data = "original"
-        seg = b.nic.tpt.register(target, pin=False)
-        b.nic.tpt.revoke(seg)
-
-        def putter():
-            try:
-                yield from a.nic.rdma_put("hostB", seg.base, 4096,
-                                          data="overwrite",
-                                          capability=seg.capability,
-                                          optimistic=True)
-            except RemoteAccessFault as fault:
-                return fault.reason, target.data
-
-        reason, data = sim.run_process(putter())
-        assert reason in (FaultReason.REVOKED, FaultReason.INVALID_TRANSLATION)
-        assert data == "original"
 
     def test_tlb_loading_pins_target_pages(self, rig):
         sim, params, a, b = rig
@@ -252,8 +227,7 @@ class TestRDMA:
 
         def getter():
             yield from a.nic.rdma_get("hostB", seg.base, 4096, local,
-                                      capability=seg.capability,
-                                      optimistic=True)
+                                      capability=seg.capability)
 
         sim.run_process(getter())
         assert source.pages[0].nic_loaded
@@ -262,7 +236,8 @@ class TestRDMA:
     def test_get_concurrency_pipelines(self, rig):
         """Gets must pipeline at the target: N concurrent gets take far
         less than N times one get (the get turnaround is latency, not
-        occupancy)."""
+        occupancy). Each side first warms the target's NIC TLB, whose
+        host-loaded miss costs milliseconds."""
         sim, params, a, b = rig
         source = b.mem.alloc(64 * 1024)
         source.data = "blk"
@@ -294,33 +269,36 @@ class TestRDMA:
                                        local, capability=seg2.capability)
 
         def serial2():
+            yield from one_get2()
+            start = sim_serial.now
             for _ in range(n):
                 yield from one_get2()
-            return sim_serial.now
+            return sim_serial.now - start
 
         serial_time = sim_serial.run_process(serial2())
 
         def concurrent():
+            yield from one_get()
+            start = sim.now
             procs = [sim.process(one_get()) for _ in range(n)]
             yield sim.all_of(procs)
-            return sim.now
+            return sim.now - start
 
         concurrent_time = sim.run_process(concurrent())
         assert concurrent_time < 0.6 * serial_time
 
 
 class TestOptimisticCheck:
-    """Puts and gets share the target's one optimistic-access check."""
+    """The target's check of an optimistic get."""
 
-    def _access(self, rig, op, reject):
-        """One traced 16 KB optimistic ``op`` from hostA to hostB, with an
-        injected rejection pending if ``reject``. Returns (fault reason or
-        None, tracer, span, control messages hostB sent, first message
-        hostA sent, target buffer)."""
+    def test_injected_reject_is_reported_once(self, rig):
+        """One traced 16 KB get from hostA to hostB with an injected
+        rejection pending: one fault event, one ``RDMA_FAULT`` reply, one
+        span mark, and the target untouched."""
         sim, params, a, b = rig
         tracer = Tracer.attach(sim)
         b.nic.faults = NicFaults(sim, random.Random(0), component="hostB")
-        b.nic.faults.ordma_reject_next = int(reject)
+        b.nic.faults.ordma_reject_next = 1
         target = b.mem.alloc(16 * KB, name="target")
         target.data = "original"
         seg = b.nic.tpt.register(target, pin=False)
@@ -330,50 +308,25 @@ class TestOptimisticCheck:
             sent.append(frame.message), transmit(src, frame))
         b.nic._nic_send = lambda msg: (replies.append(msg.kind),
                                        nic_send(msg))
-        span = tracer.start_span("hostA", op)
+        span = tracer.start_span("hostA", "get")
 
         def access():
             try:
-                if op == "put":
-                    yield from a.nic.rdma_put(
-                        "hostB", seg.base, 16 * KB, data="new",
-                        capability=seg.capability, optimistic=True,
-                        span=span)
-                else:
-                    yield from a.nic.rdma_get(
-                        "hostB", seg.base, 16 * KB, a.mem.alloc(16 * KB),
-                        capability=seg.capability, optimistic=True,
-                        span=span)
+                yield from a.nic.rdma_get(
+                    "hostB", seg.base, 16 * KB, a.mem.alloc(16 * KB),
+                    capability=seg.capability, span=span)
             except RemoteAccessFault as fault:
                 return fault.reason
 
-        reason = sim.run_process(access())
-        return reason, tracer, span, replies, sent[0], target
-
-    @pytest.mark.parametrize("op", ["put", "get"])
-    def test_injected_reject_is_reported_once(self, rig, op):
-        reason, tracer, span, replies, request, target = self._access(
-            rig, op, reject=True)
-        assert reason is FaultReason.INJECTED
+        assert sim.run_process(access()) is FaultReason.INJECTED
         events = tracer.filter(kind="ordma-fault")
         assert len(events) == 1
-        extra = {"op": "put"} if op == "put" else {}
         assert events[0].detail == {"initiator": "hostA",
                                     "reason": "injected fault",
-                                    "msg": request.msg_id, **extra}
-        assert list(events[0].detail) == ["initiator", "reason", "msg",
-                                          *extra]
+                                    "msg": sent[0].msg_id}
+        assert list(events[0].detail) == ["initiator", "reason", "msg"]
         assert replies == [MsgKind.RDMA_FAULT]
         assert [m[1:] for m in span.marks if m[2] == "ordma.reject"] == [
             ("hostB", "ordma.reject", {"reason": "injected fault"})]
-        assert rig[3].nic.stats.get("ordma_fault") == 1
+        assert b.nic.stats.get("ordma_fault") == 1
         assert target.data == "original"
-
-    def test_put_that_passes_the_check_is_not_marked_faulted(self, rig):
-        reason, tracer, _, replies, request, target = self._access(
-            rig, "put", reject=False)
-        assert reason is None
-        assert "faulted" not in request.meta
-        assert replies == [MsgKind.RDMA_PUT_ACK]
-        assert tracer.filter(kind="ordma-fault") == []
-        assert target.data == "new"

@@ -158,15 +158,6 @@ class TestNicTLB:
         assert not page.nic_loaded
         assert not tlb.invalidate(page)
 
-    def test_flush(self, space):
-        tlb = NicTLB(capacity=4)
-        buf = space.alloc(2 * PAGE_SIZE)
-        for page in buf.pages:
-            tlb.load(page)
-        tlb.flush()
-        assert len(tlb) == 0
-        assert not any(p.nic_loaded for p in buf.pages)
-
     def test_hit_rate(self, space):
         tlb = NicTLB(capacity=4)
         buf = space.alloc(PAGE_SIZE)
@@ -188,38 +179,3 @@ class TestNicTLB:
         tlb.load(p1)
         assert tlb.load(p0) is None  # refresh, no eviction
         assert len(tlb) == 2
-
-
-class TestEffectiveTLBLimit:
-    """Section 4.1: the OS caps the NIC TLB's effective size to bound the
-    amount of memory the NIC pins."""
-
-    def test_limit_evicts_and_unpins(self, space):
-        tlb = NicTLB(capacity=8)
-        buf = space.alloc(6 * PAGE_SIZE)
-        for page in buf.pages:
-            tlb.load(page)
-        assert tlb.pinned_bytes() == 6 * PAGE_SIZE
-        evicted = tlb.set_effective_limit(2)
-        assert len(evicted) == 4
-        assert not any(p.nic_loaded for p in evicted)
-        assert len(tlb) == 2
-        assert tlb.pinned_bytes() == 2 * PAGE_SIZE
-
-    def test_future_loads_respect_limit(self, space):
-        tlb = NicTLB(capacity=8)
-        tlb.set_effective_limit(2)
-        buf = space.alloc(4 * PAGE_SIZE)
-        for page in buf.pages:
-            tlb.load(page)
-        assert len(tlb) == 2
-
-    def test_limit_cannot_exceed_capacity(self, space):
-        tlb = NicTLB(capacity=4)
-        tlb.set_effective_limit(100)
-        assert tlb.effective_limit == 4
-
-    def test_invalid_limit_rejected(self, space):
-        tlb = NicTLB(capacity=4)
-        with pytest.raises(ValueError):
-            tlb.set_effective_limit(0)

@@ -5,8 +5,7 @@ a VM-pressure daemon churning exports underneath — the full optimistic
 machinery under concurrent load. Invariants:
 
 * every read returns the correct block identity (never another block);
-* block versions observed by readers never go backwards once a write is
-  known-complete (checked with whole-file locks in the strict phase);
+* the block versions one client observes never go backwards;
 * the simulation drains (no deadlock, no leaked processes).
 """
 
@@ -61,31 +60,9 @@ def test_mixed_ops_under_pressure_keep_integrity(cluster):
     assert len(ops_done) == 450
 
 
-def test_locked_writers_serialize_version_history(cluster):
-    """With explicit whole-file locks (Section 4.2.2's recipe for UNIX
-    semantics), writers serialize and versions advance exactly once per
-    write."""
-    sim = cluster.sim
-
-    def writer(client, rounds):
-        for _ in range(rounds):
-            yield from client.lock("s0")
-            data = yield from client.read("s0", 0, BLOCK)
-            version_before = data[2]
-            yield from client.write("s0", 0, BLOCK)
-            data = yield from client.read("s0", 0, BLOCK)
-            assert data[2] == version_before + 1  # exactly our write
-            yield from client.unlock("s0")
-
-    procs = [sim.process(writer(c, 10)) for c in cluster.clients]
-    sim.run()
-    assert all(p.triggered and p.ok for p in procs)
-    assert cluster.fs.lookup("s0").version_of(0) == 30
-
-
 def test_version_monotonicity_without_locks(cluster):
-    """Even lock-free, versions a single client observes on one block
-    never go backwards (server applies writes in order; client cache
+    """Versions a single client observes on one block never go
+    backwards (the server applies writes in order; client cache
     invalidation on write prevents stale rereads of own writes)."""
     sim = cluster.sim
     regressions = []

@@ -4,8 +4,7 @@ import pytest
 
 from repro.fs.files import FileSystem
 from repro.integrity import (CORRUPT_MARKER, ChecksumStore, IntegrityError,
-                             block_checksum, corrupt_payload,
-                             corruption_mode, is_corrupt)
+                             block_checksum, corrupt_payload, is_corrupt)
 from repro.params import KB
 
 
@@ -40,13 +39,11 @@ class TestBlockChecksum:
 class TestCorruptPayload:
     def test_marker_and_mode(self):
         wrapped = corrupt_payload(("f", 0, 1), "misdirect")
-        assert wrapped[0] == CORRUPT_MARKER
+        assert wrapped == (CORRUPT_MARKER, "misdirect", ("f", 0, 1))
         assert is_corrupt(wrapped)
-        assert corruption_mode(wrapped) == "misdirect"
 
     def test_clean_payloads_are_not_corrupt(self):
         assert not is_corrupt(("f", 0, 1))
-        assert corruption_mode(("f", 0, 1)) == ""
         assert not is_corrupt(None)
 
     def test_is_corrupt_recurses_into_multi_block_payloads(self):

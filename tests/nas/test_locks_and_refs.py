@@ -1,118 +1,7 @@
-"""Tests for advisory file locks and eager reference fetching."""
-
-import pytest
+"""Tests for eager reference fetching (ODAFS ``prefetch_refs``)."""
 
 from repro.cluster import Cluster
-from repro.nas.locks import EXCLUSIVE, SHARED, LockTable
 from repro.params import KB
-from repro.sim import Simulator
-
-
-class TestLockTable:
-    def test_exclusive_excludes(self):
-        sim = Simulator()
-        table = LockTable(sim)
-        order = []
-
-        def locker(owner, hold_us):
-            grant = table.acquire("f", owner, EXCLUSIVE)
-            yield grant
-            order.append((owner, sim.now))
-            yield sim.timeout(hold_us)
-            table.release("f", owner)
-
-        sim.process(locker("a", 10.0))
-        sim.process(locker("b", 10.0))
-        sim.run()
-        assert order == [("a", 0.0), ("b", 10.0)]
-
-    def test_shared_locks_coexist(self):
-        sim = Simulator()
-        table = LockTable(sim)
-        granted = []
-
-        def reader(owner):
-            yield table.acquire("f", owner, SHARED)
-            granted.append((owner, sim.now))
-            yield sim.timeout(5.0)
-            table.release("f", owner)
-
-        sim.process(reader("a"))
-        sim.process(reader("b"))
-        sim.run()
-        assert granted == [("a", 0.0), ("b", 0.0)]
-
-    def test_fifo_fairness_no_writer_starvation(self):
-        """A writer queued behind readers blocks later readers (FIFO)."""
-        sim = Simulator()
-        table = LockTable(sim)
-        order = []
-
-        def holder(owner, mode, delay, hold):
-            yield sim.timeout(delay)
-            yield table.acquire("f", owner, mode)
-            order.append(owner)
-            yield sim.timeout(hold)
-            table.release("f", owner)
-
-        sim.process(holder("r1", SHARED, 0.0, 10.0))
-        sim.process(holder("w", EXCLUSIVE, 1.0, 5.0))
-        sim.process(holder("r2", SHARED, 2.0, 5.0))
-        sim.run()
-        assert order == ["r1", "w", "r2"]
-
-    def test_release_without_hold_raises(self):
-        sim = Simulator()
-        table = LockTable(sim)
-        with pytest.raises(KeyError):
-            table.release("f", "nobody")
-
-    def test_bad_mode_rejected(self):
-        sim = Simulator()
-        table = LockTable(sim)
-        with pytest.raises(ValueError):
-            table.acquire("f", "a", "banana")
-
-
-class TestLockRPC:
-    def test_lock_serializes_two_clients(self):
-        cluster = Cluster(system="dafs", n_clients=2, block_size=4 * KB,
-                          client_kwargs={"cache_blocks": 4})
-        cluster.create_file("f", 16 * KB)
-        c0, c1 = cluster.clients
-        sim = cluster.sim
-        events = []
-
-        def critical(client, tag, hold_us):
-            yield from client.lock("f")
-            events.append((tag, "in", sim.now))
-            yield sim.timeout(hold_us)
-            yield from client.write("f", 0, 4 * KB)
-            yield from client.unlock("f")
-            events.append((tag, "out", sim.now))
-
-        sim.process(critical(c0, "c0", 500.0))
-        sim.process(critical(c1, "c1", 500.0))
-        sim.run()
-        ins = [e for e in events if e[1] == "in"]
-        outs = [e for e in events if e[1] == "out"]
-        # The second entrant enters only after the first exits.
-        assert ins[1][2] >= outs[0][2]
-
-    def test_unlock_without_lock_is_an_error(self):
-        from repro.proto.rpc import RPCError
-        cluster = Cluster(system="dafs", block_size=4 * KB,
-                          client_kwargs={"cache_blocks": 4})
-        cluster.create_file("f", 4 * KB)
-        client = cluster.clients[0]
-
-        def proc():
-            try:
-                yield from client.unlock("f")
-            except RPCError as exc:
-                return str(exc)
-
-        assert "not locked" in cluster.sim.run_process(proc())
 
 
 class TestEagerRefs:

@@ -397,49 +397,3 @@ class TestBroadcastUnderCrash:
         assert closer.stats.get("closes") == 1
         assert closer.stats.get("timeouts") >= 1
         assert closer.stats.get("down_marks") >= 1
-
-    def test_lock_on_a_dead_home_without_replicas_is_typed(self):
-        c = make_cluster(system="nfs", n_servers=2, replicas=0)
-        c.create_file("f", 2 * c.block_size)
-        home = c.placement.shard_of("f", 0)
-        inj = Injector(c)
-        inj.enable_resilience(timeout_us=2000.0, max_retries=2)
-        inj.schedule_server_crash(FaultSchedule.at([1000.0]),
-                                  downtime_us=1e6, shard=home)
-        inj.arm()
-        router = c.clients[0]
-        caught = {}
-
-        def wl():
-            yield c.sim.timeout(3000.0)
-            try:
-                yield from router.lock("f")
-            except ShardDownError as e:
-                caught["err"] = e
-        c.sim.run_process(wl())
-        assert caught["err"].shard == home
-        assert caught["err"].op == "lock"
-
-
-class TestResetContract:
-    def test_sharded_reset_zeroes_rpc_sessions(self):
-        c = make_cluster(n_servers=2)
-        c.create_file("f", 2 * c.block_size)
-        router = c.clients[0]
-
-        def wl():
-            yield from router.open("f")
-            yield from router.read("f", 0, c.block_size)
-        c.sim.run_process(wl())
-        for sub in router.subclients:
-            sub.rpc._pending.clear()
-        c.reset()
-        assert all(next(sub.rpc._xids) == 1
-                   for sub in router.subclients)
-
-    def test_single_server_cluster_exposes_same_reset(self):
-        from repro.cluster import Cluster
-        c = Cluster(default_params(), system="nfs")
-        c.reset()
-        assert next(c.clients[0].rpc._xids) == 1
-        assert not c.server.rpc._dup_cache

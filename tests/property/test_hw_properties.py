@@ -61,7 +61,6 @@ _PAGE_OPS = st.one_of(
               st.integers(-1, 7)),
     st.tuples(st.just("tlb_load"), _IDX, _IDX),
     st.tuples(st.just("tlb_invalidate"), _IDX, _IDX),
-    st.tuples(st.just("reclaimable"), st.just(0)),
 )
 #: Weighted toward the first kind, so unbuilt buffers survive long
 #: enough to be pinned, registered and freed.
@@ -126,18 +125,16 @@ class _World:
                 return None if evicted is None else evicted.vaddr
             if name == "tlb_invalidate":
                 return self.tlb.invalidate(self._page(b, args[0]))
-            if name == "free":
-                return self.space.free(buf)
-            return [p.vaddr for p in self.space.reclaimable_pages()]
+            assert name == "free", name
+            return self.space.free(buf)
         except (MemoryError_, ProtectionError) as exc:
             # Segment ids are global, so they differ between worlds.
             return type(exc).__name__, re.sub(r"id=\d+", "", str(exc))
 
     def cheap_state(self):
         """State read without building any page."""
-        return ([b.resident for b in self.buffers], self.space.buffer_count(),
-                self.space.allocated_bytes, self.tpt.segment_count(),
-                len(self.tlb))
+        return (len(self.space._buffers), self.space.allocated_bytes,
+                len(self.tpt._segments), len(self.tlb))
 
     def full_state(self):
         """Every page's state, and whether lookups return the very Page
@@ -148,15 +145,13 @@ class _World:
             assert buf.pages is buf.pages
             for page in buf.pages:
                 pages[page.vaddr] = page
-                found = self.space.page_at(page.vaddr + PAGE_SIZE - 1)
+                found = buf.page_at(page.vaddr + PAGE_SIZE - 1)
                 state.append((page.vaddr, page.pinned, page.pin_count,
                               page.resident, page.locked_by_host,
-                              page.nic_loaded, buf.resident,
+                              page.nic_loaded,
                               None if found is None else found is page))
         in_tlb = [(v, p is pages[v]) for v, p in self.tlb._entries.items()]
-        reclaim = [(p.vaddr, p is pages[p.vaddr])
-                   for p in self.space.reclaimable_pages()]
-        return state, in_tlb, reclaim
+        return state, in_tlb
 
 
 class TestLazyPageProperties:
@@ -241,7 +236,7 @@ class TestFragmentationProperties:
         assert all(f.payload_bytes <= mtu for f in frames)
         assert all(f.wire_bytes == f.payload_bytes + header for f in frames)
         assert [f.index for f in frames] == list(range(len(frames)))
-        assert frames[-1].is_last
+        assert frames[-1].index == frames[-1].count - 1
         assert all(f.count == len(frames) for f in frames)
         # Only the final fragment may be smaller than the MTU.
         for f in frames[:-1]:
@@ -274,4 +269,4 @@ class TestFragmentationProperties:
                         completed.append(out.msg_id)
         expected = [frames[0].message.msg_id for frames in frames_by_msg]
         assert sorted(completed) == sorted(expected)
-        assert reasm.in_flight == 0
+        assert not reasm._seen

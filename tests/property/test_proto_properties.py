@@ -1,12 +1,10 @@
-"""Property-based tests for protocol-layer invariants (TCP, locks)."""
+"""Property-based tests for protocol-layer invariants (TCP)."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults import LinkFaults
 from repro.hw import Host
-from repro.nas.locks import EXCLUSIVE, SHARED, LockTable
 from repro.net import Switch
 from repro.params import default_params
 from repro.proto.tcp import TCPStack
@@ -50,56 +48,3 @@ class TestTCPDeliveryProperties:
         sim.process(server())
         sim.run()
         assert received == [(i, size, i) for i, size in enumerate(sizes)]
-
-
-class TestLockTableProperties:
-    @settings(max_examples=100)
-    @given(st.lists(st.tuples(st.sampled_from([SHARED, EXCLUSIVE]),
-                              st.integers(min_value=0, max_value=4),
-                              st.floats(min_value=0.5, max_value=20.0,
-                                        allow_nan=False)),
-                    min_size=1, max_size=25))
-    def test_exclusivity_invariant(self, requests):
-        """At no instant do an exclusive holder and any other holder
-        coexist, for arbitrary interleavings of lock requests."""
-        sim = Simulator()
-        table = LockTable(sim)
-        violations = []
-
-        def locker(mode, owner_id, hold):
-            owner = f"c{owner_id}-{id(object())}"
-            yield table.acquire("f", owner, mode)
-            holders = table.holders("f")
-            held_mode = table.mode("f")
-            if held_mode == EXCLUSIVE and len(holders) > 1:
-                violations.append(tuple(holders))
-            if mode == EXCLUSIVE and held_mode != EXCLUSIVE:
-                violations.append(("mode-mismatch", owner))
-            yield sim.timeout(hold)
-            table.release("f", owner)
-
-        for i, (mode, owner_id, hold) in enumerate(requests):
-            sim.process(locker(mode, owner_id, hold))
-        sim.run()
-        assert violations == []
-        assert table.holders("f") == []  # everything released
-
-    @settings(max_examples=60)
-    @given(st.lists(st.sampled_from([SHARED, EXCLUSIVE]),
-                    min_size=2, max_size=12))
-    def test_all_requests_eventually_granted(self, modes):
-        """FIFO queueing never starves any request."""
-        sim = Simulator()
-        table = LockTable(sim)
-        granted = []
-
-        def locker(i, mode):
-            yield table.acquire("f", f"o{i}", mode)
-            granted.append(i)
-            yield sim.timeout(1.0)
-            table.release("f", f"o{i}")
-
-        for i, mode in enumerate(modes):
-            sim.process(locker(i, mode))
-        sim.run()
-        assert sorted(granted) == list(range(len(modes)))

@@ -98,7 +98,7 @@ def _run(switch_cls, n_hosts, sends, faults=None):
     pipes = [(pipe.stats_bytes, pipe.stats_transfers, pipe.stats_busy_us,
               pipe._free_at)
              for host in hosts
-             for pipe in (switch.port(host).tx, switch.port(host).rx)]
+             for pipe in (switch._ports[host].tx, switch._ports[host].rx)]
     return (log, per_host,
             (switch.frames_forwarded, switch.frames_dropped), pipes)
 

@@ -260,7 +260,7 @@ class TestBandwidthPipe:
             yield sim.timeout(10.0)
 
         sim.run_process(proc())
-        assert pipe.utilization() == pytest.approx(0.5)
+        assert pipe.stats_busy_us / sim.now == pytest.approx(0.5)
         assert pipe.stats_bytes == 1000
 
     def test_invalid_sizes_rejected(self):

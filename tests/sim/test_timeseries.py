@@ -136,9 +136,10 @@ class TestSampler:
     def test_double_start_rejected(self):
         sim = Simulator()
         sampler = TimeSeriesSampler(sim)
-        sampler.start()
+        stop = sim.event()
+        sampler.start(stop_on=stop)
         with pytest.raises(RuntimeError):
-            sampler.start()
+            sampler.start(stop_on=stop)
 
     def test_duplicate_and_empty_probe_names_rejected(self):
         sampler = TimeSeriesSampler(Simulator())

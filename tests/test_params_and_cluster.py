@@ -54,7 +54,7 @@ class TestCluster:
         dafs.create_file("f", 4 * KB)
         assert odafs.cache.export
         assert not dafs.cache.export
-        assert odafs.server_host.nic.tpt.segment_count() >= 1
+        assert len(odafs.server_host.nic.tpt._segments) >= 1
 
     def test_n_clients(self):
         cluster = Cluster(system="nfs", n_clients=3)
