@@ -21,7 +21,7 @@ from ..cluster import Cluster
 from ..hw.nic import NotifyMode
 from ..params import KB, Params, default_params
 from ..sim import LatencyStats
-from ..workloads.postmark import PostMarkWorkload
+from ..workloads.postmark import PostMarkWorkload, read_transaction
 from .figures import (_response_time, fig7_cell, postmark_workload,
                       stream_cell)
 
@@ -128,12 +128,7 @@ class _HotColdPostMark(PostMarkWorkload):
             result = yield from super()._one_transaction(client, warming,
                                                          index)
             return result
-        name = self._name(self._pick())
-        proto = client.host.params.proto
-        yield from client.host.cpu.execute(proto.app_txn_us, category="app")
-        yield from client.open(name)
-        yield from client.read(name, 0, self.file_size)
-        yield from client.close(name)
+        yield from read_transaction(client, self._name(self._pick()))
         return "read"
 
 

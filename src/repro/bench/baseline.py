@@ -25,17 +25,24 @@ def _pair(params: Params):
     return sim, Host(sim, params, switch, "A"), Host(sim, params, switch, "B")
 
 
-def _endpoint_rtt(sim, ep_a, ep_b, rounds: int = 20) -> float:
-    """Mean 1-byte ping-pong RTT over ``rounds`` (first discarded)."""
+#: Ping-pongs per round-trip measurement (the first one is discarded).
+RTT_ROUNDS = 20
+#: Messages of ``STREAM_BYTES`` per streaming-bandwidth measurement.
+STREAM_COUNT = 64
+STREAM_BYTES = 64 * KB
+
+
+def _endpoint_rtt(sim, ep_a, ep_b) -> float:
+    """Mean 1-byte ping-pong RTT over ``RTT_ROUNDS`` (first discarded)."""
 
     def pong():
-        for _ in range(rounds):
+        for _ in range(RTT_ROUNDS):
             yield from ep_b.recv()
             yield from ep_b.send("A", 1)
 
     def ping():
         samples = []
-        for _ in range(rounds):
+        for _ in range(RTT_ROUNDS):
             start = sim.now
             yield from ep_a.send("B", 1)
             yield from ep_a.recv()
@@ -48,16 +55,16 @@ def _endpoint_rtt(sim, ep_a, ep_b, rounds: int = 20) -> float:
     return proc.value
 
 
-def _endpoint_bw(sim, ep_a, ep_b, count: int = 64,
-                 nbytes: int = 64 * KB) -> float:
+def _endpoint_bw(sim, ep_a, ep_b) -> float:
+    """Streaming bandwidth of ``STREAM_COUNT`` back-to-back messages."""
     def sender():
-        for i in range(count):
-            yield from ep_a.send("B", nbytes, data=i)
+        for i in range(STREAM_COUNT):
+            yield from ep_a.send("B", STREAM_BYTES, data=i)
 
     def receiver():
-        for _ in range(count):
+        for _ in range(STREAM_COUNT):
             yield from ep_b.recv()
-        return count * nbytes / sim.now
+        return STREAM_COUNT * STREAM_BYTES / sim.now
 
     sim.process(sender())
     proc = sim.process(receiver())

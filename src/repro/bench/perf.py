@@ -88,16 +88,18 @@ def _checksum(obj: Any) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def calibrate(loops: int = 5, n: int = 200_000) -> float:
-    """Machine speed reference: pure-Python ops/second.
+def calibrate() -> float:
+    """Machine speed reference: pure-Python ops/second, the best of five
+    loops of 200 000 ops.
 
     Normalizing bench rates by this figure makes the committed baseline
     meaningful across machines of different speeds — a 2x slower CI
     runner scores ~2x lower on both the benches and the calibration, so
     the normalized ratio holds.
     """
+    n = 200_000
     best = float("inf")
-    for _ in range(loops):
+    for _ in range(5):
         t0 = time.perf_counter()
         acc = 0
         for i in range(n):
@@ -513,7 +515,7 @@ def main(argv=None) -> int:
     parser.add_argument("--check", metavar="PATH",
                         help="compare against a baseline document; "
                              "nonzero exit on regression")
-    parser.add_argument("--tolerance", type=runner.probability,
+    parser.add_argument("--tolerance", type=runner.tolerance,
                         default=0.25,
                         help="allowed normalized-rate drop vs the "
                              "baseline (default 0.25; kernel_events and "

@@ -7,7 +7,7 @@ sample points as categories (the paper's x axes are powers of two).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 #: Per-series glyphs, in assignment order.
 GLYPHS = "o*x+#@%&"
@@ -75,10 +75,9 @@ def ascii_chart(series: Dict[str, Dict[int, float]],
 
 
 def chart_from_sweep(results: Dict[str, Dict[int, Dict[str, float]]],
-                     metric: str, scale: float = 1.0,
-                     **kwargs) -> str:
+                     metric: str, **kwargs) -> str:
     """Chart a {system: {x: {metric: value}}} sweep."""
-    series = {system: {x: vals[metric] * scale
+    series = {system: {x: vals[metric]
                        for x, vals in points.items()}
               for system, points in results.items()}
     return ascii_chart(series, **kwargs)

@@ -6,7 +6,7 @@ side by side with the published values where the paper states them.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Sequence
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence]) -> str:
@@ -41,8 +41,7 @@ def render_table2(measured: Dict[str, Dict[str, float]],
 
 
 def render_sweep(results: Dict[str, Dict[int, Dict[str, float]]],
-                 metric: str, unit: str = "",
-                 scale: float = 1.0, fmt: str = ".1f") -> str:
+                 metric: str, unit: str = "", scale: float = 1.0) -> str:
     """Render a {system: {x: {metric: v}}} sweep as systems x columns."""
     xs = sorted({x for series in results.values() for x in series})
     headers = ["system"] + [str(x) for x in xs]
@@ -51,7 +50,7 @@ def render_sweep(results: Dict[str, Dict[int, Dict[str, float]]],
         row = [system]
         for x in xs:
             if x in series:
-                row.append(f"{series[x][metric] * scale:{fmt}}")
+                row.append(f"{series[x][metric] * scale:.1f}")
             else:
                 row.append("-")
         rows.append(row)
@@ -115,9 +114,8 @@ def render_fig7(measured: Dict[str, Dict[int, Dict[str, float]]]) -> str:
          "DAFS srv CPU", "ODAFS srv CPU"], rows)
 
 
-def render_dict_table(results: Dict, key_header: str,
-                      value_fmt: str = ".2f") -> str:
-    """Render {key: {metric: value}} generically."""
+def render_dict_table(results: Dict, key_header: str) -> str:
+    """Render {key: {metric: value}} generically, floats to two places."""
     first = next(iter(results.values()))
     metrics = list(first)
     headers = [key_header] + metrics
@@ -126,7 +124,7 @@ def render_dict_table(results: Dict, key_header: str,
         row = [str(key)]
         for metric in metrics:
             value = vals[metric]
-            row.append(f"{value:{value_fmt}}"
+            row.append(f"{value:.2f}"
                        if isinstance(value, float) else str(value))
         rows.append(row)
     return format_table(headers, rows)

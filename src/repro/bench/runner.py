@@ -211,11 +211,10 @@ def run_grid(fn: Callable[[Any], Any], specs: Sequence[Any],
     return results
 
 
-def seeded_params(seed: Optional[int],
-                  params: Optional[Params] = None) -> Params:
+def seeded_params(seed: Optional[int]) -> Params:
     """The campaign's base :class:`Params`, reseeded when ``--seed`` was
     given. Every campaign CLI resolves its master seed through this."""
-    p = params if params is not None else default_params()
+    p = default_params()
     return p.copy(seed=seed) if seed is not None else p
 
 
@@ -250,14 +249,24 @@ def positive_float(text: str) -> float:
 
 
 def probability(text: str) -> float:
-    """argparse ``type=`` for fault rates and fractions: a number in
-    [0, 1], so a negative rate or one above 1 exits 2 instead of being
-    reported as a measured point, and a tolerance outside it cannot make
-    a gate always fail or switch it off."""
+    """argparse ``type=`` for fault rates: a number in [0, 1], so a
+    negative rate or one above 1 exits 2 instead of being reported as a
+    measured point."""
     value = float(text)
     if not 0 <= value <= 1:
         raise argparse.ArgumentTypeError(
             f"must be in [0, 1], got {value:g}")
+    return value
+
+
+def tolerance(text: str) -> float:
+    """argparse ``type=`` for a gate's allowed drop: a number in [0, 1).
+    A negative tolerance would make the gate always fail, and one of 1
+    or more switches it off: every floor is then zero or below."""
+    value = float(text)
+    if not 0 <= value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be in [0, 1), got {value:g}")
     return value
 
 

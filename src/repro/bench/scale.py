@@ -163,14 +163,12 @@ def _scale_point(spec, params: Optional[Params] = None) -> Dict[str, Any]:
 
 
 def run_point_smallio(system: str, n_clients: int,
-                      params: Optional[Params] = None, blocks: int = 48,
-                      policy: str = "fair", service_threads: int = 4,
-                      max_queue: int = 32) -> Dict[str, Any]:
-    """One small-I/O point of :func:`run_point`: N clients stream a warm
-    ``blocks``-block file twice in 4 KB reads; pass 2 is measured."""
+                      blocks: int = 48) -> Dict[str, Any]:
+    """One small-I/O point of :func:`run_point` behind the fair admission
+    scheduler (4 service threads, accept queue of 32): N clients stream a
+    warm ``blocks``-block file twice in 4 KB reads; pass 2 is measured."""
     return _scale_point(("smallio", system, n_clients, blocks, 0, 0,
-                         policy, service_threads, max_queue),
-                        params or default_params())
+                         "fair", 4, 32), default_params())
 
 
 def saturation_summary(series: Dict[str, Dict[str, Dict[str, Any]]]

@@ -62,10 +62,16 @@ DEFAULT_RATES = (0.0, 0.01, 0.02, 0.05)
 QUICK_RATES = (0.0, 0.05)
 
 #: Scrubber point shape: misdirected writes to repair, then idle time
-#: long enough for the scrub daemon to find them.
+#: long enough for the scrub daemon to find them, over a file of
+#: ``SCRUB_BLOCKS`` blocks.
 SCRUB_MISDIRECTS = 8
 SCRUB_IDLE_US = 30_000.0
 SCRUB_INTERVAL_US = 500.0
+SCRUB_BLOCKS = 32
+
+#: Read-repair point shape: NFS over replicated shards, each block read
+#: twice (detect and repair, then serve clean).
+REPAIR_BLOCKS = 16
 
 BLOCK = 4 * KB
 
@@ -125,8 +131,7 @@ def run_point(system: str, checksums: bool, rate: float,
     return point
 
 
-def run_scrubber_point(params: Optional[Params] = None,
-                       blocks: int = 32) -> Dict[str, Any]:
+def run_scrubber_point(params: Optional[Params] = None) -> Dict[str, Any]:
     """The background-scrubber scenario: misdirected writes leave
     silently-wrong blocks resident in the server cache; nobody reads
     them; the scrub daemon finds and repairs them during idle time."""
@@ -135,8 +140,8 @@ def run_scrubber_point(params: Optional[Params] = None,
     p.integrity.scrub_interval_us = SCRUB_INTERVAL_US
     p.integrity.scrub_blocks_per_pass = 16
     cluster = Cluster(p, system="nfs", block_size=BLOCK,
-                      server_cache_blocks=blocks + 8)
-    cluster.create_file("scrub", blocks * BLOCK)
+                      server_cache_blocks=SCRUB_BLOCKS + 8)
+    cluster.create_file("scrub", SCRUB_BLOCKS * BLOCK)
     inj = Injector(cluster)
     inj.arm()
     inj.disk_faults(0).misdirect_next = SCRUB_MISDIRECTS
@@ -165,9 +170,8 @@ def run_scrubber_point(params: Optional[Params] = None,
     }
 
 
-def run_repair_point(params: Optional[Params] = None, n_servers: int = 2,
-                     system: str = "nfs",
-                     blocks: int = 16) -> Dict[str, Any]:
+def run_repair_point(params: Optional[Params] = None,
+                     n_servers: int = 2) -> Dict[str, Any]:
     """The sharded read-repair scenario: server 0's disk rots *every*
     fill, so its reads detect, exhaust the one-retry ladder, quarantine,
     and fail typed (``EINTEGRITY``); the router reroutes each to the
@@ -181,19 +185,18 @@ def run_repair_point(params: Optional[Params] = None, n_servers: int = 2,
     p.shard.placement = "stripe"
     p.shard.stripe_blocks = 1
     p.shard.replicas = 1
-    cluster = Cluster(p, system=system, n_clients=1, block_size=BLOCK,
-                      server_cache_blocks=blocks + 8,
-                      client_kwargs=dafs_cache_kwargs(system, 8))
+    cluster = Cluster(p, system="nfs", n_clients=1, block_size=BLOCK,
+                      server_cache_blocks=REPAIR_BLOCKS + 8)
     # Cold caches: every first read pays a disk fill, which on server 0
     # always rots.
-    cluster.create_file("rot", blocks * BLOCK, warm=False)
+    cluster.create_file("rot", REPAIR_BLOCKS * BLOCK, warm=False)
     inj = Injector(cluster)
     inj.arm()
     inj.disk_faults(0).bitrot_next = 1 << 30
     router = cluster.clients[0]
     # Pass 1 detects, reroutes and writes back; in pass 2 the repaired
     # blocks serve clean.
-    scan = WarmScan(cluster, "rot", blocks, passes=2)
+    scan = WarmScan(cluster, "rot", REPAIR_BLOCKS, passes=2)
 
     def workload():
         yield from scan.reads()

@@ -69,9 +69,11 @@ BLOCK = 4 * KB
 APP_BLOCK = 64 * KB
 
 #: Failover point: when (us) the crashed shard goes down, and for how
-#: long (longer than the run, so recovery is routing, not waiting).
+#: long (longer than the run, so recovery is routing, not waiting), and
+#: the block reads its one client issues, 100 us apart.
 CRASH_AT_US = 3000.0
 CRASH_DOWNTIME_US = 1_000_000.0
+FAILOVER_READS = 150
 
 
 #: Stripe unit in blocks: an ``APP_BLOCK`` read splits into contiguous
@@ -136,21 +138,10 @@ def _shard_point(spec, params: Optional[Params] = None) -> Dict[str, Any]:
         "shard", _shard_fields, blocks, n_files, transactions)
 
 
-def run_point_smallio(system: str, n_servers: int,
-                      params: Optional[Params] = None,
-                      placement: str = "stripe", n_clients: int = 8,
-                      blocks: int = 128) -> Dict[str, Any]:
-    """One small-I/O point of :func:`repro.bench.scale.run_point`: N
-    clients read a warm striped file twice in ``APP_BLOCK`` reads."""
-    return _shard_point(("smallio", system, n_servers, placement,
-                         n_clients, blocks, 0, 0),
-                        params or default_params())
-
-
 def run_failover_point(system: str = "odafs", n_servers: int = 4,
                        params: Optional[Params] = None,
-                       placement: str = "stripe", blocks: int = 64,
-                       reads: int = 150) -> Dict[str, Any]:
+                       placement: str = "stripe",
+                       blocks: int = 64) -> Dict[str, Any]:
     """Crash one shard mid-run with a replica configured and verify the
     workload completes over failover instead of hanging.
 
@@ -166,14 +157,14 @@ def run_failover_point(system: str = "odafs", n_servers: int = 4,
     inj = Injector(cluster)
     inj.enable_resilience(timeout_us=2000.0, max_retries=2)
     inj.schedule_server_crash(FaultSchedule.at([CRASH_AT_US]),
-                              downtime_us=CRASH_DOWNTIME_US, shard=0)
+                              downtime_us=CRASH_DOWNTIME_US)
     inj.arm()
     router = cluster.clients[0]
     state = {"ok": 0, "failed": 0}
 
     def workload() -> Generator:
         yield from router.open("fo")
-        for i in range(reads):
+        for i in range(FAILOVER_READS):
             try:
                 yield from router.read("fo", (i % blocks) * BLOCK, BLOCK)
             except ShardDownError:

@@ -35,6 +35,14 @@ from .runner import (non_negative_int, positive_float, positive_int,
 #: Order in which data paths are reported.
 PATH_ORDER = ("rpc", "rdma", "ordma", "ordma-fallback", "local")
 
+#: ODAFS server cache blocks invalidated between the live workload's
+#: passes, so the optimistic path demonstrably faults.
+FAULT_BLOCKS = 4
+
+#: Largest |attributed - duration| the critical-path reconciliation
+#: accepts, in us: attribution is exact, so this only absorbs rounding.
+RECONCILE_TOLERANCE_US = 1e-6
+
 _WATERFALL_WIDTH = 44
 
 
@@ -44,7 +52,6 @@ _WATERFALL_WIDTH = 44
 
 def run_workload(system: str = "odafs", blocks: int = 64,
                  block_kb: int = 4, passes: int = 2,
-                 fault_blocks: int = 4,
                  params: Optional[Params] = None,
                  sample_interval_us: Optional[float] = None
                  ) -> Dict[str, Any]:
@@ -52,7 +59,7 @@ def run_workload(system: str = "odafs", blocks: int = 64,
 
     A file warm in the server cache is read ``passes`` times in
     ``block_kb`` KB increments through a small (8-block) client cache.
-    For ODAFS, ``fault_blocks`` server cache blocks are invalidated
+    For ODAFS, ``FAULT_BLOCKS`` server cache blocks are invalidated
     between the passes so the optimistic path demonstrably faults and
     falls back to RPC. ``sample_interval_us`` additionally attaches the
     cluster's continuous-telemetry sampler at that sim-time interval.
@@ -77,7 +84,7 @@ def run_workload(system: str = "odafs", blocks: int = 64,
             if pass_no == 1 and system == "odafs":
                 # Stale references: the next optimistic read of these
                 # blocks faults at the server NIC and retries via RPC.
-                for i in range(min(fault_blocks, blocks)):
+                for i in range(min(FAULT_BLOCKS, blocks)):
                     cluster.cache.invalidate(("micro", i))
             for i in range(blocks):
                 start = cluster.sim.now
@@ -259,8 +266,7 @@ def dominant_resources(spans: Sequence[Span], series: traceexport.Series
 def render_critical_path(
         tables: Dict[str, Dict[str, StageSplit]],
         dominant: Dict[str, Tuple[str, float]],
-        consistency_us: float, n_spans: int,
-        tolerance_us: float = 1e-6) -> Tuple[str, bool]:
+        consistency_us: float, n_spans: int) -> Tuple[str, bool]:
     """The "where did p50/p95/p99 go" tables; returns (text, ok)."""
     lines: List[str] = []
     for path in _sorted_paths(tables):
@@ -296,7 +302,7 @@ def render_critical_path(
         lines.append(f"  per span: {path_total:.2f}us mean = "
                      f"{path_service:.2f}us service "
                      f"({service_share:.1%}) + {path_wait:.2f}us wait")
-    ok = consistency_us <= tolerance_us
+    ok = consistency_us <= RECONCILE_TOLERANCE_US
     lines.append(f"reconciliation: max |attributed - duration| = "
                  f"{consistency_us:.3e} us over {n_spans} spans "
                  + ("[OK]" if ok else "[MISMATCH]"))
@@ -552,7 +558,7 @@ def main(argv=None) -> int:
         cp_tables = critical_path(read_spans)
         cp_dominant = dominant_resources(read_spans, series)
         cp_error = critical_path_consistency(read_spans)
-        cp_ok = cp_error <= 1e-6
+        cp_ok = cp_error <= RECONCILE_TOLERANCE_US
     # Live runs cross-check the spans against the independent meter; JSON
     # and text runs exit alike on a mismatch.
     delta = None

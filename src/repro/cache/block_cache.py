@@ -16,7 +16,6 @@ from ..hw.host import Host
 from ..hw.memory import Buffer
 from ..sim import Counter, trace_emit
 from .lru import LRUPolicy
-from .policy import ReplacementPolicy
 
 #: Cache keys are (file name, block index).
 BlockKey = Hashable
@@ -34,11 +33,10 @@ class CacheBlock:
 
 
 class ClientFileCache:
-    """Fixed-capacity block cache with pluggable replacement."""
+    """Fixed-capacity LRU block cache."""
 
     def __init__(self, host: Host, block_size: int, capacity_blocks: int,
-                 policy: Optional[ReplacementPolicy] = None,
-                 register: bool = True, name: str = "fcache"):
+                 name: str = "fcache"):
         if capacity_blocks < 1:
             raise ValueError(f"capacity must be >= 1: {capacity_blocks}")
         if block_size < 1:
@@ -47,16 +45,15 @@ class ClientFileCache:
         self.name = name
         self.block_size = block_size
         self.capacity_blocks = capacity_blocks
-        self.policy = policy or LRUPolicy(capacity_blocks)
+        self.policy = LRUPolicy(capacity_blocks)
         self.stats = Counter()
         self._blocks: Dict[BlockKey, CacheBlock] = {}
         self._free: List[Buffer] = []
         for i in range(capacity_blocks):
             buf = host.mem.alloc(block_size, name=f"{name}:{i}")
-            if register:
-                # Registration caching: the block pool is registered with
-                # the NIC once, so per-I/O RDMA needs no (de)registration.
-                host.nic.tpt.register(buf, pin=True)
+            # Registration caching: the block pool is registered with the
+            # NIC once, so per-I/O RDMA needs no (de)registration.
+            host.nic.tpt.register(buf, pin=True)
             self._free.append(buf)
 
     def __len__(self) -> int:

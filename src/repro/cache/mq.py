@@ -5,19 +5,23 @@ recency filtered out by an upstream cache — exactly the situation of the
 ODAFS client's ORDMA reference directory, which is consulted only on
 client-cache misses (Section 4.2 suggests MQ as the better fit over LRU).
 
-Structure: ``m`` LRU queues Q0..Qm-1 partitioned by access frequency
-(queue index = floor(log2(freq)), capped), per-block expiry after
-``life_time`` accesses demotes stale blocks one level, and a FIFO history
-("Qout") remembers evicted blocks' frequencies so a quick return resumes
-at full priority.
+Structure: ``NUM_QUEUES`` LRU queues Q0..Qm-1 partitioned by access
+frequency (queue index = floor(log2(freq)), capped), per-block expiry
+after ``life_time`` accesses demotes stale blocks one level, and a FIFO
+history ("Qout") remembers evicted blocks' frequencies so a quick return
+resumes at full priority.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
-from typing import Deque, Dict, Hashable, Iterator, Optional
+from collections import OrderedDict
+from typing import Dict, Hashable, Iterator, Optional
 
 from .policy import ReplacementPolicy
+
+
+#: Frequency levels: blocks touched 2**7 times or more share the top one.
+NUM_QUEUES = 8
 
 
 class _Entry:
@@ -32,19 +36,14 @@ class _Entry:
 class MQPolicy(ReplacementPolicy):
     """Multi-Queue replacement with history."""
 
-    def __init__(self, capacity: int, num_queues: int = 8,
-                 life_time: Optional[int] = None,
-                 history_size: Optional[int] = None):
+    def __init__(self, capacity: int):
         super().__init__(capacity)
-        if num_queues < 1:
-            raise ValueError(f"num_queues must be >= 1: {num_queues}")
-        self.num_queues = num_queues
         #: Accesses a block may sit untouched before demotion; the authors
         #: recommend the peak temporal distance, ~capacity works well.
-        self.life_time = life_time if life_time is not None else capacity
-        self.history_size = (history_size if history_size is not None
-                             else 4 * capacity)
-        self._queues = [OrderedDict() for _ in range(num_queues)]
+        self.life_time = capacity
+        #: Evicted blocks whose frequency the history remembers.
+        self.history_size = 4 * capacity
+        self._queues = [OrderedDict() for _ in range(NUM_QUEUES)]
         self._entries: Dict[Hashable, _Entry] = {}
         self._history: "OrderedDict[Hashable, int]" = OrderedDict()
         self._clock = 0
@@ -53,7 +52,7 @@ class MQPolicy(ReplacementPolicy):
 
     def _queue_for(self, freq: int) -> int:
         level = freq.bit_length() - 1  # floor(log2(freq)) for freq >= 1
-        return min(level, self.num_queues - 1)
+        return min(level, NUM_QUEUES - 1)
 
     def _place(self, key: Hashable, freq: int) -> None:
         queue = self._queue_for(freq)
@@ -63,7 +62,7 @@ class MQPolicy(ReplacementPolicy):
 
     def _adjust(self) -> None:
         """Demote expired heads one level (the MQ 'Adjust' step)."""
-        for level in range(self.num_queues - 1, 0, -1):
+        for level in range(NUM_QUEUES - 1, 0, -1):
             queue = self._queues[level]
             if not queue:
                 continue

@@ -273,8 +273,7 @@ class Cluster:
                 if cache is not None and hasattr(cache, "stats"):
                     reg.register(f"{prefix}.cache", cache.stats)
 
-    def attach_sampler(self, interval_us: float = 50.0,
-                       capacity: int = 8192) -> TimeSeriesSampler:
+    def attach_sampler(self, interval_us: float = 50.0) -> TimeSeriesSampler:
         """Wire a :class:`~repro.sim.TimeSeriesSampler` over every
         component's gauges, under the registry's dotted naming scheme
         (``client{i}.shard`` probes a router's shards currently marked
@@ -287,8 +286,7 @@ class Cluster:
         """
         if self.sampler is not None:
             raise RuntimeError("sampler already attached")
-        sampler = TimeSeriesSampler(self.sim, interval_us=interval_us,
-                                    capacity=capacity)
+        sampler = TimeSeriesSampler(self.sim, interval_us=interval_us)
         for host, server, cache, scheduler in zip(
                 self.server_hosts, self.servers, self.caches,
                 self.schedulers):

@@ -6,9 +6,13 @@ Usage::
     inj = Injector(cluster)
     inj.enable_resilience()            # RPC retry + RDMA timeouts
     inj.link_loss(0.01)                # 1% frame drop, steady state
-    inj.schedule_server_crash(FaultSchedule.at([50_000.0]))
+    inj.schedule_server_crash(FaultSchedule.at([50_000.0]))  # server 0
     inj.arm()
     cluster.sim.run()
+
+``enable_resilience`` takes the RPC timeout and retry budget, the two
+settings the campaigns vary; the retry jitter, the RDMA deadline and the
+server's put retransmissions are this module's constants.
 
 All randomness flows through named :class:`repro.sim.RandomStreams`
 streams derived from the cluster's master seed (``faults.link``,
@@ -31,14 +35,22 @@ from .schedule import FaultSchedule
 #: An armed schedule: (schedule, action).
 _Armed = Tuple[FaultSchedule, Callable[[], None]]
 
+#: Seeded jitter on each RPC retry backoff, as a fraction of the delay;
+#: the backoff itself is :class:`RetryPolicy`'s default (200 us doubling
+#: per attempt, capped at 4 ms).
+RETRY_JITTER = 0.25
+#: Initiator-side deadline on every RDMA operation once resilience is on.
+RDMA_TIMEOUT_US = 3000.0
+#: Retransmissions of a server-initiated RDMA write before it fails.
+RDMA_PUT_RETRIES = 10
+
 
 class Injector:
     """Installs fault adapters on one cluster and drives schedules."""
 
-    def __init__(self, cluster, stream_prefix: str = "faults"):
+    def __init__(self, cluster):
         self.cluster = cluster
         self.sim = cluster.sim
-        self.stream_prefix = stream_prefix
         #: Shared fault counter, one namespace per layer (link.drop, …).
         self.stats = Counter()
         self._schedules: List[_Armed] = []
@@ -47,7 +59,7 @@ class Injector:
             cluster.metrics.register("faults", self.stats)
 
     def _stream(self, name: str) -> random.Random:
-        return self.cluster.rand.stream(f"{self.stream_prefix}.{name}")
+        return self.cluster.rand.stream(f"faults.{name}")
 
     def _label(self, index: int) -> str:
         """Stream-name suffix for server-side component ``index``.
@@ -96,9 +108,6 @@ class Injector:
             rpc.on_crash = self._state_loss_of(index)
         return rpc.faults
 
-    def _all_hosts(self):
-        return self.cluster.server_hosts + self.cluster.client_hosts
-
     def _state_loss_of(self, index: int):
         """Crash consequence for server ``index``: its file cache does
         not survive a restart.
@@ -120,10 +129,9 @@ class Injector:
         """Drop each forwarded frame with probability ``p``."""
         self.link.drop_p = p
 
-    def nic_doorbell_stalls(self, p: float, stall_us: float,
-                            hosts=None) -> None:
-        """Stall doorbell rings with probability ``p`` on ``hosts`` (all)."""
-        for host in hosts if hosts is not None else self._all_hosts():
+    def nic_doorbell_stalls(self, p: float, stall_us: float) -> None:
+        """Stall doorbell rings with probability ``p`` on every host."""
+        for host in self.cluster.server_hosts + self.cluster.client_hosts:
             nf = self.nic(host)
             nf.stall_p = p
             nf.stall_us = stall_us
@@ -158,14 +166,10 @@ class Injector:
         for k in range(self.cluster.n_servers):
             self.disk_faults(k).bitrot_p = p
 
-    def disk_errors(self, p: float,
-                    max_retries: Optional[int] = None) -> None:
+    def disk_errors(self, p: float) -> None:
         """Fail disk accesses with probability ``p`` (transient)."""
         for k in range(self.cluster.n_servers):
-            df = self.disk_faults(k)
-            df.error_p = p
-            if max_retries is not None:
-                df.max_retries = max_retries
+            self.disk_faults(k).error_p = p
 
     def disk_delays(self, p: float, spike_us: float) -> None:
         """Add a ``spike_us`` positioning spike with probability ``p``."""
@@ -194,12 +198,11 @@ class Injector:
         self._schedules.append((sched, action))
 
     def schedule_server_crash(self, sched: FaultSchedule,
-                              downtime_us: Optional[float] = None,
-                              shard: int = 0) -> None:
-        """Crash server ``shard`` at each fire time (restart after
-        downtime). ``shard`` is only meaningful on sharded clusters."""
-        faults = self.server_faults(shard)
-        rpc = self.cluster.servers[shard].rpc
+                              downtime_us: Optional[float] = None) -> None:
+        """Crash the first server at each fire time (restart after
+        downtime)."""
+        faults = self.server_faults(0)
+        rpc = self.cluster.servers[0].rpc
         self.schedule(sched, lambda: faults.crash_now(rpc, downtime_us))
 
     def _run_schedule(self, sched: FaultSchedule,
@@ -218,13 +221,7 @@ class Injector:
     # -- resilience ---------------------------------------------------------
 
     def enable_resilience(self, timeout_us: float = 4000.0,
-                          max_retries: int = 10,
-                          backoff_base_us: float = 200.0,
-                          backoff_factor: float = 2.0,
-                          backoff_cap_us: float = 4000.0,
-                          jitter: float = 0.25,
-                          rdma_timeout_us: float = 3000.0,
-                          rdma_put_retries: int = 10) -> None:
+                          max_retries: int = 10) -> None:
         """Turn on the recovery machinery injected faults rely on.
 
         Gives every client an RPC :class:`RetryPolicy` (timeout, capped
@@ -243,12 +240,10 @@ class Injector:
             for prefix, sub in self.cluster.named_subclients(i):
                 sub.rpc.retry = RetryPolicy(
                     timeout_us=timeout_us, max_retries=max_retries,
-                    backoff_base_us=backoff_base_us,
-                    backoff_factor=backoff_factor,
-                    backoff_cap_us=backoff_cap_us, jitter=jitter,
+                    jitter=RETRY_JITTER,
                     rng=self._stream(f"retry.{prefix}"))
-            client.host.nic.rdma_timeout_us = rdma_timeout_us
+            client.host.nic.rdma_timeout_us = RDMA_TIMEOUT_US
         for host in self.cluster.server_hosts:
-            host.nic.rdma_timeout_us = rdma_timeout_us
+            host.nic.rdma_timeout_us = RDMA_TIMEOUT_US
         for server in self.cluster.servers:
-            server.rdma_put_retries = rdma_put_retries
+            server.rdma_put_retries = RDMA_PUT_RETRIES

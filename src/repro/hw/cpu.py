@@ -44,8 +44,7 @@ class CPU:
         yield self._core.hold(cost_us, priority)
         self.busy.add(cost_us, category)
 
-    def copy(self, nbytes: int, cached: bool = True,
-             category: str = "copy", priority: int = PRIO_NORMAL) -> Generator:
+    def copy(self, nbytes: int, cached: bool = True) -> Generator:
         """Charge a memory copy of ``nbytes``.
 
         ``cached=False`` uses the slower buffer-cache copy bandwidth (cold,
@@ -53,26 +52,21 @@ class CPU:
         """
         bw = (self.params.copy_bw_cached if cached
               else self.params.copy_bw_uncached)
-        yield from self.execute(nbytes / bw, category=category,
-                                priority=priority)
+        yield from self.execute(nbytes / bw, category="copy")
 
     # -- canned kernel paths ----------------------------------------------
 
-    def interrupt(self, handler_us: float = 0.0,
-                  coalesce_window_us: float = 0.0) -> Generator:
-        """Take a hardware interrupt plus ``handler_us`` of handler work.
+    def interrupt(self, coalesce_window_us: float = 0.0) -> Generator:
+        """Take a hardware interrupt.
 
         If a previous interrupt fired within ``coalesce_window_us``, the
-        entry/exit cost is skipped (the handler batches completions), but
-        the handler work itself is still charged.
+        entry/exit cost is skipped: the handler batches completions.
         """
         now = self.sim.now
-        cost = handler_us
         if now - self._last_interrupt_at >= coalesce_window_us:
-            cost += self.params.interrupt_us
             self._last_interrupt_at = now
-        if cost > 0:
-            yield from self.execute(cost, category="interrupt",
+            yield from self.execute(self.params.interrupt_us,
+                                    category="interrupt",
                                     priority=PRIO_INTERRUPT)
 
     def wakeup(self) -> Generator:

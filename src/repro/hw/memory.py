@@ -175,30 +175,20 @@ class AddressSpace:
 
     _ids = itertools.count()
 
-    def __init__(self, name: str = "", base: int = 0x1000_0000,
-                 total_bytes: Optional[int] = None):
+    def __init__(self, name: str = "", base: int = 0x1000_0000):
         self.name = name or f"as{next(self._ids)}"
         self._next = base
         #: Live buffers by base, in allocation (= address) order.
         self._buffers: Dict[int, Buffer] = {}
-        self.total_bytes = total_bytes
-        self.allocated_bytes = 0
 
     def alloc(self, size: int, name: str = "") -> Buffer:
         """Allocate a page-aligned buffer of ``size`` bytes."""
         if size <= 0:
             raise MemoryError_(f"allocation size must be positive: {size}")
-        if self.total_bytes is not None and (
-                self.allocated_bytes + size > self.total_bytes):
-            raise MemoryError_(
-                f"address space {self.name!r} exhausted: "
-                f"{self.allocated_bytes} + {size} > {self.total_bytes}"
-            )
         base = self._next
         buf = Buffer(self, base, size, name=name)
         self._next += buf.page_count * PAGE_SIZE
         self._buffers[base] = buf
-        self.allocated_bytes += size
         return buf
 
     def free(self, buf: Buffer) -> None:
@@ -212,4 +202,3 @@ class AddressSpace:
                 f"freeing buffer {buf!r} with pinned page {vaddr:#x}"
             )
         del self._buffers[buf.base]
-        self.allocated_bytes -= buf.size

@@ -223,18 +223,19 @@ class NIC:
     # ------------------------------------------------------------------
 
     def rdma_put(self, dst: str, remote_addr: int, nbytes: int,
-                 data: Any = None, capability: Optional[bytes] = None,
-                 span=None) -> Generator:
+                 data: Any = None, span=None) -> Generator:
         """Remote write into registered memory. Yields until the remote
         NIC acknowledges.
 
-        A put to unregistered memory is a stack bug, not a recoverable
-        fault; with :attr:`rdma_timeout_us` set, a lost frame raises
-        :class:`RemoteAccessFault` (TIMEOUT) at the yield point.
+        Every put is a server's reply into a buffer its client registered
+        and named in the request, so the target checks registration only;
+        puts carry no capability. A put to unregistered memory is a stack
+        bug, not a recoverable fault; with :attr:`rdma_timeout_us` set, a
+        lost frame raises :class:`RemoteAccessFault` (TIMEOUT) at the
+        yield point.
         """
         done = Event(self.sim)
-        meta: Dict[str, Any] = {"addr": remote_addr,
-                                "capability": capability}
+        meta: Dict[str, Any] = {"addr": remote_addr}
         if span is not None:
             meta["_span"] = span
         msg = Message(MsgKind.RDMA_PUT, self.name, dst, nbytes, data=data,
@@ -481,7 +482,6 @@ class NIC:
                 # Host loads the entry by PIO after an interrupt
                 # (Section 4.1's uniprocessor synchronization design).
                 yield from self.cpu.interrupt(
-                    handler_us=0.0,
                     coalesce_window_us=self.params.nic.interrupt_coalesce_us)
                 yield self.sim.timeout(self.params.nic.tlb_miss_ordma_us)
             else:

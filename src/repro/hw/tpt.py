@@ -80,15 +80,16 @@ class Segment:
                 f"len={self.length} pinned={self.pinned}>")
 
 
+#: The MAC key of every NIC's capability authority.
+KEY = b"fast03-odafs"
+
+
 class CapabilityAuthority:
     """Issues and verifies keyed-MAC capabilities for exported segments."""
 
-    def __init__(self, key: bytes = b"fast03-odafs"):
-        self._key = key
-
     def issue(self, segment_id: int, base: int, length: int) -> bytes:
         msg = f"{segment_id}:{base}:{length}".encode()
-        return hmac.new(self._key, msg, hashlib.sha256).digest()[:16]
+        return hmac.new(KEY, msg, hashlib.sha256).digest()[:16]
 
     def verify(self, segment: Segment, token: Optional[bytes]) -> bool:
         if segment.capability is None:
@@ -102,9 +103,8 @@ class CapabilityAuthority:
 class TPT:
     """Host-resident translation & protection table for one NIC."""
 
-    def __init__(self, use_capabilities: bool = True,
-                 capability_key: bytes = b"fast03-odafs"):
-        self.authority = CapabilityAuthority(capability_key)
+    def __init__(self, use_capabilities: bool = True):
+        self.authority = CapabilityAuthority()
         self.use_capabilities = use_capabilities
         self._segments: Dict[int, Segment] = {}
         #: page vaddr -> owning segment, for translation lookup

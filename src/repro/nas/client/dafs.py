@@ -38,10 +38,9 @@ class DAFSClient(NASClient):
     kernel = False
 
     def __init__(self, host: Host, server: str, port: int = DAFS_PORT,
-                 mode: NotifyMode = NotifyMode.POLL,
                  cache_blocks: int = 0, cache_block_size: int = 4 * KB,
                  rpc_read_mode: str = "direct"):
-        endpoint = VIEndpoint(host, port, mode=mode)
+        endpoint = VIEndpoint(host, port, mode=NotifyMode.POLL)
         super().__init__(host, endpoint, server)
         self.registrations = RegistrationCache(host)
         self.rpc_read_mode = rpc_read_mode
@@ -71,7 +70,6 @@ class DAFSClient(NASClient):
         if self.rpc_read_mode == "direct":
             seg = yield from self.registrations.lookup(app_buffer)
             args["client_addr"] = seg.base
-            args["client_cap"] = seg.capability
         response = yield from self._call("read", args, span=span)
         if self.rpc_read_mode != "direct":
             # In-line payload: copy from the communication buffer to the
@@ -101,7 +99,6 @@ class DAFSClient(NASClient):
         if self.rpc_read_mode == "direct":
             # Cache frames are registered at mount: no per-I/O cost here.
             args["client_addr"] = block.buffer.base
-            args["client_cap"] = None
         response = yield from self._call("read", args, span=span)
         if self.rpc_read_mode == "direct":
             data = block.buffer.data
@@ -197,8 +194,7 @@ class DAFSClient(NASClient):
         for offset, nbytes, buffer in extents:
             seg = yield from self.registrations.lookup(buffer)
             batch.append({"offset": offset, "nbytes": nbytes,
-                          "client_addr": seg.base,
-                          "client_cap": seg.capability})
+                          "client_addr": seg.base})
         yield from self._call("read_batch", {"name": name,
                                              "extents": batch}, span=span)
         self._count_io("batch_reads", "read_bytes",

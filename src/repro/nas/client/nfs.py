@@ -15,8 +15,6 @@ from typing import Generator, Optional
 from ...hw.host import Host
 from ...hw.memory import Buffer
 from ...proto.rpc import RPC_HEADER_BYTES
-from ...proto.udp import UDPStack
-from ..server.server import NFS_PORT
 from .base import NASClient
 
 
@@ -52,12 +50,10 @@ class NFSClient(NASClient):
 
     kernel = True
 
-    def __init__(self, host: Host, server: str, port: int = NFS_PORT,
-                 bcache_entries: int = 256, transport=None):
-        """``transport`` overrides the default UDP socket — e.g. a framed
-        TCP connection for the UDP-vs-TCP transport ablation."""
-        if transport is None:
-            transport = UDPStack(host).socket(port)
+    def __init__(self, host: Host, server: str, transport,
+                 bcache_entries: int = 256):
+        """``transport`` is the host's UDP socket on the server's port, or
+        a framed TCP connection for the UDP-vs-TCP transport ablation."""
         super().__init__(host, transport, server)
         self.bcache = _BufferCache(bcache_entries)
 

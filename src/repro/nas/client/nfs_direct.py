@@ -22,8 +22,8 @@ class NFSDirectClient(NASClient):
     """Kernel NFS client over UDP whose reads land in the user buffer
     without a client copy; subclasses supply :meth:`_transfer`."""
 
-    def __init__(self, host: Host, server: str, port: int = NFS_PORT):
-        super().__init__(host, UDPStack(host).socket(port), server)
+    def __init__(self, host: Host, server: str):
+        super().__init__(host, UDPStack(host).socket(NFS_PORT), server)
 
     def _read(self, name: str, offset: int, nbytes: int,
               app_buffer: Optional[Buffer]) -> Generator:

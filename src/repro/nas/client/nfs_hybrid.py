@@ -16,7 +16,6 @@ from ...hw.host import Host
 from ...hw.memory import Buffer
 from ...hw.tpt import Segment
 from ...sim import Span
-from ..server.server import NFS_PORT
 from .nfs_direct import NFSDirectClient
 
 
@@ -46,12 +45,12 @@ class RegistrationCache:
 class NFSHybridClient(NFSDirectClient):
     """Kernel NFS client whose reads arrive by server-initiated RDMA."""
 
-    def __init__(self, host: Host, server: str, port: int = NFS_PORT,
+    def __init__(self, host: Host, server: str,
                  cache_registrations: bool = True):
         """``cache_registrations=False`` registers and deregisters the
         user buffer on every I/O — the on-the-fly penalty of Section 3,
         measured by the registration-cache ablation."""
-        super().__init__(host, server, port)
+        super().__init__(host, server)
         self.cache_registrations = cache_registrations
         self.registrations = RegistrationCache(host)
 
@@ -69,8 +68,8 @@ class NFSHybridClient(NFSDirectClient):
         # and the RPC response then signals I/O completion (Fig. 2).
         yield from self._call(
             "read", {"name": name, "offset": offset, "nbytes": nbytes,
-                     "mode": "direct", "client_addr": seg.base,
-                     "client_cap": seg.capability}, span=span)
+                     "mode": "direct", "client_addr": seg.base},
+            span=span)
         if not self.cache_registrations:
             self.host.nic.tpt.deregister(seg)
             yield from self.cpu.execute(

@@ -19,7 +19,6 @@ from typing import Generator
 
 from ...cache.block_cache import CacheBlock
 from ...hw.host import Host
-from ...hw.nic import NotifyMode
 from ...hw.tpt import RemoteAccessFault
 from ...integrity.checksum import block_checksum
 from ...params import KB
@@ -32,12 +31,11 @@ class ODAFSClient(DAFSClient):
     """DAFS client with client-initiated Optimistic RDMA."""
 
     def __init__(self, host: Host, server: str, port: int = DAFS_PORT,
-                 mode: NotifyMode = NotifyMode.POLL,
                  cache_blocks: int = 64, cache_block_size: int = 4 * KB,
                  directory_capacity: int = 1 << 20,
                  directory_policy: str = "lru",
                  rpc_read_mode: str = "direct"):
-        super().__init__(host, server, port=port, mode=mode,
+        super().__init__(host, server, port=port,
                          cache_blocks=cache_blocks,
                          cache_block_size=cache_block_size,
                          rpc_read_mode=rpc_read_mode)

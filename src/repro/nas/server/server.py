@@ -18,7 +18,6 @@ from ...hw.tpt import RemoteAccessFault
 from ...integrity.checksum import IntegrityError
 from ...integrity.scrub import Scrubber
 from ...integrity.store import ChecksumStore
-from ...proto.messaging import GMEndpoint
 from ...proto.rpc import RPCReply, RPCRequest, RPCServer
 from ...proto.udp import UDPStack
 from ...proto.vi import VIEndpoint
@@ -242,8 +241,8 @@ class BaseFileServer:
     def _put_direct(self, request: RPCRequest, target: Dict[str, Any],
                     nbytes: int, payload: Any, span=None) -> Generator:
         """Server-initiated RDMA write of a read's payload into the client
-        buffer ``target`` names (``client_addr``, ``client_cap``), with
-        bounded retransmission.
+        buffer ``target`` names (``client_addr``), with bounded
+        retransmission.
 
         The target is the client's plain registered buffer, so the only
         recoverable failure mode is an injected loss surfacing as an
@@ -259,8 +258,7 @@ class BaseFileServer:
             try:
                 yield from self.host.nic.rdma_put(
                     request.client, target["client_addr"], nbytes,
-                    data=payload, capability=target.get("client_cap"),
-                    span=span)
+                    data=payload, span=span)
                 break
             except RemoteAccessFault:
                 attempt += 1
@@ -497,9 +495,8 @@ class DAFSServer(BaseFileServer):
 
     def __init__(self, host: Host, fs: FileSystem, disk: Disk,
                  cache: ServerFileCache, port: int = DAFS_PORT,
-                 mode: NotifyMode = NotifyMode.BLOCK,
-                 slots: int = GMEndpoint.DEFAULT_SLOTS):
-        self.endpoint = VIEndpoint(host, port, mode=mode, slots=slots)
+                 mode: NotifyMode = NotifyMode.BLOCK):
+        self.endpoint = VIEndpoint(host, port, mode=mode)
         self.notify_mode = mode
         super().__init__(host, fs, disk, cache, self.endpoint,
                          name=f"{host.name}.dafsd")

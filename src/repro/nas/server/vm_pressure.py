@@ -12,27 +12,22 @@ optimistic consistency loop, exercised dynamically.
 from __future__ import annotations
 
 import random
-from typing import Generator, List, Optional
+from typing import Generator, List
 
 from ...sim import Counter, Event, Simulator
 from .filecache import BlockKey, ServerFileCache
 
 
 class MemoryPressure:
-    """Periodic reclaim of cold file-cache blocks."""
+    """Periodic reclaim of cold file-cache blocks, one per round."""
 
     def __init__(self, sim: Simulator, cache: ServerFileCache,
-                 interval_us: float, blocks_per_round: int = 1,
-                 rng: Optional[random.Random] = None):
+                 interval_us: float, rng: random.Random):
         if interval_us <= 0:
             raise ValueError(f"interval must be positive: {interval_us}")
-        if blocks_per_round < 1:
-            raise ValueError(
-                f"blocks_per_round must be >= 1: {blocks_per_round}")
         self.sim = sim
         self.cache = cache
         self.interval_us = interval_us
-        self.blocks_per_round = blocks_per_round
         self.rng = rng
         self.stats = Counter()
         self._running = False
@@ -46,15 +41,14 @@ class MemoryPressure:
         self.sim.spawn(self._daemon(stop_on))
 
     def _victims(self) -> List[BlockKey]:
-        """Coldest resident blocks (LRU order), optionally jittered."""
+        """A cold resident block, drawn from the LRU half."""
         order = list(self.cache._policy)  # LRU -> MRU
-        if self.rng is not None and len(order) > self.blocks_per_round:
+        if len(order) > 1:
             # Sample from the cold half to avoid always hitting the exact
             # LRU block (real reclaim scans are approximate).
-            cold = order[:max(self.blocks_per_round, len(order) // 2)]
-            self.rng.shuffle(cold)
-            return cold[:self.blocks_per_round]
-        return order[:self.blocks_per_round]
+            order = order[:len(order) // 2]
+            self.rng.shuffle(order)
+        return order[:1]
 
     def _daemon(self, stop_on: Event) -> Generator:
         while True:

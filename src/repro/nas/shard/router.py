@@ -179,8 +179,9 @@ class ShardRouter:
                 f"replica failed verification")
         raise ShardDownError(chain[0], op, name)
 
-    def _chain(self, name: str, block: int = 0) -> Tuple[int, ...]:
-        return self.placement.replica_chain(name, block)
+    def _chain(self, name: str) -> Tuple[int, ...]:
+        """The replica chain of ``name``'s first block, its home."""
+        return self.placement.replica_chain(name, 0)
 
     # -- namespace operations ----------------------------------------------
 
@@ -253,9 +254,9 @@ class ShardRouter:
 
     # -- data operations ----------------------------------------------------
 
-    def _read_segment(self, name: str, shard: int, offset: int,
-                      nbytes: int, n_blocks: int, sink: List[Any],
-                      slot: int, span: Optional[Span]) -> Generator:
+    def _read_segment(self, name: str, offset: int, nbytes: int,
+                      n_blocks: int, sink: List[Any], slot: int,
+                      span: Optional[Span]) -> Generator:
         first_block = offset // self.block_size
         chain = self.placement.replica_chain(name, first_block)
 
@@ -293,15 +294,15 @@ class ShardRouter:
                       shards=sorted({s for s, _, _, _ in segments}))
         results: List[Any] = [None] * len(segments)
         if len(segments) == 1:
-            shard, seg_off, seg_n, blocks = segments[0]
-            yield from self._read_segment(name, shard, seg_off, seg_n,
-                                          blocks, results, 0, span)
+            _, seg_off, seg_n, blocks = segments[0]
+            yield from self._read_segment(name, seg_off, seg_n, blocks,
+                                          results, 0, span)
         elif segments:
             procs = [self.sim.process(
-                self._read_segment(name, shard, seg_off, seg_n, blocks,
-                                   results, slot, span),
+                self._read_segment(name, seg_off, seg_n, blocks, results,
+                                   slot, span),
                 name=f"{self.host.name}.shard-read")
-                for slot, (shard, seg_off, seg_n, blocks)
+                for slot, (_, seg_off, seg_n, blocks)
                 in enumerate(segments)]
             yield self.sim.all_of(procs)
             self.stats.incr("fanout_reads")

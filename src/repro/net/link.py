@@ -64,11 +64,10 @@ def _unattached(frame: Frame) -> None:
 class Switch:
     """Cut-through switch connecting all hosts."""
 
-    def __init__(self, sim: Simulator, params: NetworkParams,
-                 name: str = "switch"):
+    def __init__(self, sim: Simulator, params: NetworkParams):
         self.sim = sim
         self.params = params
-        self.name = name
+        self.name = "switch"
         self._ports: Dict[str, NetworkPort] = {}
         self.frames_forwarded = 0
         self.frames_dropped = 0

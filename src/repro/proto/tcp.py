@@ -18,6 +18,9 @@ Simplifications (documented, deliberate): a fixed MSS equal to the
 Ethernet-emulation fragment payload; slow start + AIMD on timeout loss
 only (no fast retransmit — the fabric reorders nothing); byte-counting
 ACKs every segment; no delayed-ACK timer (Myrinet RTTs are microseconds).
+The per-segment and per-ACK costs, the retransmission timeout and the
+congestion window bounds are module constants: the one TCP run, the
+transport ablation, uses a single setting.
 """
 
 from __future__ import annotations
@@ -33,6 +36,20 @@ from ..net.packet import Message
 from ..sim import Event, Store
 
 
+#: Host CPU charge per data segment: deliberately above the UDP
+#: per-fragment cost (checksummed, stateful, in-order protocol processing,
+#: the overhead the paper's offloaded-UDP configuration avoids).
+SEGMENT_COST_US = 11.0
+#: Host CPU charge to send or take in one ACK or control segment.
+ACK_COST_US = 2.5
+#: Retransmission timeout.
+RTO_US = 5_000.0
+#: Congestion window, in segments, at the start and after a timeout.
+INITIAL_CWND = 4
+#: Largest congestion window, in segments.
+MAX_CWND = 64
+
+
 class TCPError(RuntimeError):
     """Connection misuse (double connect, send on closed, ...)."""
 
@@ -46,20 +63,9 @@ class TCPStack:
 
     _ports = itertools.count(40_000)
 
-    def __init__(self, host: Host, segment_cost_us: float = 11.0,
-                 ack_cost_us: float = 2.5, rto_us: float = 5_000.0,
-                 initial_cwnd: int = 4, max_cwnd: int = 64):
-        """``segment_cost_us`` is the host CPU charge per data segment —
-        deliberately above the UDP per-fragment cost (checksummed,
-        stateful, in-order protocol processing: the overhead the paper's
-        offloaded-UDP configuration avoids)."""
+    def __init__(self, host: Host):
         self.host = host
         self.params = host.params
-        self.segment_cost_us = segment_cost_us
-        self.ack_cost_us = ack_cost_us
-        self.rto_us = rto_us
-        self.initial_cwnd = initial_cwnd
-        self.max_cwnd = max_cwnd
         #: (local_port) -> listener store of inbound connection requests
         self._listeners: Dict[int, Store] = {}
         #: (local_port, peer, peer_port) -> connection
@@ -98,7 +104,7 @@ class TCPStack:
         meta = {"tcp": kind, "src_port": conn.local_port,
                 "dst_port": conn.peer_port}
         meta.update(extra or {})
-        yield from self.host.cpu.execute(self.ack_cost_us, category="tcp")
+        yield from self.host.cpu.execute(ACK_COST_US, category="tcp")
         yield from self.host.nic.eth_send(conn.peer, 0, meta=meta,
                                           port=conn.peer_port)
 
@@ -118,15 +124,15 @@ class TCPStack:
         if conn is None:
             return  # RST territory; silently dropped in the model
         if kind == "syn-ack":
-            yield from cpu.execute(self.ack_cost_us, category="tcp")
+            yield from cpu.execute(ACK_COST_US, category="tcp")
             if not conn._established.triggered:
                 yield from self._send_control(conn, "ack")
                 conn._established.succeed(None)
         elif kind == "ack":
-            yield from cpu.execute(self.ack_cost_us, category="tcp")
+            yield from cpu.execute(ACK_COST_US, category="tcp")
             conn._on_ack(msg.meta.get("seq", 0))
         elif kind == "data":
-            yield from cpu.execute(self.segment_cost_us, category="tcp",
+            yield from cpu.execute(SEGMENT_COST_US, category="tcp",
                                    priority=PRIO_KERNEL)
             yield from self._send_control(conn, "ack",
                                           {"seq": msg.meta["seq"]})
@@ -171,8 +177,8 @@ class TCPConnection:
         self._next_seq = 0
         #: seq -> (retries, acked event)
         self._unacked: Dict[int, Event] = {}
-        self._cwnd = stack.initial_cwnd
-        self._ssthresh = stack.max_cwnd
+        self._cwnd = INITIAL_CWND
+        self._ssthresh = MAX_CWND
         self._in_flight = 0
         self._send_waiters: Deque[Event] = deque()
         self._frames: Store = Store(stack.host.sim)
@@ -194,15 +200,15 @@ class TCPConnection:
             return  # duplicate ack for a retransmitted segment
         self._in_flight -= 1
         if self._cwnd < self._ssthresh:
-            self._cwnd = min(self._cwnd * 2, self.stack.max_cwnd)  # slow start
-        elif self._cwnd < self.stack.max_cwnd:
+            self._cwnd = min(self._cwnd * 2, MAX_CWND)  # slow start
+        elif self._cwnd < MAX_CWND:
             self._cwnd += 1  # congestion avoidance
         pending.succeed(None)
         self._wake_senders()
 
     def _on_timeout(self) -> None:
         self._ssthresh = max(2, self._cwnd // 2)
-        self._cwnd = self.stack.initial_cwnd
+        self._cwnd = INITIAL_CWND
         self.retransmissions += 1
 
     def _wake_senders(self) -> None:
@@ -223,14 +229,12 @@ class TCPConnection:
     def _send_segment(self, nbytes: int,
                       meta: Dict[str, Any]) -> Generator:
         """Reliably deliver one MSS-or-smaller segment."""
-        stack = self.stack
-        host = stack.host
+        host = self.stack.host
         yield from self._window_slot()
         seq = self._next_seq
         self._next_seq += 1
         while True:
-            yield from host.cpu.execute(stack.segment_cost_us,
-                                        category="tcp")
+            yield from host.cpu.execute(SEGMENT_COST_US, category="tcp")
             acked = Event(host.sim)
             self._unacked[seq] = acked
             seg_meta = {"tcp": "data", "seq": seq,
@@ -239,7 +243,7 @@ class TCPConnection:
             seg_meta.update(meta)
             yield from host.nic.eth_send(self.peer, nbytes, meta=seg_meta,
                                          port=self.peer_port)
-            timeout = host.sim.timeout(stack.rto_us)
+            timeout = host.sim.timeout(RTO_US)
             yield host.sim.any_of([acked, timeout])
             if acked.triggered:
                 return

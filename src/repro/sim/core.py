@@ -190,14 +190,14 @@ class Timeout(Event):
 
     __slots__ = ()
 
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None):
+    def __init__(self, sim: "Simulator", delay: float):
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
         # Inlined Event.__init__ + scheduling: timeouts are the kernel's
         # most-allocated object, one per modeled latency.
         self.sim = sim
         self.callbacks = []
-        self._value = value
+        self._value = None
         self._ok = True
         self._scheduled = True
         self._deferred = True  # fires at now + delay, not now
@@ -442,19 +442,20 @@ class Simulator:
         tramp._scheduled = False
         self._trampolines.append(tramp)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """An event firing ``delay`` microseconds from now.
+    def timeout(self, delay: float) -> Timeout:
+        """An event firing ``delay`` microseconds from now, with value
+        ``None``.
 
         Draws from the timeout free list when possible; see the module
         docstring for why recycling is unobservable.
         """
         pool = self._timeouts
         if not pool:
-            return Timeout(self, delay, value)
+            return Timeout(self, delay)
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
         t = pool.pop()
-        t._value = value
+        t._value = None
         t._ok = True
         t._scheduled = True
         t._deferred = True

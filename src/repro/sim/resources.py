@@ -21,12 +21,11 @@ from .core import Event, SimulationError, Simulator, Timeout
 class Request(Event):
     """A pending claim on a :class:`Resource`."""
 
-    __slots__ = ("resource", "priority")
+    __slots__ = ("resource",)
 
-    def __init__(self, resource: "Resource", priority: int):
+    def __init__(self, resource: "Resource"):
         super().__init__(resource.sim)
         self.resource = resource
-        self.priority = priority
 
 
 class Resource:
@@ -38,9 +37,10 @@ class Resource:
         yield resource.hold(service_time, priority)
 
     A claim that spans more than one wait (the disk holds its spindle
-    across a fault-injected delay) takes and returns the resource itself::
+    across a fault-injected delay) takes and returns the resource itself,
+    queued at priority 0::
 
-        req = resource.request(priority)
+        req = resource.request()
         yield req
         try:
             yield sim.timeout(service_time)
@@ -70,14 +70,14 @@ class Resource:
     def queue_len(self) -> int:
         return len(self._queue)
 
-    def request(self, priority: int = 0) -> Request:
-        req = Request(self, priority)
+    def request(self) -> Request:
+        req = Request(self)
         if self._holder is None:
             self._holder = req
             req.succeed(req)
         else:
             self._seq += 1
-            heappush(self._queue, (priority, self._seq, req, None))
+            heappush(self._queue, (0, self._seq, req, None))
         return req
 
     def hold(self, duration: float, priority: int = 0) -> Event:

@@ -37,6 +37,10 @@ from .core import Event, Simulator
 
 GaugeFn = Callable[[], float]
 
+#: Points each series keeps; older ones drop (``TimeSeries.dropped``
+#: counts them, and a trace dump's series lines carry it).
+CAPACITY = 8192
+
 
 def rate_probe(sim: Simulator, cumulative: GaugeFn,
                scale: float = 1.0) -> GaugeFn:
@@ -112,9 +116,9 @@ class TimeSeries:
 
     __slots__ = ("name", "points", "appended")
 
-    def __init__(self, name: str, capacity: int):
+    def __init__(self, name: str):
         self.name = name
-        self.points: Deque[Tuple[float, float]] = deque(maxlen=capacity)
+        self.points: Deque[Tuple[float, float]] = deque(maxlen=CAPACITY)
         #: Total points ever appended; the ring evicts the overflow, so
         #: ``dropped`` is derived instead of checked on every append.
         self.appended = 0
@@ -133,9 +137,8 @@ class TimeSeries:
     def last(self) -> Optional[float]:
         return self.points[-1][1] if self.points else None
 
-    def mean(self, t0: float = 0.0,
-             t1: float = float("inf")) -> Optional[float]:
-        return window_mean(self.points, t0, t1)
+    def mean(self) -> Optional[float]:
+        return window_mean(self.points, 0.0, float("inf"))
 
 
 class TimeSeriesSampler:
@@ -148,15 +151,11 @@ class TimeSeriesSampler:
     run is over.
     """
 
-    def __init__(self, sim: Simulator, interval_us: float = 50.0,
-                 capacity: int = 8192):
+    def __init__(self, sim: Simulator, interval_us: float = 50.0):
         if interval_us <= 0:
             raise ValueError(f"interval must be positive: {interval_us}")
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1: {capacity}")
         self.sim = sim
         self.interval_us = interval_us
-        self.capacity = capacity
         #: Probes in registration order; sampled in exactly this order.
         self._probes: Dict[str, GaugeFn] = {}
         self.series: Dict[str, TimeSeries] = {}
@@ -176,7 +175,7 @@ class TimeSeriesSampler:
         if name in self._probes:
             raise ValueError(f"probe {name!r} already registered")
         self._probes[name] = fn
-        self.series[name] = TimeSeries(name, self.capacity)
+        self.series[name] = TimeSeries(name)
         self._plan = None  # recompile on next sample
 
     def probe_many(self, prefix: str, gauges: Dict[str, GaugeFn]) -> None:

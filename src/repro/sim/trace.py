@@ -19,7 +19,7 @@ Typical use::
     tracer = Tracer.attach(cluster.sim)
     sampler = cluster.attach_sampler()  # optional telemetry
     ... run workload ...
-    for ev in tracer.filter(kind="ordma-fault"):
+    for ev in tracer.filter("ordma-fault"):
         print(ev)
     for span in tracer.spans:
         print(span.rid, span.path, span.breakdown())
@@ -41,6 +41,10 @@ from typing import (Any, Deque, Dict, Iterator, List, Mapping, Optional,
 
 from .core import Simulator
 from .timeseries import TimeSeries
+
+#: Events and spans each ring keeps; older ones drop (``dropped`` counts
+#: the events lost, and a dump's header carries it).
+CAPACITY = 100_000
 
 #: Marker values for the non-event JSONL line kinds.
 HEADER_KIND = "trace-header"
@@ -109,10 +113,9 @@ class Span:
         self.marks.append((self._sim.now, component, stage,
                            detail or None))
 
-    def finish(self, component: Optional[str] = None,
-               stage: str = "deliver") -> "Span":
-        """Close the span; the remaining interval becomes ``stage``."""
-        self.mark(component or self.origin, stage)
+    def finish(self, component: Optional[str] = None) -> "Span":
+        """Close the span; the remaining interval becomes ``deliver``."""
+        self.mark(component or self.origin, "deliver")
         self.end_ts = self._sim.now
         return self
 
@@ -186,13 +189,9 @@ class _TraceQueries:
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events)
 
-    def filter(self, component: Optional[str] = None,
-               kind: Optional[str] = None,
-               since: float = 0.0) -> List[TraceEvent]:
-        return [ev for ev in self.events
-                if (component is None or ev.component == component)
-                and (kind is None or ev.kind == kind)
-                and ev.ts >= since]
+    def filter(self, kind: str) -> List[TraceEvent]:
+        """The events of one ``kind``, in time order."""
+        return [ev for ev in self.events if ev.kind == kind]
 
     def counts(self) -> Dict[str, int]:
         out: Dict[str, int] = {}
@@ -200,40 +199,35 @@ class _TraceQueries:
             out[ev.kind] = out.get(ev.kind, 0) + 1
         return out
 
-    def finished_spans(self, op: Optional[str] = None,
-                       path: Optional[str] = None) -> List[Span]:
+    def finished_spans(self, op: Optional[str] = None) -> List[Span]:
         return [s for s in self.spans if s.finished
-                and (op is None or s.op == op)
-                and (path is None or s.path == path)]
+                and (op is None or s.op == op)]
 
 
 class Tracer(_TraceQueries):
     """Bounded in-memory trace collector: events + spans."""
 
-    def __init__(self, sim: Simulator, capacity: int = 100_000):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1: {capacity}")
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.capacity = capacity
-        self.events: Deque[TraceEvent] = deque(maxlen=capacity)
+        self.events: Deque[TraceEvent] = deque(maxlen=CAPACITY)
         self.dropped = 0
         self.emitted = 0
         #: Completed and in-flight spans, oldest first (bounded ring).
-        self.spans: Deque[Span] = deque(maxlen=capacity)
+        self.spans: Deque[Span] = deque(maxlen=CAPACITY)
         self.spans_started = 0
         self._rids = itertools.count(1)
 
     @classmethod
-    def attach(cls, sim: Simulator, capacity: int = 100_000) -> "Tracer":
+    def attach(cls, sim: Simulator) -> "Tracer":
         """Create a tracer and attach it as ``sim.tracer``."""
-        tracer = cls(sim, capacity)
+        tracer = cls(sim)
         sim.tracer = tracer
         return tracer
 
     # -- recording ---------------------------------------------------------
 
     def emit(self, component: str, kind: str, **detail: Any) -> None:
-        if len(self.events) == self.capacity:
+        if len(self.events) == self.events.maxlen:
             self.dropped += 1
         self.emitted += 1
         self.events.append(

@@ -21,16 +21,19 @@ from typing import Dict, Generator
 from ..cluster import Cluster
 from ..params import KB
 
+#: Share of the records joined before the measurement window opens.
+WARMUP_FRACTION = 0.1
+
 
 class BerkeleyDBJoinWorkload:
-    """Join driver: prefetch records, copy a slice of each to the app."""
+    """Join driver on the cluster's first client: prefetch records, copy
+    a slice of each to the app."""
 
     RECORD_BYTES = 60 * KB      #: logical record size (Section 5.1)
     IO_BYTES = 64 * KB          #: network transfer size for one record
 
     def __init__(self, cluster: Cluster, file_name: str, n_records: int,
-                 copy_bytes: int, window: int = 8, client_index: int = 0,
-                 warmup_fraction: float = 0.1):
+                 copy_bytes: int, window: int = 8):
         if not 0 <= copy_bytes <= self.RECORD_BYTES:
             raise ValueError(
                 f"copy_bytes out of range: {copy_bytes}")
@@ -39,8 +42,6 @@ class BerkeleyDBJoinWorkload:
         self.n_records = n_records
         self.copy_bytes = copy_bytes
         self.window = window
-        self.client_index = client_index
-        self.warmup_fraction = warmup_fraction
 
     @property
     def file_size(self) -> int:
@@ -61,9 +62,9 @@ class BerkeleyDBJoinWorkload:
     def _main(self) -> Generator:
         cluster = self.cluster
         sim = cluster.sim
-        client = cluster.clients[self.client_index]
+        client = cluster.clients[0]
         yield from client.open(self.file_name)
-        warmup = max(1, int(self.n_records * self.warmup_fraction))
+        warmup = max(1, int(self.n_records * WARMUP_FRACTION))
         buffers = [client.host.mem.alloc(self.IO_BYTES, name=f"dbc{j}")
                    for j in range(self.window)]
         pending = deque()
@@ -86,6 +87,6 @@ class BerkeleyDBJoinWorkload:
         yield from client.close(self.file_name)
         return {
             "throughput_mb_s": measured / elapsed,
-            "client_cpu": cluster.client_cpu_utilization(self.client_index),
+            "client_cpu": cluster.client_cpu_utilization(0),
             "records": self.n_records,
         }

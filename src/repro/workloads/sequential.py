@@ -16,13 +16,15 @@ from typing import Dict, Generator
 
 from ..cluster import Cluster
 
+#: Share of the blocks read before the measurement window opens.
+WARMUP_FRACTION = 0.1
+
 
 class SequentialReadWorkload:
-    """Asynchronous sequential reads over one client."""
+    """Asynchronous sequential reads by the cluster's first client."""
 
     def __init__(self, cluster: Cluster, file_name: str, file_size: int,
-                 block_size: int, window: int = 8,
-                 client_index: int = 0, warmup_fraction: float = 0.1):
+                 block_size: int, window: int = 8):
         if file_size % block_size:
             raise ValueError("file size must be a multiple of the block size")
         self.cluster = cluster
@@ -30,8 +32,6 @@ class SequentialReadWorkload:
         self.file_size = file_size
         self.block_size = block_size
         self.window = window
-        self.client_index = client_index
-        self.warmup_fraction = warmup_fraction
 
     def run(self) -> Dict[str, float]:
         """Execute to completion; returns throughput and utilization."""
@@ -40,11 +40,11 @@ class SequentialReadWorkload:
 
     def _main(self) -> Generator:
         cluster = self.cluster
-        client = cluster.clients[self.client_index]
+        client = cluster.clients[0]
         sim = cluster.sim
         yield from client.open(self.file_name)
         n_blocks = self.file_size // self.block_size
-        warmup_blocks = max(1, int(n_blocks * self.warmup_fraction))
+        warmup_blocks = max(1, int(n_blocks * WARMUP_FRACTION))
         buffers = [client.host.mem.alloc(self.block_size,
                                          name=f"app{j}")
                    for j in range(self.window)]
@@ -68,7 +68,7 @@ class SequentialReadWorkload:
         yield from client.close(self.file_name)
         return {
             "throughput_mb_s": measured_bytes / elapsed,
-            "client_cpu": cluster.client_cpu_utilization(self.client_index),
+            "client_cpu": cluster.client_cpu_utilization(0),
             "server_cpu": cluster.server_cpu_utilization(),
             "blocks": n_blocks,
         }

@@ -7,47 +7,43 @@ generates the classic SFS operation mix (lookups, getattrs, reads,
 writes) from multiple clients against one server and measures delivered
 operation throughput, so the sensitivity experiment
 (:func:`repro.bench.ablations.ablation_overhead_sensitivity`) can sweep
-host overhead parameters and reproduce that qualitative result.
+host overhead parameters and reproduce that qualitative result. Its one
+knob is the operation count per client; the file set (``N_FILES`` files
+of ``FILE_SIZE``) and the mix are fixed.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, List, Tuple
 
 from ..cluster import Cluster
 from ..params import KB
 
-#: Default operation mix, patterned after the SFS97 distribution
-#: (collapsed to the operations our servers implement).
-DEFAULT_MIX: List[Tuple[str, float]] = [
+#: Operation mix, patterned after the SFS97 distribution (collapsed to
+#: the operations our servers implement); the weights sum to 1.
+MIX: List[Tuple[str, float]] = [
     ("lookup", 0.27),
     ("getattr", 0.22),
     ("read", 0.32),
     ("write", 0.19),
 ]
+#: Files in the shared set, and the size of each.
+N_FILES = 128
+FILE_SIZE = 8 * KB
 
 
 class SFSWorkload:
     """Closed-loop multi-client NFS operation mix."""
 
-    def __init__(self, cluster: Cluster, n_files: int = 128,
-                 file_size: int = 8 * KB, ops_per_client: int = 500,
-                 mix: Optional[List[Tuple[str, float]]] = None,
-                 seed_stream: str = "sfs"):
+    def __init__(self, cluster: Cluster, ops_per_client: int = 500):
         self.cluster = cluster
-        self.n_files = n_files
-        self.file_size = file_size
         self.ops_per_client = ops_per_client
-        self.mix = mix or DEFAULT_MIX
-        total = sum(weight for _, weight in self.mix)
-        if abs(total - 1.0) > 1e-6:
-            raise ValueError(f"operation mix must sum to 1.0, got {total}")
-        self.rng = cluster.rand.stream(seed_stream)
+        self.rng = cluster.rand.stream("sfs")
         self.op_counts: Dict[str, int] = {}
 
     def setup(self) -> None:
-        for i in range(self.n_files):
-            self.cluster.create_file(self._name(i), self.file_size)
+        for i in range(N_FILES):
+            self.cluster.create_file(self._name(i), FILE_SIZE)
 
     def _name(self, i: int) -> str:
         return f"sfs{i:05d}"
@@ -55,14 +51,14 @@ class SFSWorkload:
     def _pick_op(self) -> str:
         roll = self.rng.random()
         acc = 0.0
-        for op, weight in self.mix:
+        for op, weight in MIX:
             acc += weight
             if roll < acc:
                 return op
-        return self.mix[-1][0]
+        return MIX[-1][0]
 
     def _one_op(self, client) -> Generator:
-        name = self._name(self.rng.randrange(self.n_files))
+        name = self._name(self.rng.randrange(N_FILES))
         op = self._pick_op()
         self.op_counts[op] = self.op_counts.get(op, 0) + 1
         if op == "lookup":
@@ -70,12 +66,10 @@ class SFSWorkload:
         elif op == "getattr":
             yield from client.getattr(name)
         elif op == "read":
-            offset = self.rng.randrange(
-                max(1, self.file_size // (4 * KB))) * 4 * KB
+            offset = self.rng.randrange(FILE_SIZE // (4 * KB)) * 4 * KB
             yield from client.read(name, offset, 4 * KB)
         else:  # write
-            offset = self.rng.randrange(
-                max(1, self.file_size // (4 * KB))) * 4 * KB
+            offset = self.rng.randrange(FILE_SIZE // (4 * KB)) * 4 * KB
             yield from client.write(name, offset, 4 * KB)
 
     def _client_loop(self, client) -> Generator:

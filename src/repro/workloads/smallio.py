@@ -17,6 +17,9 @@ from typing import Dict, Generator, Optional
 from ..cluster import Cluster
 from ..sim import LatencyStats
 
+#: Reads of the whole file per client; the last pass is measured.
+PASSES = 2
+
 
 class MultiClientReadWorkload:
     """N clients streaming the same warm file through their caches.
@@ -28,7 +31,7 @@ class MultiClientReadWorkload:
     """
 
     def __init__(self, cluster: Cluster, file_name: str, file_size: int,
-                 app_block_size: int, passes: int = 2,
+                 app_block_size: int,
                  latency: Optional[LatencyStats] = None):
         if file_size % app_block_size:
             raise ValueError(
@@ -37,7 +40,6 @@ class MultiClientReadWorkload:
         self.file_name = file_name
         self.file_size = file_size
         self.app_block_size = app_block_size
-        self.passes = passes
         self.latency = latency
 
     def run(self) -> Dict[str, float]:
@@ -57,9 +59,8 @@ class MultiClientReadWorkload:
 
     def _client_main(self, client, barrier_events) -> Generator:
         yield from client.open(self.file_name)
-        for p in range(self.passes):
-            yield from self._one_pass(client,
-                                      record=(p == self.passes - 1))
+        for p in range(PASSES):
+            yield from self._one_pass(client, record=(p == PASSES - 1))
             # Synchronize between passes so the measured pass is clean.
             mine, everyone = barrier_events[p]
             mine.succeed(None)
@@ -70,7 +71,7 @@ class MultiClientReadWorkload:
         sim = cluster.sim
         clients = cluster.clients
         barriers = []
-        for p in range(self.passes):
+        for p in range(PASSES):
             events = [(sim.event()) for _ in clients]
             barriers.append(events)
         # Per-client view: (my event, all-of event for the pass).
@@ -78,12 +79,11 @@ class MultiClientReadWorkload:
         procs = []
         for idx, client in enumerate(clients):
             view = [(barriers[p][idx], pass_allofs[p])
-                    for p in range(self.passes)]
+                    for p in range(PASSES)]
             procs.append(sim.process(self._client_main(client, view),
                                      name=f"smallio-{idx}"))
         # Measure the final pass: wait for the next-to-last barrier.
-        if self.passes > 1:
-            yield pass_allofs[self.passes - 2]
+        yield pass_allofs[-2]
         cluster.reset_measurements()
         start = sim.now
         yield sim.all_of(procs)

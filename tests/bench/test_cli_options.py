@@ -51,11 +51,12 @@ OUT_OF_RANGE = [
       for command in ("chaos", "scrub", "telemetry", "scale", "shard",
                       "table2", "perf") for value in ("0", "-3")],
     _bad("perf", "--repeat", "0"),
-    # perf's gate options: a tolerance outside [0, 1] makes the rate gate
-    # always fail or switches it off, and a speedup floor <= 0 can never
-    # fail.
-    _bad("perf", "--tolerance", "-0.5", bound="in [0, 1]"),
-    _bad("perf", "--tolerance", "7", bound="in [0, 1]"),
+    # perf's gate options: a tolerance outside [0, 1) makes the rate gate
+    # always fail or switches it off (at 1 every floor is zero), and a
+    # speedup floor <= 0 can never fail.
+    _bad("perf", "--tolerance", "-0.5", bound="in [0, 1)"),
+    _bad("perf", "--tolerance", "7", bound="in [0, 1)"),
+    _bad("perf", "--tolerance", "1", bound="in [0, 1)"),
     _bad("perf", "--min-speedup", "0", bound="> 0"),
     _bad("perf", "--profile", "0"),
     _bad("chaos", "--rates", "-0.5", bound="in [0, 1]"),

@@ -25,6 +25,13 @@ TINY = dict(systems=("nfs", "odafs"), mixes=("smallio",),
             failover=False)
 
 
+def smallio_point(system, n_servers, placement="stripe"):
+    """One campaign small-I/O point at the defaults: 8 clients read a
+    warm 128-block file twice in ``APP_BLOCK`` reads."""
+    return shard._shard_point(("smallio", system, n_servers, placement,
+                               8, 128, 0, 0), default_params())
+
+
 @pytest.fixture(scope="module")
 def tiny_campaign():
     return shard.shard_campaign(**TINY)
@@ -81,9 +88,9 @@ class TestDeterminism:
 
 
 class TestFailover:
-    def test_crash_point_completes_via_replica(self):
-        point = shard.run_failover_point("odafs", n_servers=2,
-                                         blocks=32, reads=60)
+    def test_crash_point_completes_via_replica(self, monkeypatch):
+        monkeypatch.setattr(shard, "FAILOVER_READS", 60)
+        point = shard.run_failover_point("odafs", n_servers=2, blocks=32)
         assert point["completed"]
         assert point["server_crashes"] == 1
         assert point["cache_blocks_lost"] > 0
@@ -104,14 +111,14 @@ class TestFailover:
     def test_programming_error_propagates(self, monkeypatch):
         """A bug in the workload is a failure, not a data point."""
         self._break_reads(monkeypatch, KeyError("bug"))
+        monkeypatch.setattr(shard, "FAILOVER_READS", 4)
         with pytest.raises(KeyError):
-            shard.run_failover_point("odafs", n_servers=2, blocks=8,
-                                     reads=4)
+            shard.run_failover_point("odafs", n_servers=2, blocks=8)
 
     def test_typed_error_is_reported_as_not_completed(self, monkeypatch):
         self._break_reads(monkeypatch, RPCError("gave up"))
-        point = shard.run_failover_point("odafs", n_servers=2, blocks=8,
-                                         reads=4)
+        monkeypatch.setattr(shard, "FAILOVER_READS", 4)
+        point = shard.run_failover_point("odafs", n_servers=2, blocks=8)
         assert point["completed"] is False
 
     @pytest.mark.parametrize("mode", [["--json"], []], ids=["json", "text"])
@@ -198,8 +205,7 @@ class TestClientCacheCheck:
             self, n_servers, placement):
         with pytest.raises(shard.ClientCacheHitError,
                            match=f"at {n_servers} server"):
-            shard.run_point_smallio("odafs", n_servers,
-                                    placement=placement)
+            smallio_point("odafs", n_servers, placement)
 
     @pytest.mark.parametrize("mode", [[], ["--json"],
                                       ["--json", "--jobs", "2"]],
@@ -220,7 +226,7 @@ class TestScaleOutClaim:
     def test_odafs_scales_near_linearly_nfs_sublinearly(self):
         """The campaign's acceptance criterion at the default operating
         point (8 clients, 128-block file, 64 KB application reads)."""
-        points = {system: {n: shard.run_point_smallio(system, n)
+        points = {system: {n: smallio_point(system, n)
                            for n in (1, 4)}
                   for system in ("nfs", "odafs")}
         odafs = points["odafs"][4]["throughput_mb_s"] / \

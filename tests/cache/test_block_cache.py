@@ -17,8 +17,8 @@ def host():
     return Host(sim, params, switch, "h")
 
 
-def make_cache(host, blocks=4, register=True):
-    return ClientFileCache(host, 4096, blocks, register=register)
+def make_cache(host, blocks=4):
+    return ClientFileCache(host, 4096, blocks)
 
 
 def insert(cache, key, data):
@@ -57,7 +57,7 @@ def test_buffers_are_pooled_and_reused(host):
 
 
 def test_pool_registered_once(host):
-    cache = make_cache(host, blocks=3, register=True)
+    cache = make_cache(host, blocks=3)
     assert len(host.nic.tpt._segments) == 3
     # Churn does not register anything new (registration caching).
     for i in range(10):

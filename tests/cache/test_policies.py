@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cache.lru import LRUPolicy
-from repro.cache.mq import MQPolicy
+from repro.cache.mq import NUM_QUEUES, MQPolicy
 
 
 @pytest.fixture(params=["lru", "mq"])
@@ -79,7 +79,8 @@ class TestMQBehaviour:
     def test_frequency_protects_hot_blocks_from_scan(self):
         """A frequently accessed block must survive a one-touch scan that
         would evict it under LRU."""
-        mq = MQPolicy(4, life_time=100)
+        mq = MQPolicy(4)
+        mq.life_time = 100
         mq.admit("hot")
         for _ in range(10):
             mq.touch("hot")
@@ -100,7 +101,8 @@ class TestMQBehaviour:
         assert "hot" not in lru  # LRU loses it
 
     def test_expiration_demotes_stale_blocks(self):
-        mq = MQPolicy(4, life_time=2)
+        mq = MQPolicy(4)
+        mq.life_time = 2
         mq.admit("stale")
         for _ in range(8):
             mq.touch("stale")  # high queue
@@ -111,7 +113,9 @@ class TestMQBehaviour:
         assert entry.queue < mq._queue_for(entry.freq)
 
     def test_history_restores_frequency(self):
-        mq = MQPolicy(1, life_time=100, history_size=16)
+        mq = MQPolicy(1)
+        mq.life_time = 100
+        mq.history_size = 16
         mq.admit("x")
         for _ in range(7):
             mq.touch("x")  # freq 8 -> queue 3
@@ -122,19 +126,17 @@ class TestMQBehaviour:
         assert mq._entries["x"].queue == mq._queue_for(9)
 
     def test_history_bounded(self):
-        mq = MQPolicy(2, history_size=3)
+        mq = MQPolicy(2)
+        mq.history_size = 3
         for i in range(10):
             mq.admit(i)
         assert len(mq._history) <= 3
 
     def test_queue_index_formula(self):
-        mq = MQPolicy(4, num_queues=4)
+        mq = MQPolicy(4)
         assert mq._queue_for(1) == 0
         assert mq._queue_for(2) == 1
         assert mq._queue_for(3) == 1
         assert mq._queue_for(4) == 2
-        assert mq._queue_for(100) == 3  # capped at num_queues - 1
-
-    def test_invalid_num_queues(self):
-        with pytest.raises(ValueError):
-            MQPolicy(4, num_queues=0)
+        assert mq._queue_for(100) == 6
+        assert mq._queue_for(1 << 20) == NUM_QUEUES - 1  # capped

@@ -120,7 +120,8 @@ def test_persistent_disk_error_surfaces_as_rpc_error():
     cluster.create_file("f", 16 * KB, warm=False)
     inj = Injector(cluster)
     inj.enable_resilience()
-    inj.disk_errors(1.0, max_retries=2)     # every attempt fails
+    inj.disk_errors(1.0)                    # every attempt fails
+    inj.disk_faults(0).max_retries = 2
     state = read_all(cluster, blocks=4)
     # The server's handler fault becomes an rpc_error reply, not a hang
     # and not a dead serve loop.

@@ -17,6 +17,16 @@ def make_cluster(**kw):
 # -- RetryPolicy --------------------------------------------------------------
 
 
+def resilient(cluster, **kw):
+    """``enable_resilience(**kw)`` with the retry jitter zeroed, so the
+    backoff lengths are exact."""
+    inj = Injector(cluster)
+    inj.enable_resilience(**kw)
+    for client in cluster.clients:
+        client.rpc.retry.jitter = 0.0
+    return inj
+
+
 def test_backoff_is_capped_exponential():
     policy = RetryPolicy(backoff_base_us=100.0, backoff_factor=2.0,
                          backoff_cap_us=400.0)
@@ -57,8 +67,7 @@ def test_delayed_request_triggers_drc_replay_and_client_dedup():
     the client discards the extra reply by xid."""
     cluster = make_cluster()
     cluster.create_file("f", 16 * KB)
-    inj = Injector(cluster)
-    inj.enable_resilience(timeout_us=4000.0, jitter=0.0)
+    inj = resilient(cluster, timeout_us=4000.0)
     inj.link.delay_next = 1
     inj.link.delay_us = 6000.0      # > timeout: forces a retransmission
     client = cluster.clients[0]
@@ -83,8 +92,7 @@ def test_in_flight_duplicate_is_dropped_not_reexecuted():
     entry — the handler runs once and one reply goes back."""
     cluster = make_cluster(server_cache_blocks=4)
     cluster.create_file("f", 16 * KB, warm=False)   # cold: ~5ms disk read
-    inj = Injector(cluster)
-    inj.enable_resilience(timeout_us=2000.0, jitter=0.0)
+    resilient(cluster, timeout_us=2000.0)
     client = cluster.clients[0]
 
     def proc():
@@ -102,8 +110,7 @@ def test_in_flight_duplicate_is_dropped_not_reexecuted():
 def test_retry_budget_exhaustion_raises_timeout_error():
     cluster = make_cluster()
     cluster.create_file("f", 16 * KB)
-    inj = Injector(cluster)
-    inj.enable_resilience(timeout_us=1000.0, max_retries=2, jitter=0.0)
+    inj = resilient(cluster, timeout_us=1000.0, max_retries=2)
     inj.link_loss(1.0)              # nothing gets through, ever
     client = cluster.clients[0]
 
@@ -127,8 +134,7 @@ def test_retransmission_shows_up_in_span_breakdown():
     cluster = make_cluster()
     cluster.create_file("f", 16 * KB)
     tracer = Tracer.attach(cluster.sim)
-    inj = Injector(cluster)
-    inj.enable_resilience(timeout_us=4000.0, jitter=0.0)
+    inj = resilient(cluster, timeout_us=4000.0)
     client = cluster.clients[0]
 
     def proc():

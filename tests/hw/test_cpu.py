@@ -109,16 +109,6 @@ def test_interrupt_coalescing_skips_entry_cost(sim, cpu):
     assert third == pytest.approx(2 * cpu.params.interrupt_us)
 
 
-def test_interrupt_handler_work_always_charged(sim, cpu):
-    def proc():
-        yield from cpu.interrupt(handler_us=3.0, coalesce_window_us=1e9)
-        yield from cpu.interrupt(handler_us=3.0, coalesce_window_us=1e9)
-        return cpu.busy.busy_us
-
-    total = sim.run_process(proc())
-    assert total == pytest.approx(cpu.params.interrupt_us + 6.0)
-
-
 def test_utilization_window(sim, cpu):
     def proc():
         yield sim.timeout(50.0)

@@ -135,8 +135,7 @@ class TestRDMA:
         seg = b.nic.tpt.register(target)
 
         def putter():
-            yield from a.nic.rdma_put("hostB", seg.base, 4096, data="written",
-                                      capability=seg.capability)
+            yield from a.nic.rdma_put("hostB", seg.base, 4096, data="written")
             return target.data
 
         assert sim.run_process(putter()) == "written"

@@ -98,8 +98,7 @@ def test_duplicate_rdma_ack_is_ignored(rig):
     seg = b.nic.tpt.register(target)
 
     def putter():
-        yield from a.nic.rdma_put("B", seg.base, 4096, data="v",
-                                  capability=seg.capability)
+        yield from a.nic.rdma_put("B", seg.base, 4096, data="v")
         # Simulate a duplicate ack arriving afterwards.
         a.nic._complete_rdma(12345, ok=True)
 

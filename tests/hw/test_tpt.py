@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.hw.tpt as tpt_module
 from repro.hw.memory import PAGE_SIZE, AddressSpace
 from repro.hw.tpt import TPT, CapabilityAuthority, FaultReason, NicTLB, ProtectionError
 
@@ -112,19 +113,22 @@ class TestAccessChecks:
 
 class TestCapabilityAuthority:
     def test_issue_is_deterministic(self):
-        auth = CapabilityAuthority(b"key")
+        auth = CapabilityAuthority()
         assert auth.issue(1, 100, 200) == auth.issue(1, 100, 200)
 
     def test_issue_varies_with_inputs(self):
-        auth = CapabilityAuthority(b"key")
+        auth = CapabilityAuthority()
         base = auth.issue(1, 100, 200)
         assert auth.issue(2, 100, 200) != base
         assert auth.issue(1, 101, 200) != base
         assert auth.issue(1, 100, 201) != base
 
-    def test_different_keys_differ(self):
-        assert CapabilityAuthority(b"a").issue(1, 2, 3) != \
-            CapabilityAuthority(b"b").issue(1, 2, 3)
+    def test_different_keys_differ(self, monkeypatch):
+        issued = []
+        for key in (b"a", b"b"):
+            monkeypatch.setattr(tpt_module, "KEY", key)
+            issued.append(CapabilityAuthority().issue(1, 2, 3))
+        assert issued[0] != issued[1]
 
 
 class TestNicTLB:

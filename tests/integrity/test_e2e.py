@@ -11,6 +11,7 @@ is detected — at the server for RPC reads, at the client for ORDMA reads
 
 import pytest
 
+from repro.bench import scrub
 from repro.bench.scrub import run_point, run_repair_point
 from repro.cluster import Cluster
 from repro.faults import Injector
@@ -214,9 +215,9 @@ class TestShardedReadRepair:
             yield  # a generator, like the real read
 
         monkeypatch.setattr(ShardRouter, "read", read)
+        monkeypatch.setattr(scrub, "REPAIR_BLOCKS", 4)
         with pytest.raises(KeyError):
-            run_repair_point(params=default_params().copy(seed=11),
-                             blocks=4)
+            run_repair_point(params=default_params().copy(seed=11))
 
     def test_without_replicas_the_error_is_typed(self):
         # No replica chain to fall back on: the router surfaces the

@@ -256,7 +256,7 @@ class TestFailover:
         inj = Injector(c)
         inj.enable_resilience(timeout_us=2000.0, max_retries=2)
         inj.schedule_server_crash(FaultSchedule.at([2000.0]),
-                                  downtime_us=1e6, shard=0)
+                                  downtime_us=1e6)
         inj.arm()
         router = c.clients[0]
         outcome = {"ok": 0, "down": 0}
@@ -307,7 +307,7 @@ class TestFailover:
         # Short downtime: the server restarts well before the workload
         # ends, and after the router's cooldown the primary serves again.
         inj.schedule_server_crash(FaultSchedule.at([1500.0]),
-                                  downtime_us=4000.0, shard=0)
+                                  downtime_us=4000.0)
         inj.arm()
         router = c.clients[0]
 
@@ -331,7 +331,7 @@ class TestBroadcastUnderCrash:
         inj = Injector(c)
         inj.enable_resilience(timeout_us=2000.0, max_retries=2)
         inj.schedule_server_crash(FaultSchedule.at([1000.0]),
-                                  downtime_us=1e6, shard=0)
+                                  downtime_us=1e6)
         inj.arm()
         router = c.clients[0]
 
@@ -381,8 +381,10 @@ class TestBroadcastUnderCrash:
         home = c.placement.shard_of("f", 0)
         inj = Injector(c)
         inj.enable_resilience(timeout_us=2000.0, max_retries=2)
-        inj.schedule_server_crash(FaultSchedule.at([1000.0]),
-                                  downtime_us=1e6, shard=home)
+        # schedule_server_crash crashes server 0; crash the home shard.
+        faults, rpc = inj.server_faults(home), c.servers[home].rpc
+        inj.schedule(FaultSchedule.at([1000.0]),
+                     lambda: faults.crash_now(rpc, 1e6))
         inj.arm()
         holder, closer = c.clients
 

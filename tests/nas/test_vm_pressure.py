@@ -25,7 +25,8 @@ def test_daemon_reclaims_and_stops_with_workload():
                 yield from client.read("f", i * 4 * KB, 4 * KB)
 
     proc = cluster.sim.process(workload())
-    daemon = MemoryPressure(cluster.sim, cluster.cache, interval_us=500.0)
+    daemon = MemoryPressure(cluster.sim, cluster.cache, interval_us=500.0,
+                            rng=cluster.rand.stream("t"))
     daemon.start(stop_on=proc)
     cluster.sim.run()
     assert proc.triggered and proc.ok
@@ -69,7 +70,8 @@ def test_reclaimed_exports_are_shot_down():
 
 def test_double_start_rejected():
     cluster = make_cluster()
-    daemon = MemoryPressure(cluster.sim, cluster.cache, interval_us=100.0)
+    daemon = MemoryPressure(cluster.sim, cluster.cache, interval_us=100.0,
+                            rng=cluster.rand.stream("t"))
     stop_on = cluster.sim.event()
     daemon.start(stop_on=stop_on)
     with pytest.raises(RuntimeError):
@@ -79,7 +81,5 @@ def test_double_start_rejected():
 def test_parameter_validation():
     cluster = make_cluster()
     with pytest.raises(ValueError):
-        MemoryPressure(cluster.sim, cluster.cache, interval_us=0.0)
-    with pytest.raises(ValueError):
-        MemoryPressure(cluster.sim, cluster.cache, interval_us=10.0,
-                       blocks_per_round=0)
+        MemoryPressure(cluster.sim, cluster.cache, interval_us=0.0,
+                       rng=cluster.rand.stream("t"))

@@ -1,5 +1,7 @@
 """Property-based tests for protocol-layer invariants (TCP)."""
 
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -7,6 +9,7 @@ from repro.faults import LinkFaults
 from repro.hw import Host
 from repro.net import Switch
 from repro.params import default_params
+from repro.proto import tcp
 from repro.proto.tcp import TCPStack
 from repro.sim import RandomStreams, Simulator
 
@@ -27,8 +30,8 @@ class TestTCPDeliveryProperties:
         switch.faults.drop_p = loss
         a = Host(sim, params, switch, "A")
         b = Host(sim, params, switch, "B")
-        stack_a = TCPStack(a, rto_us=1500.0)
-        stack_b = TCPStack(b, rto_us=1500.0)
+        stack_a = TCPStack(a)
+        stack_b = TCPStack(b)
         listener = stack_b.listen(80)
         received = []
 
@@ -46,5 +49,6 @@ class TestTCPDeliveryProperties:
 
         sim.process(client())
         sim.process(server())
-        sim.run()
+        with mock.patch.object(tcp, "RTO_US", 1500.0):
+            sim.run()
         assert received == [(i, size, i) for i, size in enumerate(sizes)]

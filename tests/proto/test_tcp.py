@@ -9,6 +9,7 @@ from repro.hw import Host
 from repro.net import Switch
 from repro.params import default_params
 from repro.proto.rpc import RPCClient, RPCReply, RPCServer
+from repro.proto import tcp
 from repro.proto.tcp import TCPError, TCPStack
 from repro.sim import Simulator
 
@@ -31,9 +32,9 @@ def make_lossy_pair(drop_p):
     return sim, a, b
 
 
-def connect(sim, a, b, port=6000, **stack_kw):
-    stack_a = TCPStack(a, **stack_kw)
-    stack_b = TCPStack(b, **stack_kw)
+def connect(sim, a, b, port=6000):
+    stack_a = TCPStack(a)
+    stack_b = TCPStack(b)
     listener = stack_b.listen(port)
     client_conn = {}
     server_conn = {}
@@ -143,9 +144,11 @@ class TestDataTransfer:
 
 
 class TestCongestionWindow:
-    def test_slow_start_grows_window(self):
+    def test_slow_start_grows_window(self, monkeypatch):
+        monkeypatch.setattr(tcp, "INITIAL_CWND", 2)
+        monkeypatch.setattr(tcp, "MAX_CWND", 32)
         sim, a, b = make_pair()
-        c, s = connect(sim, a, b, initial_cwnd=2, max_cwnd=32)
+        c, s = connect(sim, a, b)
 
         def client():
             yield from c.send("B", 512 * 1024)
@@ -203,9 +206,10 @@ class TestCongestionWindow:
 
 
 class TestLossRecovery:
-    def test_messages_survive_loss(self):
+    def test_messages_survive_loss(self, monkeypatch):
+        monkeypatch.setattr(tcp, "RTO_US", 2000.0)
         sim, a, b = make_lossy_pair(0.02)
-        c, s = connect(sim, a, b, rto_us=2000.0)
+        c, s = connect(sim, a, b)
 
         def client():
             for i in range(20):
@@ -224,10 +228,11 @@ class TestLossRecovery:
         assert sorted(proc.value) == list(range(20))
         assert c.retransmissions > 0
 
-    def test_timeout_shrinks_window(self):
+    def test_timeout_shrinks_window(self, monkeypatch):
+        monkeypatch.setattr(tcp, "RTO_US", 2000.0)
+        monkeypatch.setattr(tcp, "INITIAL_CWND", 2)
         sim, a, b = make_lossy_pair(0.05)
-        c, s = connect(sim, a, b, rto_us=2000.0, initial_cwnd=2,
-                       max_cwnd=64)
+        c, s = connect(sim, a, b)
 
         def client():
             yield from c.send("B", 512 * 1024)
@@ -239,7 +244,7 @@ class TestLossRecovery:
         sim.process(server())
         sim.run()
         assert c.retransmissions > 0
-        assert c._ssthresh < 64
+        assert c._ssthresh < tcp.MAX_CWND
 
 
 class TestRPCOverTCP:

@@ -87,7 +87,9 @@ class TestTrampolinePool:
 class TestAllOfPendingCounter:
     def test_wide_fanin(self):
         sim = Simulator()
-        events = [sim.timeout(float(i % 7), value=i) for i in range(100)]
+        events = [sim.event() for _ in range(100)]
+        for i, event in enumerate(events):
+            sim.call_at(float(i % 7), event.succeed, i)
         barrier = sim.all_of(events)
         sim.run()
         assert barrier.triggered and barrier.ok
@@ -97,7 +99,8 @@ class TestAllOfPendingCounter:
         sim = Simulator()
         early = sim.event().succeed("early")
         sim.run()  # process `early` so it joins as already-processed
-        late = sim.timeout(3.0, value="late")
+        late = sim.event()
+        sim.call_at(3.0, late.succeed, "late")
         barrier = sim.all_of([early, late])
         sim.run()
         assert barrier.triggered
@@ -107,7 +110,7 @@ class TestAllOfPendingCounter:
         # The counter counts *memberships*, not distinct events: a child
         # listed twice contributes two callbacks and two decrements.
         sim = Simulator()
-        shared = sim.timeout(1.0, value="x")
+        shared = sim.timeout(1.0)
         barrier = sim.all_of([shared, shared])
         sim.run()
         assert barrier.triggered and barrier.ok

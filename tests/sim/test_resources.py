@@ -37,11 +37,8 @@ class TestResource:
 
         def user(tag, prio, delay):
             yield sim.timeout(delay)
-            req = res.request(priority=prio)
-            yield req
+            yield res.hold(1.0, prio)
             served.append(tag)
-            yield sim.timeout(1.0)
-            res.release(req)
 
         sim.process(holder())
         sim.process(user("low", 2, 1.0))

@@ -14,6 +14,7 @@ from repro.sim import (
     rate_probe,
     ratio_probe,
 )
+from repro.sim import timeseries
 from repro.sim.timeseries import window_mean
 
 
@@ -152,12 +153,11 @@ class TestSampler:
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             TimeSeriesSampler(Simulator(), interval_us=0.0)
-        with pytest.raises(ValueError):
-            TimeSeriesSampler(Simulator(), capacity=0)
 
-    def test_ring_capacity_drops_oldest(self):
+    def test_ring_capacity_drops_oldest(self, monkeypatch):
+        monkeypatch.setattr(timeseries, "CAPACITY", 4)
         sim = Simulator()
-        sampler = TimeSeriesSampler(sim, interval_us=1.0, capacity=4)
+        sampler = TimeSeriesSampler(sim, interval_us=1.0)
         sampler.probe("now", lambda: sim.now)
         proc = run_for(sim, 10.5)
         sampler.start(stop_on=proc)
@@ -196,10 +196,9 @@ class TestSampler:
 
 
 class TestSerialization:
-    def _sampled(self, capacity=8192):
+    def _sampled(self):
         sim = Simulator()
-        sampler = TimeSeriesSampler(sim, interval_us=10.0,
-                                    capacity=capacity)
+        sampler = TimeSeriesSampler(sim, interval_us=10.0)
         sampler.probe("a.x", lambda: sim.now)
         sampler.probe("a.y", lambda: 2.0 * sim.now)
         proc = run_for(sim, 100.0)
@@ -221,10 +220,12 @@ class TestSerialization:
         assert len(dump.series["a.x"]) == sampler.ticks
         assert dump.series["a.x"] == list(sampler.series["a.x"].points)
         assert window_mean(dump.series["a.y"], 0.0, 100.0) == \
-            sampler.series["a.y"].mean(0.0, 100.0)
+            sampler.series["a.y"].mean()
 
-    def test_series_line_carries_the_rings_dropped_count(self, tmp_path):
-        sampler = self._sampled(capacity=4)
+    def test_series_line_carries_the_rings_dropped_count(self, tmp_path,
+                                                          monkeypatch):
+        monkeypatch.setattr(timeseries, "CAPACITY", 4)
+        sampler = self._sampled()
         path = tmp_path / "ts.jsonl"
         Tracer(sampler.sim).dump_jsonl(str(path), series=sampler.series)
         record = json.loads(path.read_text().splitlines()[1])

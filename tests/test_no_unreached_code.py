@@ -31,6 +31,10 @@ The walk is by name, so a name the program uses anywhere (``get``,
 ``partition``, ``page_at``) reaches every definition that shares it: a
 definition hidden that way is not caught. Look for its callers by hand
 before keeping one.
+
+Imports are held to the same bar: each name a non-``__init__`` module
+imports must be used, as an ``ast.Name``, in a string annotation, or on
+an import marked ``# noqa: F401`` (kept for its side effect).
 """
 
 import ast
@@ -65,47 +69,66 @@ def _names(nodes) -> set:
     return found
 
 
-def _class_parts(cls: ast.ClassDef):
+def _class_parts(cls: ast.ClassDef) -> list:
     """The nodes that belong to a class itself: bases, keywords,
     decorators, non-method statements and dunder methods."""
     parts = [*cls.bases, *cls.keywords, *cls.decorator_list]
-    methods = []
     for member in cls.body:
-        if isinstance(member, FUNCTIONS) and not _dunder(member.name):
-            methods.append(member)
-        else:
+        if not isinstance(member, FUNCTIONS) or _dunder(member.name):
             parts.append(member)
-    return parts, methods
+    return parts
+
+
+def modules(repo: pathlib.Path):
+    """Each module of ``src/repro`` as ``(path relative to src, tree)``."""
+    package = repo / "src" / "repro"
+    for path in sorted(package.rglob("*.py")):
+        yield path.relative_to(repo / "src"), \
+            ast.parse(path.read_text(), str(path))
+
+
+def scripts(repo: pathlib.Path):
+    """The tree of every file under ``SCRIPTS``."""
+    for top in SCRIPTS:
+        for path in sorted((repo / top).rglob("*.py")):
+            yield ast.parse(path.read_text(), str(path))
+
+
+def definitions(tree: ast.Module):
+    """``(qualname, owner, node)`` for each module-level function and class
+    of ``tree`` (owner ``None``), each class followed by its methods, dunders
+    included (owner the class)."""
+    for node in tree.body:
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            yield node.name, None, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, FUNCTIONS):
+                    yield f"{node.name}.{member.name}", node, member
 
 
 def scan(repo: pathlib.Path):
     """``(defs, roots)``: each definition in ``src/repro`` as
     ``(name, "path:line qualname", body nodes)``, and the names the roots
     use."""
-    package = repo / "src" / "repro"
     defs, roots = [], set()
-    for path in sorted(package.rglob("*.py")):
-        rel = path.relative_to(repo / "src")
-        tree = ast.parse(path.read_text(), str(path))
+    for rel, tree in modules(repo):
         for node in tree.body:
-            if isinstance(node, FUNCTIONS):
-                if node.name == "__getattr__":
-                    roots |= _names([node])
-                else:
-                    defs.append((node.name, f"{rel}:{node.lineno} "
-                                 f"{node.name}", [node]))
-            elif isinstance(node, ast.ClassDef):
-                parts, methods = _class_parts(node)
-                defs.append((node.name, f"{rel}:{node.lineno} "
-                             f"{node.name}", parts))
-                for method in methods:
-                    defs.append((method.name, f"{rel}:{method.lineno} "
-                                 f"{node.name}.{method.name}", [method]))
-            else:
+            if not isinstance(node, (*FUNCTIONS, ast.ClassDef)):
                 roots |= _names([node])
-    for top in SCRIPTS:
-        for path in sorted((repo / top).rglob("*.py")):
-            roots |= _names([ast.parse(path.read_text(), str(path))])
+        for qualname, owner, node in definitions(tree):
+            if isinstance(node, ast.ClassDef):
+                body = _class_parts(node)
+            elif owner is None and node.name == "__getattr__":
+                roots |= _names([node])
+                continue
+            elif owner is not None and _dunder(node.name):
+                continue
+            else:
+                body = [node]
+            defs.append((node.name, f"{rel}:{node.lineno} {qualname}", body))
+    for tree in scripts(repo):
+        roots |= _names([tree])
     return defs, roots
 
 
@@ -137,8 +160,48 @@ def test_every_definition_is_reached_from_the_program():
         + "\n  ".join(missing))
 
 
-def _tree(tmp_path, modules: dict, script: str) -> pathlib.Path:
-    for rel, source in modules.items():
+def unused_imports(repo: pathlib.Path) -> list:
+    """``"path:line name"`` of every name a non-``__init__`` module of
+    ``src/repro`` imports and never uses: a use is an ``ast.Name``, a
+    name in a string annotation, or a ``# noqa: F401`` on the import
+    (one kept for its side effect). Package ``__init__`` files re-export,
+    and ``from __future__`` imports are directives."""
+    found = []
+    for rel, tree in modules(repo):
+        if rel.name == "__init__.py":
+            continue
+        lines = (repo / "src" / rel).read_text().splitlines()
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            for annotation in (getattr(node, "annotation", None),
+                               getattr(node, "returns", None)):
+                if isinstance(annotation, ast.Constant) \
+                        and isinstance(annotation.value, str):
+                    used |= {n.id for n in ast.walk(ast.parse(
+                        annotation.value)) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    or getattr(node, "module", None) == "__future__" \
+                    or any("# noqa: F401" in line for line
+                           in lines[node.lineno - 1:node.end_lineno]):
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used:
+                    found.append(f"{rel}:{node.lineno} {name}")
+    return found
+
+
+def test_every_import_is_used():
+    unused = unused_imports(REPO)
+    assert not unused, (
+        "names src/repro modules import and never use (delete them):\n  "
+        + "\n  ".join(unused))
+
+
+def _tree(tmp_path, sources: dict, script: str) -> pathlib.Path:
+    for rel, source in sources.items():
         path = tmp_path / "src" / "repro" / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(source))
@@ -186,6 +249,21 @@ def test_the_walk_follows_chains_and_not_imports(tmp_path):
         "repro/model.py:18 chain_head",
         "repro/model.py:20 chain_tail",
     ]
+
+
+def test_an_import_is_used_by_name_string_annotation_or_noqa(tmp_path):
+    repo = _tree(tmp_path, {
+        "__init__.py": "from .model import f\n",
+        "model.py": """
+            from __future__ import annotations
+            import os
+            import sys  # noqa: F401
+            from typing import Dict, List, Tuple
+            def f(x: "Tuple[int, int]") -> Dict:
+                return os.sep
+        """,
+    }, "from repro.model import f\nf((1, 2))\n")
+    assert unused_imports(repo) == ["repro/model.py:5 List"]
 
 
 def test_fails_on_a_helper_only_tests_call(tmp_path):

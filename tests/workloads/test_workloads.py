@@ -76,21 +76,19 @@ class TestPostMark:
         out = workload.run()
         assert out["reads"] == 200
         assert out["writes"] == 0
-        assert out["creates_deletes"] == 0
         assert out["txns_per_s"] > 0
 
-    def test_mixed_workload_has_writes_and_creates(self):
+    def test_mixed_workload_has_writes(self):
         cluster = Cluster(system="dafs", block_size=4 * KB,
                           server_cache_blocks=80,
                           client_kwargs={"cache_blocks": 16})
         workload = PostMarkWorkload(cluster, n_files=64, transactions=300,
-                                    read_ratio=0.5,
-                                    create_delete_ratio=0.1)
+                                    read_ratio=0.5)
         workload.setup()
         out = workload.run()
         assert out["writes"] > 30
-        assert out["creates_deletes"] > 5
-        assert out["reads"] + out["writes"] + out["creates_deletes"] == 300
+        assert out["reads"] > 30
+        assert out["reads"] + out["writes"] == 300
 
     def test_hit_ratio_tracks_cache_size(self):
         params = default_params()
@@ -114,7 +112,7 @@ class TestPostMark:
         with pytest.raises(ValueError):
             PostMarkWorkload(cluster, n_files=8, read_ratio=1.5)
         with pytest.raises(ValueError):
-            PostMarkWorkload(cluster, n_files=8, create_delete_ratio=1.0)
+            PostMarkWorkload(cluster, n_files=8, read_ratio=-0.1)
 
     def test_deterministic_given_seed(self):
         params = default_params()
@@ -150,11 +148,12 @@ class TestMultiClient:
 
 
 class TestSFS:
-    def test_mix_roughly_respected(self):
-        from repro.workloads.sfs import SFSWorkload
+    def test_mix_roughly_respected(self, monkeypatch):
+        from repro.workloads import sfs
+        monkeypatch.setattr(sfs, "N_FILES", 64)
         cluster = Cluster(system="nfs", block_size=4 * KB,
                           server_cache_blocks=300)
-        workload = SFSWorkload(cluster, n_files=64, ops_per_client=600)
+        workload = sfs.SFSWorkload(cluster, ops_per_client=600)
         workload.setup()
         out = workload.run()
         counts = out["op_counts"]
@@ -164,23 +163,18 @@ class TestSFS:
         assert counts["lookup"] == pytest.approx(0.27 * total, rel=0.25)
         assert out["ops_per_s"] > 0
 
-    def test_multi_client_increases_aggregate_ops(self):
-        from repro.workloads.sfs import SFSWorkload
+    def test_multi_client_increases_aggregate_ops(self, monkeypatch):
+        from repro.workloads import sfs
         from repro.params import default_params
+        monkeypatch.setattr(sfs, "N_FILES", 64)
         params = default_params()
 
         def run(n):
             cluster = Cluster(params.copy(), system="nfs",
                               block_size=4 * KB, server_cache_blocks=300,
                               n_clients=n)
-            workload = SFSWorkload(cluster, n_files=64, ops_per_client=300)
+            workload = sfs.SFSWorkload(cluster, ops_per_client=300)
             workload.setup()
             return workload.run()["ops_per_s"]
 
         assert run(2) > 1.3 * run(1)
-
-    def test_bad_mix_rejected(self):
-        from repro.workloads.sfs import SFSWorkload
-        cluster = Cluster(system="nfs", block_size=4 * KB)
-        with pytest.raises(ValueError):
-            SFSWorkload(cluster, mix=[("read", 0.5)])
